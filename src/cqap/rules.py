@@ -14,6 +14,18 @@ same side is redundant -- covering the smaller view is never harder -- so it
 is removed.  Across rules, a rule whose target sets contain another rule's
 (one side strictly) can only be weaker and is pruned.
 
+The rules are not built from the product of the choices.  `generate_rules`
+folds the plans in one at a time (Berge multiplication, as for minimal
+transversals: Eiter & Gottlob, SIAM J. Comput. 1995), keeping only the
+distinct partial pairs of cleaned target sets, each with the first pick
+prefix in product order that reaches it.  This is exact because
+min(A | B) == min(min A | min B), so a cleaned partial pair determines the
+final targets of every completion; ties between choices keep the one that
+picks the earliest nodes, as the product loop did.  `prune_rules` takes the
+rules by increasing target count and compares each only with the minimal
+rules kept so far; that is exact because a rule strictly below another has
+strictly fewer targets and strict domination is transitive.
+
 The choice structure is kept as `picks` (plan index, node index) so later
 stages can map every target back to the plan node that produced it.
 """
@@ -23,12 +35,12 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from itertools import product
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .decompose import Pmtd
 from .queries import Cqap
-from .relalg import VarSet, members, proper_subset, vs_from, vs_str
+from .relalg import VarSet, members, subset, vs_from, vs_str
 
 log = logging.getLogger(__name__)
 
@@ -60,12 +72,16 @@ class TwoPhaseRule:
         return " v ".join(parts)
 
 
+def _add_target(side: frozenset[VarSet], v: VarSet) -> frozenset[VarSet]:
+    """clean_targets(side | {v}) for a side that is already clean."""
+    if any(subset(b, v) for b in side):
+        return side
+    return frozenset([b for b in side if not subset(v, b)] + [v])
+
+
 def clean_targets(targets: Iterable[VarSet]) -> frozenset[VarSet]:
     """Drop every target that properly contains another one."""
-    ts = set(targets)
-    return frozenset(
-        a for a in ts if not any(proper_subset(b, a) for b in ts)
-    )
+    return reduce(_add_target, targets, frozenset())
 
 
 def plan_choices(plan: Pmtd) -> list[tuple[int, bool, VarSet]]:
@@ -76,42 +92,51 @@ def plan_choices(plan: Pmtd) -> list[tuple[int, bool, VarSet]]:
 
 
 def generate_rules(plans: Sequence[Pmtd]) -> list[TwoPhaseRule]:
-    """All rules from one-view-per-plan choices, deduplicated.
+    """All rules from one-view-per-plan choices, deduplicated, sorted by key.
 
-    Ties between choices that clean down to identical target sets keep the
-    first in product order, i.e. the one picking earliest nodes.
+    The plans are folded in one at a time.  The state maps each distinct
+    partial (S targets, T targets) pair, both clean, to the first pick prefix
+    that reaches it; every view of the next plan extends every state by an
+    insert into the clean side (min(A | B) == min(min A | min B), so the
+    cleaned pair is all the completions depend on).  Any later prefix that
+    reaches the same state is completed by the same suffixes, so dropping it
+    loses nothing.  States are extended in insertion order and views in node
+    order, so each rule keeps the first choice in product order, i.e. the
+    one picking earliest nodes.
     """
     per_plan = [plan_choices(p) for p in plans]
     if not per_plan or any(not c for c in per_plan):
         raise ValueError("every plan must offer at least one view")
-    by_key: dict = {}
-    for combo in product(*per_plan):
-        s = clean_targets(v for _, m, v in combo if m)
-        t = clean_targets(v for _, m, v in combo if not m)
-        rule = TwoPhaseRule(
-            s_targets=s,
-            t_targets=t,
-            picks=tuple((i, node) for i, (node, _, _) in enumerate(combo)),
-        )
-        by_key.setdefault(rule.key(), rule)
-    rules = sorted(by_key.values(), key=TwoPhaseRule.key)
+    states: dict = {(frozenset(), frozenset()): ()}
+    for i, choices in enumerate(per_plan):
+        step: dict = {}
+        for (s, t), picks in states.items():
+            for node, m, v in choices:
+                nxt = (_add_target(s, v), t) if m else (s, _add_target(t, v))
+                step.setdefault(nxt, picks + ((i, node),))
+        states = step
+        log.debug("folded plan %d: %d partial rules", i, len(states))
+    rules = [TwoPhaseRule(s, t, picks) for (s, t), picks in states.items()]
+    rules.sort(key=TwoPhaseRule.key)
     log.debug("generated %d rules from %d plans", len(rules), len(plans))
     return rules
 
 
 def prune_rules(rules: Sequence[TwoPhaseRule]) -> list[TwoPhaseRule]:
-    """Keep only rules whose target sets are minimal under inclusion."""
-    kept = []
-    for r in rules:
-        beaten = any(
-            o is not r
-            and o.s_targets <= r.s_targets
-            and o.t_targets <= r.t_targets
-            and (o.s_targets, o.t_targets) != (r.s_targets, r.t_targets)
-            for o in rules
-        )
-        if not beaten:
+    """Keep only rules whose target sets are minimal under inclusion, by key.
+
+    A rule strictly below another has strictly fewer targets, and strict
+    domination is transitive, so scanning by increasing target count and
+    checking each rule against the rules kept so far is exact.
+    """
+    kept: list[TwoPhaseRule] = []
+    for r in sorted(rules, key=lambda o: len(o.s_targets) + len(o.t_targets)):
+        if not any(
+            o.s_targets <= r.s_targets and o.t_targets <= r.t_targets and o != r
+            for o in kept
+        ):
             kept.append(r)
+    log.debug("pruned %d rules to %d", len(rules), len(kept))
     return sorted(kept, key=TwoPhaseRule.key)
 
 

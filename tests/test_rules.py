@@ -1,20 +1,29 @@
-"""Rule generation: cartesian choices, target cleaning, pruning."""
+"""Rule generation: one-view-per-plan choices, target cleaning, pruning."""
 
 from __future__ import annotations
 
+import hashlib
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqap.decompose import Pmtd, TreeDecomp, enumerate_pmtds, pmtds_from_json
+from cqap.decompose import (
+    Pmtd,
+    TreeDecomp,
+    enumerate_pmtds,
+    enumerate_tds,
+    pmtds_from_json,
+)
 from cqap.queries import load_query
 from cqap.relalg import proper_subset, vs
 from cqap.rules import (
+    TwoPhaseRule,
     clean_targets,
     generate_rules,
+    plan_choices,
     prune_rules,
     rules_from_json,
     rules_to_json,
@@ -195,7 +204,9 @@ def test_four_reach_rules_from_pinned_plans():
     text = (ROOT / "pmtds" / "four_reach.json").read_text()
     plans = pmtds_from_json(text, query)
     rules = generate_rules(plans)
+    assert len(rules) == 680
     pruned = rule_names(prune_rules(rules), query)
+    assert len(pruned) == 32
     assert (
         fs(["x1", "x2", "x3", "x5"], ["x1", "x3", "x4", "x5"], ["x2", "x3", "x4"]),
         fs(["x2", "x4"], ["x2", "x5"], ["x1", "x4"], ["x1", "x5"]),
@@ -226,11 +237,116 @@ def test_four_reach_rules_from_pinned_plans():
     ) not in rule_names(rules, query)
 
 
+def as_pairs(rules):
+    return [(r.key(), r.picks) for r in rules]
+
+
+def rules_digest(rules) -> str:
+    return hashlib.sha256(repr(as_pairs(rules)).encode()).hexdigest()
+
+
+# Digests of (key, picks) of every generated and every kept four_reach rule,
+# as the loop over the product of all 2 125 764 choices produced them.
+FOUR_REACH_DIGESTS = {
+    "enumerated": (
+        "b5059507b558d0131b09fce96d1d8c802b7a9bb9606cdc9abb527dedbdaa1b1c",
+        "5ea5c38ea3126ac3b50189fb3f2cb6187c9fc29ed283ed1af366f8f699e24a00",
+    ),
+    "reversed": (
+        "3fe3128a7542a08c5ceba5cac02af736bc230bdb99d36f4bfb872c602640b99a",
+        "82ffbd6bb4e0320442d4a84c2457173e15b0a6daa9b0efd22b8654145930c200",
+    ),
+}
+
+
+def test_four_reach_full_enumeration():
+    query = q("four_reach")
+    assert len(enumerate_tds(query)) == 21
+    plans = enumerate_pmtds(query)
+    assert len(plans) == 15
+    keys = set()
+    for order, ps in (("enumerated", plans), ("reversed", plans[::-1])):
+        rules = generate_rules(ps)
+        kept = prune_rules(rules)
+        assert (len(rules), len(kept)) == (8654, 23)
+        digests = (rules_digest(rules), rules_digest(kept))
+        assert digests == FOUR_REACH_DIGESTS[order]
+        keys.add((tuple(r.key() for r in rules), tuple(r.key() for r in kept)))
+    # the tie-break picks depend on the plan order, the rules do not
+    assert len(keys) == 1
+
+
 def test_generate_requires_views():
     td = TreeDecomp((vs(0, 1),), (-1,))
     hollow = Pmtd(td, (True,), (0,))
     with pytest.raises(ValueError):
         generate_rules([hollow])
+
+
+# ----------------------------------------------------------------------------
+# The fold and the frontier scan against their definitions
+# ----------------------------------------------------------------------------
+
+
+def minimal(ts):
+    ts = set(ts)
+    return frozenset(a for a in ts if not any(proper_subset(b, a) for b in ts))
+
+
+def product_rules(plans):
+    """Every one-view-per-plan choice, cleaned; the first in product order wins."""
+    by_key = {}
+    for combo in product(*[plan_choices(p) for p in plans]):
+        rule = TwoPhaseRule(
+            s_targets=minimal(v for _, m, v in combo if m),
+            t_targets=minimal(v for _, m, v in combo if not m),
+            picks=tuple((i, node) for i, (node, _, _) in enumerate(combo)),
+        )
+        by_key.setdefault(rule.key(), rule)
+    return sorted(by_key.values(), key=TwoPhaseRule.key)
+
+
+def quadratic_prune(rules):
+    """Rules that no other rule strictly dominates, compared pairwise."""
+    kept = [
+        r
+        for r in rules
+        if not any(
+            o.s_targets <= r.s_targets
+            and o.t_targets <= r.t_targets
+            and (o.s_targets, o.t_targets) != (r.s_targets, r.t_targets)
+            for o in rules
+        )
+    ]
+    return sorted(kept, key=TwoPhaseRule.key)
+
+
+@st.composite
+def plan_lists(draw):
+    """1-6 plans over at most 6 variables; views repeat, nodes may be hollow."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pool = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5))
+    plans = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        k = draw(st.integers(min_value=1, max_value=4))
+        # the first node always has a view; 0 marks a hollow node
+        nu = [draw(st.sampled_from(pool))]
+        rest = st.lists(st.sampled_from([0] + pool), min_size=k - 1, max_size=k - 1)
+        nu += draw(rest)
+        in_m = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        td = TreeDecomp(tuple(v or 1 for v in nu), (-1,) + (0,) * (k - 1))
+        plans.append(Pmtd(td, tuple(in_m), tuple(nu)))
+    return plans
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan_lists(), st.data())
+def test_fold_and_frontier_match_their_definitions(plans, data):
+    rules = generate_rules(plans)
+    assert as_pairs(rules) == as_pairs(product_rules(plans))
+    kept = prune_rules(rules)
+    assert as_pairs(kept) == as_pairs(quadratic_prune(rules))
+    assert as_pairs(prune_rules(data.draw(st.permutations(rules)))) == as_pairs(kept)
 
 
 # ----------------------------------------------------------------------------
