@@ -23,9 +23,15 @@ Entering variable: largest reduced-cost improvement, switching to Bland's
 smallest-index rule after a stretch of degenerate pivots so cycling cannot
 occur.  Leaving variable: minimum ratio with smallest-basis-index tie-break.
 
-For large programs solve_lp_guided first solves in floating point (scipy) to
-guess the tight rows, then row-generates exactly from that seed; results are
-certified against the full program either way.
+Each row is scaled so that its right side is nonnegative, flipping its sense
+where the scale is negative.  A row that ends up as "<=" starts with its slack
+basic; every other row gets an artificial column that phase 1 drives out.  A
+">=" row with right side 0 could go either way, so it takes a negative scale:
+a*x >= 0 becomes the equivalent -a*x <= 0, whose slack starts basic at value
+0, a feasible start with no artificial.  The scale is kept signed, so each
+dual is mapped back to the original row and certified against it.  The
+elemental submodularity and monotonicity rows of the Shannon programs are
+all of this kind, which leaves phase 1 only the data and budget rows.
 """
 
 from __future__ import annotations
@@ -44,9 +50,6 @@ ONE = Fraction(1)
 # pivots without objective progress before falling back to Bland's rule
 STALL_LIMIT = 30
 
-# below this many tableau cells the rational simplex is fast enough alone
-GUIDE_THRESHOLD = 2000
-
 
 class LpError(RuntimeError):
     """The solver reached an inconsistent state (a bug, not bad input)."""
@@ -64,112 +67,8 @@ Row = tuple[Sequence, str, object]  # (coefficients, sense, rhs)
 
 
 def solve_lp_guided(c: Sequence, rows: Sequence[Row], maximize: bool = True) -> LpResult:
-    """solve_lp, with a floating-point presolve steering the exact solve.
-
-    When scipy is available, a float solve locates the rows that are tight at
-    an optimum; exact row generation from that seed solves a much smaller
-    program and certifies the result against the full one (all columns are
-    kept, so zero-padded duals stay dual-feasible by construction, and every
-    dropped row is re-checked exactly).  Any miss falls back to the pure
-    rational simplex, so the answer is exact either way.
-    """
-    c = [Fraction(v) for v in c]
-    if not maximize:
-        flipped = solve_lp_guided([-v for v in c], rows, maximize=True)
-        if flipped.status != "optimal":
-            return flipped
-        return LpResult(
-            "optimal", -flipped.value, flipped.x, [-d for d in flipped.duals]
-        )
-    if len(c) * len(rows) < GUIDE_THRESHOLD:
-        return solve_lp(c, rows)
-    tight = _float_guess(c, rows)
-    if tight is not None:
-        refined = _refine_from_guess(c, rows, tight)
-        if refined is not None:
-            return refined
-        log.debug("float guidance rejected; using the rational simplex")
-    return solve_lp(c, rows)
-
-
-def _float_guess(c, rows):
-    """Float solve; returns the set of approximately-tight rows, or None."""
-    try:
-        from scipy.optimize import linprog
-    except ImportError:  # pragma: no cover - scipy is a declared dependency
-        return None
-    a_ub, b_ub, ub_idx = [], [], []
-    a_eq, b_eq, eq_idx = [], [], []
-    for i, (coeffs, sense, rhs) in enumerate(rows):
-        vec = [float(v) for v in coeffs]
-        if sense == "==":
-            a_eq.append(vec)
-            b_eq.append(float(rhs))
-            eq_idx.append(i)
-        elif sense == "<=":
-            a_ub.append(vec)
-            b_ub.append(float(rhs))
-            ub_idx.append(i)
-        else:
-            a_ub.append([-v for v in vec])
-            b_ub.append(-float(rhs))
-            ub_idx.append(i)
-    res = linprog(
-        [-float(v) for v in c],
-        A_ub=a_ub or None,
-        b_ub=b_ub or None,
-        A_eq=a_eq or None,
-        b_eq=b_eq or None,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        return None
-    tight = set(eq_idx)
-    margs = getattr(getattr(res, "ineqlin", None), "marginals", None)
-    for k, i in enumerate(ub_idx):
-        slack = b_ub[k] - sum(a * v for a, v in zip(a_ub[k], res.x) if a)
-        if abs(slack) < 1e-5 or (margs is not None and abs(margs[k]) > 1e-9):
-            tight.add(i)
-    return tight
-
-
-def _refine_from_guess(c, rows, tight):
-    """Exact row generation seeded with the float-tight rows.
-
-    All columns are kept, so the duals of the reduced program (zero-padded on
-    dropped rows) are dual-feasible for the full one by construction; once no
-    dropped row is violated the reduced optimum is certified optimal for the
-    full program, with strong duality already verified inside solve_lp.
-    """
-    keep = sorted(tight)
-    seen = set(keep)
-    for _ in range(8):
-        r = solve_lp(c, [rows[i] for i in keep])
-        if r.status != "optimal":
-            return None
-        grew = False
-        for i, (coeffs, sense, rhs) in enumerate(rows):
-            if i in seen:
-                continue
-            lhs = sum(a * v for a, v in zip(coeffs, r.x) if a)
-            rhs = Fraction(rhs)
-            if (
-                (sense == "<=" and lhs > rhs)
-                or (sense == ">=" and lhs < rhs)
-                or (sense == "==" and lhs != rhs)
-            ):
-                keep.append(i)
-                seen.add(i)
-                grew = True
-        if not grew:
-            duals = [ZERO] * len(rows)
-            for i, d in zip(keep, r.duals):
-                duals[i] = d
-            return LpResult("optimal", r.value, r.x, duals)
-        keep.sort()
-        log.debug("row generation grew to %d of %d rows", len(keep), len(rows))
-    return None
+    """solve_lp under the name `shannon` calls (and perfbench traces)."""
+    return solve_lp(c, rows, maximize)
 
 
 def solve_lp(c: Sequence, rows: Sequence[Row], maximize: bool = True) -> LpResult:
@@ -200,7 +99,8 @@ class _Simplex:
                 raise ValueError(f"unknown sense {sense!r}")
             rhs = Fraction(rhs)
             s = lcm(*(v.denominator for v in coeffs), rhs.denominator)
-            if rhs * s < 0:
+            # a negative scale flips the sense: a >= row with rhs 0 starts on its slack
+            if rhs < 0 or (rhs == 0 and sense == ">="):
                 s = -s
             self.rows_in.append((coeffs, sense, rhs))
             self.rscale.append(s)
@@ -387,7 +287,7 @@ class _Simplex:
             col = next((j for j in range(self.first_art) if row[j]), None)
             if col is None:
                 self.live[i] = False
-                log.debug("dropping dependent constraint row %d", i)
+                log.debug("retiring dependent tableau row %d", i)
                 continue
             if row[col] < 0:
                 for j in range(self.ncols + 1):
@@ -403,13 +303,14 @@ class _Simplex:
         ±y_i whatever pivots happened since, so the artificial (or slack)
         column of each row yields the scaled-system dual; multiplying by the
         signed row scale converts it to a multiplier for the original row.
+        That holds for every row, retired or not: a retired tableau row
+        keeps an artificial basic (reduced cost 0), but not necessarily the
+        artificial of the input row at its own index.
         """
         duals = []
         den = self.div * self.cscale
         for i in range(len(self.rows_in)):
-            if not self.live[i]:
-                duals.append(ZERO)
-            elif self.art_col[i] is not None:
+            if self.art_col[i] is not None:
                 duals.append(Fraction(obj[self.art_col[i]] * self.rscale[i], den))
             else:
                 v = obj[self.slack_col[i]] * self.slack_sign[i]

@@ -55,10 +55,6 @@ class SetFunction:
     def __call__(self, s: VarSet):
         return self.values[s]
 
-    def cond(self, x: VarSet, y: VarSet):
-        """h(Y | X) for X a subset of Y."""
-        return self.values[y] - self.values[x]
-
 
 def check_polymatroid(h: SetFunction, tol=0) -> bool:
     """Exhaustive nonnegativity, monotonicity and submodularity check."""

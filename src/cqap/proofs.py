@@ -29,8 +29,7 @@ from fractions import Fraction
 
 from .exactlp import solve_lp
 from .polymatroids import CondVec, SetFunction, eval_cond_vec
-from .relalg import VarSet, members, size, vs_str
-from .shannon import _submasks
+from .relalg import VarSet, members, size, submasks, vs_str
 
 log = logging.getLogger(__name__)
 
@@ -283,7 +282,7 @@ def _derive_witness(initial: CondVec, target: CondVec):
         (x | bi, x | bj)
         for a, bi in enumerate(bits)
         for bj in bits[a + 1:]
-        for x in _submasks(vmask & ~(bi | bj))
+        for x in submasks(vmask & ~(bi | bj))
     ]
     monos = [(vmask & ~b, vmask) for b in bits if vmask & ~b]
     cols = [_excess({}, {}, {p: ONE}, {}) for p in subs]
@@ -292,7 +291,7 @@ def _derive_witness(initial: CondVec, target: CondVec):
     base = _excess(initial, target, {}, {})
     rows = [
         ([-col.get(z, ZERO) for col in cols], "<=", base.get(z, ZERO))
-        for z in _submasks(vmask)[1:]
+        for z in submasks(vmask)[1:]
     ]
     res = solve_lp([-ONE] * len(cols), rows)
     if res.status != "optimal":

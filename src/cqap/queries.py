@@ -220,13 +220,6 @@ class Cqap:
                 return a
         raise QueryError(f"no atom uses relation {rel!r}")
 
-    def relation_names(self) -> list[str]:
-        seen: list[str] = []
-        for a in self.atoms:
-            if a.rel not in seen:
-                seen.append(a.rel)
-        return seen
-
     def var_index(self, name: str) -> int:
         try:
             return self.var_names.index(name)

@@ -57,6 +57,16 @@ def size(s: VarSet) -> int:
     return s.bit_count()
 
 
+def submasks(s: VarSet) -> list[VarSet]:
+    """Every subset of the set in increasing order, from 0 to the set itself."""
+    out = [0]
+    t = 0
+    while t != s:
+        t = (t - s) & s
+        out.append(t)
+    return out
+
+
 def subset(a: VarSet, b: VarSet) -> bool:
     return a & ~b == 0
 
@@ -247,9 +257,6 @@ class Database:
 
     def add(self, r: Relation) -> None:
         self.relations[r.name] = r
-
-    def total_rows(self) -> int:
-        return sum(len(r) for r in self.relations.values())
 
     def validate_guards(self) -> list[str]:
         """Check every declared constraint against its guard by direct scan;

@@ -33,7 +33,7 @@ from itertools import combinations
 from .exactlp import LpError, solve_lp_guided
 from .polymatroids import SetFunction, check_polymatroid
 from .queries import Cqap, LogBound, LogConstraint, SplitConstraint
-from .relalg import Database, VarSet
+from .relalg import Database, VarSet, submasks
 from .rules import TwoPhaseRule
 
 log = logging.getLogger(__name__)
@@ -55,15 +55,6 @@ class LpRow:
     bound: LogBound
     s_mult: Fraction
     tag: tuple
-
-
-def _submasks(mask: VarSet) -> list[VarSet]:
-    out = [0]
-    s = 0
-    while s != mask:
-        s = (s - mask) & mask
-        out.append(s)
-    return out
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -112,7 +103,7 @@ class JointSystem:
             rows.append(LpRow(tuple(coeffs), ">=", NO_BOUND, ZERO, ("mono", side, i)))
         for i, j in combinations(range(self.n), 2):
             pair = (1 << i) | (1 << j)
-            for x in _submasks(self.full & ~pair):
+            for x in submasks(self.full & ~pair):
                 acc: dict[int, Fraction] = {}
                 for z, w in (
                     (x | (1 << i), ONE),

@@ -5,10 +5,10 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqap.exactlp import LpError, solve_lp
+from cqap.exactlp import LpError, _Simplex, solve_lp
 
 
 def test_small_maximization_with_duals():
@@ -67,6 +67,23 @@ def test_redundant_equality_row_gets_zero_dual():
     assert sum(d * b for d, b in zip(res.duals, [2, 4])) == 2
 
 
+@pytest.mark.parametrize(
+    "c,rows,value",
+    [
+        ([2, -3], [([2, -1], "==", 0), ([1, 2], ">=", 1), ([-3, 1], "==", -1), ([3, 0], "==", 3)], -4),
+        ([1, 1], [([-2, 3], "==", 4), ([1, -1], "==", -1), ([2, 2], ">=", 5), ([2, -1], "==", 0)], 3),
+        ([1, -2], [([-1, 2], "==", 5), ([3, 1], ">=", -2), ([0, 1], "==", 3), ([-2, 0], "==", -2)], -5),
+    ],
+)
+def test_retired_row_holding_another_rows_artificial(c, rows, value):
+    # phase 1 retires a dependent tableau row whose basic artificial belongs
+    # to a different input row; both rows still get their multipliers
+    res = solve_lp(c, rows)
+    assert res.status == "optimal"
+    assert res.value == value
+    assert sum(d * b for d, (_, _, b) in zip(res.duals, rows)) == value
+
+
 def test_negative_rhs_on_every_sense():
     # x >= 1 written three ways, minimize x
     for row in [([-1], "<=", -1), ([1], ">=", 1), ([-1, ], "==", -1)]:
@@ -74,6 +91,21 @@ def test_negative_rhs_on_every_sense():
         assert res.status == "optimal", row
         assert res.value == 1
         assert res.x == [1]
+
+
+def test_zero_rhs_ge_rows_start_on_their_slack():
+    # phase 1 has nothing to do: the >= row with right side 0 needs no artificial
+    c = [1, 2]
+    rows = [([1, 1], "<=", 4), ([F(1, 2), F(-1, 2)], ">=", 0)]
+    lp = _Simplex([F(v) for v in c], rows)
+    lp._build()
+    assert lp.first_art == lp.ncols
+    res = solve_lp(c, rows)
+    assert res.status == "optimal"
+    assert res.value == 6
+    assert res.x == [2, 2]
+    assert res.duals == [F(3, 2), F(-1)]
+    assert sum(d * b for d, (_, _, b) in zip(res.duals, rows)) == res.value
 
 
 def test_rejects_malformed_rows():
@@ -106,6 +138,8 @@ def random_lp(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(random_lp())
+@example(([0, 1, 0], [([1, -1, 1], "<=", 1), ([0, 0, 0], "<=", 0), ([1, -1, 1], ">=", 0)]))
+@example(([-2, 3, -3], [([-3, -1, -2], "<=", 5), ([-1, -2, 3], "<=", 2)]))
 def test_matches_scipy(problem):
     from scipy.optimize import linprog
 
@@ -122,8 +156,7 @@ def test_matches_scipy(problem):
         else:
             a_eq.append(coeffs)
             b_eq.append(rhs)
-    ref = linprog(
-        [-v for v in c],
+    program = dict(
         A_ub=a_ub or None,
         b_ub=b_ub or None,
         A_eq=a_eq or None,
@@ -131,6 +164,11 @@ def test_matches_scipy(problem):
         bounds=(0, None),
         method="highs",
     )
+    # HiGHS presolve can call an unbounded program infeasible; without it
+    # HiGHS can stop on numerical difficulties (status 4), which presolve settles
+    ref = linprog([-v for v in c], options={"presolve": False}, **program)
+    if ref.status == 4:
+        ref = linprog([-v for v in c], **program)
     expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status)
     assert expected is not None, f"scipy status {ref.status}"
     assert res.status == expected

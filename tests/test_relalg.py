@@ -22,6 +22,7 @@ from cqap.relalg import (
     project,
     save_relation_tsv,
     semijoin,
+    submasks,
     vs,
 )
 
@@ -36,6 +37,8 @@ def test_varset_basics():
     assert s.bit_count() == 3
     assert positions(vs(0, 2, 3), vs(2)) == (1,)
     assert positions(vs(0, 2, 3), vs(0, 3)) == (0, 2)
+    assert submasks(s) == sorted(t for t in range(s + 1) if t & ~s == 0)
+    assert submasks(0) == [0]
 
 
 # ----------------------------------------------------------------------------

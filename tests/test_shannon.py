@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cqap.decompose import enumerate_pmtds, pmtds_from_json
-from cqap.exactlp import solve_lp, solve_lp_guided
+from cqap.exactlp import solve_lp
 from cqap.polymatroids import check_polymatroid
 from cqap.queries import load_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
@@ -184,7 +184,7 @@ def weighted_bound(system, lam, theta, log_s):
         c[system.col("T", b)] += w
     for b, w in theta.items():
         c[system.col("S", b)] += w
-    res = solve_lp_guided(c, rows)
+    res = solve_lp(c, rows)
     assert res.status == "optimal"
     return res.value - sum(theta.values()) * log_s
 
@@ -260,11 +260,11 @@ def test_elemental_basis_equals_full_form(name, s):
     rows += full_polymatroid_rows(system, "S") + full_polymatroid_rows(system, "T")
     c = [F(0)] * system.ncols
     c[system.col_obj] = F(1)
-    res = solve_lp_guided(c, rows)
+    res = solve_lp(c, rows)
     assert res.status == "optimal" and res.value == base.value
 
 
-def test_guided_solve_matches_pure_exact():
+def test_three_reach_rho4_joint_value():
     query, rule = three_reach_rho(4)
     system = JointSystem(query)
     s = F(9, 8)
@@ -274,7 +274,7 @@ def test_guided_solve_matches_pure_exact():
     ]
     c = [F(0)] * system.ncols
     c[system.col_obj] = F(1)
-    assert solve_lp(c, rows).value == solve_lp_guided(c, rows).value == F(7, 8)
+    assert solve_lp(c, rows).value == F(7, 8)
 
 
 def test_solve_is_deterministic():
