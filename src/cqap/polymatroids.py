@@ -57,21 +57,28 @@ class SetFunction:
 
 
 def check_polymatroid(h: SetFunction, tol=0) -> bool:
-    """Exhaustive nonnegativity, monotonicity and submodularity check."""
+    """Exhaustive nonnegativity, monotonicity and submodularity check.
+
+    With tol == 0 and exact values (ints and Fractions) the checks run on the
+    values scaled to integers by the lcm of their denominators: the verdict is
+    the same, since every inequality is homogeneous, and integers compare far
+    faster than Fractions.
+    """
+    v = h.values
+    if tol == 0 and all(isinstance(x, (int, Fraction)) for x in v):
+        scale = math.lcm(*(x.denominator for x in v))
+        v = [x.numerator * (scale // x.denominator) for x in v]
     full = (1 << h.n) - 1
     for s in range(full + 1):
-        if h.values[s] < -tol:
+        if v[s] < -tol:
             return False
     for x in range(full + 1):
         for y in range(full + 1):
-            if subset(x, y) and h.values[x] > h.values[y] + tol:
+            if subset(x, y) and v[x] > v[y] + tol:
                 return False
     for i in range(full + 1):
         for j in range(full + 1):
-            if (
-                h.values[i] + h.values[j]
-                < h.values[i | j] + h.values[i & j] - tol
-            ):
+            if v[i] + v[j] < v[i | j] + v[i & j] - tol:
                 return False
     return True
 
@@ -103,11 +110,9 @@ def sample_entropic(n: int, rng: random.Random) -> SetFunction:
                 key = tuple(cell[i] for i in idx)
                 marg[key] = marg.get(key, 0.0) + p
             vals[s] = Fraction(-sum(p * math.log2(p) for p in marg.values() if p > 0))
-        # the denominators are powers of two, so scaling by the largest gives
-        # integers on which the same check runs much faster
-        scale = max(v.denominator for v in vals)
-        if check_polymatroid(SetFunction(n, [int(v * scale) for v in vals])):
-            return SetFunction(n, vals)
+        h = SetFunction(n, vals)
+        if check_polymatroid(h):
+            return h
 
 
 def sample_conic(n: int, rng: random.Random) -> SetFunction:

@@ -182,7 +182,10 @@ class JointSystem:
         Returns None when the program is unbounded (no target is tied to the
         data, which well-formed queries never produce).
         """
-        key = (tuple(sorted(targets)), side, with_ac, log_n, log_q)
+        # the program depends on the probe only through these right sides
+        dc_rhs = tuple(c.log.at(log_n, log_q) for c in self.dc)
+        ac_rhs = self.ac.log.at(log_n, log_q) if with_ac and self.ac.y else None
+        key = (tuple(sorted(targets)), side, dc_rhs, ac_rhs)
         if key in self._caps:
             return self._caps[key]
         ncols = self.m + 1
@@ -195,13 +198,11 @@ class JointSystem:
         rows: list[tuple[list[Fraction], str, Fraction]] = []
         for r in self._polymatroid_rows(side):
             rows.append((_dense(mv(r.coeffs), ncols), r.sense, ZERO))
-        for k, c in enumerate(self.dc):
+        for c, rhs in zip(self.dc, dc_rhs):
             coeffs = [(c.y - 1, ONE)] + ([(c.x - 1, -ONE)] if c.x else [])
-            rows.append((_dense(coeffs, ncols), "<=", c.log.at(log_n, log_q)))
-        if with_ac and self.ac.y:
-            rows.append(
-                (_dense([(self.ac.y - 1, ONE)], ncols), "<=", self.ac.log.at(log_n, log_q))
-            )
+            rows.append((_dense(coeffs, ncols), "<=", rhs))
+        if ac_rhs is not None:
+            rows.append((_dense([(self.ac.y - 1, ONE)], ncols), "<=", ac_rhs))
         for b in sorted(targets):
             rows.append((_dense([(b - 1, -ONE), (tcol, ONE)], ncols), "<=", ZERO))
         c_obj = [ZERO] * ncols

@@ -1,14 +1,23 @@
-"""Exact simplex: known optima, edge statuses, scipy cross-check."""
+"""Exact simplex: known optima, edge statuses, pinned pivots, scipy cross-check."""
 
 from __future__ import annotations
 
+import hashlib
+import logging
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cqap import exactlp
+from cqap.decompose import enumerate_pmtds
 from cqap.exactlp import LpError, _Simplex, solve_lp
+from cqap.queries import load_query
+from cqap.rules import generate_rules, prune_rules
+from cqap.shannon import JointSystem
+from cqap.tradeoffs import rule_tradeoff
 
 
 def test_small_maximization_with_duals():
@@ -17,6 +26,15 @@ def test_small_maximization_with_duals():
     assert res.value == 10
     assert res.x == [2, 2]
     assert res.duals == [F(2), F(1)]
+
+
+def test_optimal_solve_logs_its_size_and_pivots(caplog):
+    with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
+        solve_lp([1, 1], [([1, 1], "==", 3), ([1, -1], "==", 1), ([2, 2], "==", 6)])
+    assert caplog.messages == [
+        "retiring dependent tableau row 2",
+        "optimal: 3 rows, 2 columns, 2 + 0 pivots, 1 rows retired",
+    ]
 
 
 def test_minimization_flips_duals():
@@ -113,6 +131,52 @@ def test_rejects_malformed_rows():
         solve_lp([1, 2], [([1], "<=", 3)])
     with pytest.raises(ValueError):
         solve_lp([1], [([1], "<", 3)])
+
+
+# ----------------------------------------------------------------------------
+# Pinned pivot sequence
+# ----------------------------------------------------------------------------
+
+# Digest of (status, value, x, duals) of every distinct program the three_reach
+# rule tradeoffs solve, and the pivots they take; taken from the dense tableau.
+THREE_REACH_SOLVES = "f58afa90c1a391cadb245cff97ed5038c7cabf3b30620e7a57a4f07a812152df"
+THREE_REACH_PIVOTS = 1262
+
+
+def test_three_reach_solves_are_bit_identical(monkeypatch):
+    # any change to pricing, the ratio test or a tie-break moves a dual or a
+    # pivot count; a program solved again (or served from a cache) counts once
+    pivots = 0
+    real_pivot = _Simplex._pivot
+
+    def counting_pivot(self, *args):
+        nonlocal pivots
+        pivots += 1
+        real_pivot(self, *args)
+
+    solves = {}
+    real_solve = exactlp.solve_lp
+
+    def recording_solve(c, rows, maximize=True):
+        before = pivots
+        res = real_solve(c, rows, maximize)
+        program = repr((list(c), [(list(a), s, b) for a, s, b in rows], maximize))
+        key = hashlib.sha256(program.encode()).hexdigest()
+        solves[key] = (repr((res.status, res.value, res.x, res.duals)), pivots - before)
+        return res
+
+    monkeypatch.setattr(_Simplex, "_pivot", counting_pivot)
+    monkeypatch.setattr(exactlp, "solve_lp", recording_solve)
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    query = load_query(corpus / "queries" / "three_reach.cqap")
+    system = JointSystem(query)
+    for rule in prune_rules(generate_rules(enumerate_pmtds(query))):
+        rule_tradeoff(rule, system)
+    digest = hashlib.sha256(
+        "\n".join(f"{k} {out}" for k, (out, _) in sorted(solves.items())).encode()
+    ).hexdigest()
+    assert digest == THREE_REACH_SOLVES
+    assert sum(n for _, n in solves.values()) == THREE_REACH_PIVOTS
 
 
 # ----------------------------------------------------------------------------

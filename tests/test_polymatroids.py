@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqap.polymatroids import (
     JointInequality,
@@ -41,6 +43,51 @@ def test_samplers_produce_polymatroids(n):
     for _ in range(15):
         assert check_polymatroid(sample_entropic(n, rng), tol=0)
         assert check_polymatroid(sample_conic(n, rng))
+
+
+def fraction_verdict(h):
+    """The same exhaustive check, evaluated directly on the Fractions."""
+    v, every = h.values, range(1 << h.n)
+    return (
+        all(x >= 0 for x in v)
+        and all(v[x] <= v[y] for x in every for y in every if x & ~y == 0)
+        and all(v[i] + v[j] >= v[i | j] + v[i & j] for i in every for j in every)
+    )
+
+
+BIG_PRIME = 2**61 - 1
+
+
+def test_exact_check_sees_a_violation_of_one_over_a_large_prime():
+    thirds_fifths = [F(0), F(1, 3), F(1, 5), F(1, 3) + F(1, 5)]
+    assert check_polymatroid(SetFunction(2, thirds_fifths))
+    tighter = thirds_fifths[:3] + [thirds_fifths[3] - F(1, BIG_PRIME)]
+    assert check_polymatroid(SetFunction(2, tighter))
+    looser = thirds_fifths[:3] + [thirds_fifths[3] + F(1, BIG_PRIME)]
+    assert not check_polymatroid(SetFunction(2, looser))  # supermodular by 1/p
+    assert check_polymatroid(SetFunction(2, looser), tol=1e-9)  # floats miss it
+    weights = [F(1, 3), F(1, 5), F(1, 7)]
+    modular3 = [sum(w for i, w in enumerate(weights) if s >> i & 1) for s in range(8)]
+    assert check_polymatroid(SetFunction(3, modular3))
+    modular3[7] += F(1, BIG_PRIME)
+    assert not check_polymatroid(SetFunction(3, modular3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(0, 10**6),
+    st.lists(
+        st.tuples(st.integers(-1, 1), st.sampled_from([3, 5, 7, 11, 13, BIG_PRIME])),
+        min_size=(1 << n) - 1, max_size=(1 << n) - 1,
+    ),
+)))
+def test_exact_check_matches_the_fraction_verdict(case):
+    # polymatroids nudged by k/p with coprime p: some stay, some break
+    n, seed, nudges = case
+    base = sample_conic(n, random.Random(seed))
+    h = SetFunction(n, [F(0)] + [v + F(k, p) for v, (k, p) in zip(base.values[1:], nudges)])
+    assert check_polymatroid(h) == fraction_verdict(h)
 
 
 def test_sum_of_polymatroids_is_polymatroid():

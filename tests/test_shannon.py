@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cqap import shannon
 from cqap.decompose import enumerate_pmtds, pmtds_from_json
 from cqap.exactlp import solve_lp
 from cqap.polymatroids import check_polymatroid
@@ -297,6 +298,21 @@ def test_log_size_bound_values():
     query3, rule4 = three_reach_rho(4)
     system3 = JointSystem(query3)
     assert system3.log_size_bound(rule4.s_targets) == F(3, 2)
+
+
+def test_log_size_bound_solves_once_per_right_side(monkeypatch):
+    # the request probes move logQ, which no degree row of three_reach reads
+    query, rule = three_reach_rho(4)
+    system = JointSystem(query)
+    solves = []
+    real = shannon.solve_lp_guided
+    monkeypatch.setattr(shannon, "solve_lp_guided", lambda *a: solves.append(a) or real(*a))
+    for log_q in (F(1, 128), F(1, 64)):
+        assert system.log_size_bound(rule.s_targets, log_q=log_q) == F(3, 2)
+    assert len(solves) == 1
+    for log_q in (F(1, 128), F(1, 64)):
+        system.log_size_bound(rule.s_targets, with_ac=True, log_q=log_q)
+    assert len(solves) == 3
 
 
 # ═══════════════════════════════════════════════════════════════════════════
