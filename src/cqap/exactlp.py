@@ -4,10 +4,12 @@ A two-phase simplex used where floating-point drift is unacceptable: optimal
 values feed equality assertions and the row multipliers (duals) are turned
 into inequality derivations, so both must be exact.
 
-Constraints are rows (coefficients, sense, rhs) with senses "<=", ">=", "==",
-over variables constrained to be nonnegative.  The solver returns the optimal
-value, a primal point, and one dual multiplier per input row, normalized so
-that  value == sum(dual_i * rhs_i)  for both maximization and minimization.
+Every solve is a maximization of c*x over variables constrained to be
+nonnegative.  Constraints are rows (coefficients, sense, rhs) with senses
+"<=", ">=", "==", where the coefficients are sparse (column, value) pairs:
+columns are indices into c, each at most once, and absent columns are zero.
+The solver returns the optimal value, a primal point, and one dual
+multiplier per input row, normalized so that  value == sum(dual_i * rhs_i).
 Every optimal solve re-checks primal feasibility, dual feasibility and strong
 duality exactly and raises LpError if any fail.
 
@@ -44,7 +46,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -67,25 +69,17 @@ class LpResult:
     duals: list[Fraction]
 
 
-Row = tuple[Sequence, str, object]  # (coefficients, sense, rhs)
+Row = tuple[Iterable[tuple[int, object]], str, object]  # ((column, value) pairs, sense, rhs)
 
 
-def solve_lp_guided(c: Sequence, rows: Sequence[Row], maximize: bool = True) -> LpResult:
+def solve_lp_guided(c: Sequence, rows: Sequence[Row]) -> LpResult:
     """solve_lp under the name `shannon` calls (and perfbench traces)."""
-    return solve_lp(c, rows, maximize)
+    return solve_lp(c, rows)
 
 
-def solve_lp(c: Sequence, rows: Sequence[Row], maximize: bool = True) -> LpResult:
-    """Optimize c*x over x >= 0 subject to the given rows."""
-    c = [Fraction(v) for v in c]
-    if not maximize:
-        flipped = solve_lp([-v for v in c], rows, maximize=True)
-        if flipped.status != "optimal":
-            return flipped
-        return LpResult(
-            "optimal", -flipped.value, flipped.x, [-d for d in flipped.duals]
-        )
-    return _Simplex(c, rows).solve()
+def solve_lp(c: Sequence, rows: Sequence[Row]) -> LpResult:
+    """Maximize c*x over x >= 0 subject to the given sparse rows."""
+    return _Simplex([Fraction(v) for v in c], rows).solve()
 
 
 class _Simplex:
@@ -95,12 +89,17 @@ class _Simplex:
         self.cscale = lcm(*(v.denominator for v in c), 1)
         self.rows_in = []  # (scaled nonzero coefficients {column: int}, sense, scaled rhs)
         self.rscale = []  # signed: scaled row i == rscale[i] * original row i
-        for coeffs, sense, rhs in rows:
-            if len(coeffs) != self.nvars:
-                raise ValueError("constraint width does not match objective")
+        for i, (coeffs, sense, rhs) in enumerate(rows):
             if sense not in ("<=", ">=", "=="):
                 raise ValueError(f"unknown sense {sense!r}")
-            nonzero = [(j, Fraction(v)) for j, v in enumerate(coeffs) if v]
+            seen, nonzero = set(), []
+            for j, v in coeffs:
+                if j in seen or not 0 <= j < self.nvars:
+                    problem = "repeats" if j in seen else f"is outside 0..{self.nvars - 1}"
+                    raise ValueError(f"row {i}: column {j} {problem}")
+                seen.add(j)
+                if v:
+                    nonzero.append((j, Fraction(v)))
             rhs = Fraction(rhs)
             s = lcm(*(v.denominator for _, v in nonzero), rhs.denominator)
             # a negative scale flips the sense: a >= row with rhs 0 starts on its slack

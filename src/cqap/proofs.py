@@ -289,10 +289,11 @@ def _derive_witness(initial: CondVec, target: CondVec):
     cols += [_excess({}, {}, {}, {p: ONE}) for p in monos]
     # every excess, base plus the multipliers' share, must stay >= 0
     base = _excess(initial, target, {}, {})
-    rows = [
-        ([-col.get(z, ZERO) for col in cols], "<=", base.get(z, ZERO))
-        for z in submasks(vmask)[1:]
-    ]
+    share: dict[VarSet, list] = {z: [] for z in submasks(vmask)[1:]}
+    for k, col in enumerate(cols):
+        for z, v in col.items():
+            share[z].append((k, -v))
+    rows = [(pairs, "<=", base.get(z, ZERO)) for z, pairs in share.items()]
     res = solve_lp([-ONE] * len(cols), rows)
     if res.status != "optimal":
         return None

@@ -47,7 +47,9 @@ NO_BOUND = LogBound()
 class LpRow:
     """One constraint row: sparse coefficients, sense, symbolic right side.
 
-    The numeric right side at a probe is  bound.at(logN, logQ) + s_mult*logS.
+    `coeffs` are (column, value) pairs, each column once, and go to
+    `solve_lp` as they are.  The numeric right side at a probe is
+    bound.at(logN, logQ) + s_mult*logS.
     """
 
     coeffs: tuple[tuple[int, Fraction], ...]
@@ -172,52 +174,35 @@ class JointSystem:
     # -- one-sided storage cap --------------------------------------------------
 
     def log_size_bound(
-        self, targets: frozenset[VarSet] | set[VarSet], side: str = "S",
-        *, with_ac: bool = False, log_n: Fraction = ONE, log_q: Fraction = ZERO,
+        self, targets: frozenset[VarSet] | set[VarSet],
+        *, log_n: Fraction = ONE, log_q: Fraction = ZERO,
     ) -> Fraction | None:
-        """max over one polymatroid of min_B h(B), under the degree rows.
+        """max over h_S of min_B h_S(B), under the S side's degree rows.
 
         This is the largest log-size any strategy could need for the given
-        targets; once logS reaches it the whole S side fits in the budget.
-        Returns None when the program is unbounded (no target is tied to the
-        data, which well-formed queries never produce).
+        S-targets; once logS reaches it the whole S side fits in the budget.
+        The program takes the S side's polymatroid and degree rows as they
+        stand, with t in column m; T columns are never used.  Returns None
+        when the program is unbounded (no target is tied to the data, which
+        well-formed queries never produce).
         """
+        dc = [
+            (r.coeffs, r.sense, r.bound.at(log_n, log_q))
+            for r in self._degree_rows() if r.tag[:2] == ("dc", "S")
+        ]
         # the program depends on the probe only through these right sides
-        dc_rhs = tuple(c.log.at(log_n, log_q) for c in self.dc)
-        ac_rhs = self.ac.log.at(log_n, log_q) if with_ac and self.ac.y else None
-        key = (tuple(sorted(targets)), side, dc_rhs, ac_rhs)
+        key = (tuple(sorted(targets)), tuple(rhs for _, _, rhs in dc))
         if key in self._caps:
             return self._caps[key]
-        ncols = self.m + 1
         tcol = self.m
-        shift = 0 if side == "S" else -self.m
-
-        def mv(coeffs):
-            return [(c + shift, w) for c, w in coeffs]
-
-        rows: list[tuple[list[Fraction], str, Fraction]] = []
-        for r in self._polymatroid_rows(side):
-            rows.append((_dense(mv(r.coeffs), ncols), r.sense, ZERO))
-        for c, rhs in zip(self.dc, dc_rhs):
-            coeffs = [(c.y - 1, ONE)] + ([(c.x - 1, -ONE)] if c.x else [])
-            rows.append((_dense(coeffs, ncols), "<=", rhs))
-        if ac_rhs is not None:
-            rows.append((_dense([(self.ac.y - 1, ONE)], ncols), "<=", ac_rhs))
-        for b in sorted(targets):
-            rows.append((_dense([(b - 1, -ONE), (tcol, ONE)], ncols), "<=", ZERO))
-        c_obj = [ZERO] * ncols
+        rows = [(r.coeffs, r.sense, ZERO) for r in self._polymatroid_rows("S")] + dc
+        rows += [(((b - 1, -ONE), (tcol, ONE)), "<=", ZERO) for b in sorted(targets)]
+        c_obj = [ZERO] * (tcol + 1)
         c_obj[tcol] = ONE
         res = solve_lp_guided(c_obj, rows)
         cap = res.value if res.status == "optimal" else None
         self._caps[key] = cap
         return cap
-
-
-def _dense(coeffs, ncols: int) -> list[Fraction]:
-    out = [ZERO] * ncols
-    for c, w in coeffs:
-        out[c] += w
-    return out
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -275,24 +260,24 @@ def solve_joint_lp(
         return JointSolution("unbounded")
     cap = None
     if rule.s_targets:
-        cap = system.log_size_bound(
-            rule.s_targets, "S", log_n=log_n, log_q=log_q
-        )
+        cap = system.log_size_bound(rule.s_targets, log_n=log_n, log_q=log_q)
         if cap is not None and cap <= log_s and not (at_cap and cap == log_s):
             log.debug("budget %s covers the whole S side (cap %s)", log_s, cap)
             return JointSolution("materialize-all", s_cap=cap)
     rows = system.rule_rows(rule)
-    dense = [
-        (_dense(r.coeffs, system.ncols), r.sense, r.bound.at(log_n, log_q) + r.s_mult * log_s)
-        for r in rows
-    ]
     c_obj = [ZERO] * system.ncols
     c_obj[system.col_obj] = ONE
-    res = solve_lp_guided(c_obj, dense)
+    res = solve_lp_guided(
+        c_obj,
+        [(r.coeffs, r.sense, r.bound.at(log_n, log_q) + r.s_mult * log_s) for r in rows],
+    )
     if res.status == "unbounded":  # pragma: no cover - T targets bound t
         return JointSolution("unbounded", s_cap=cap)
     if res.status != "optimal":  # pragma: no cover - cap precheck screens this
-        raise LpError(f"joint program unexpectedly {res.status}")
+        raise LpError(
+            f"joint program for {rule.pretty()} at (logN, logQ, logS) = "
+            f"({log_n}, {log_q}, {log_s}) came back {res.status}"
+        )
     sol = _package(rule, system, rows, res.x, res.duals, res.value, cap)
     log.debug(
         "rule %s at (%s, %s, %s): OBJ=%s", rule.pretty(), log_n, log_q, log_s, sol.value

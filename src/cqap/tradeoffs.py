@@ -256,7 +256,10 @@ class RuleTradeoff:
 def _probe(system, rule, s, q=ZERO, at_cap=False) -> JointSolution:
     sol = solve_joint_lp(rule, system, s, log_q=q, at_cap=at_cap)
     if sol.status != "optimal":
-        raise LpError(f"tradeoff probe at logS={s} came back {sol.status}")
+        raise LpError(
+            f"tradeoff probe of {rule.pretty()} at (logN, logQ, logS) = "
+            f"(1, {q}, {s}) came back {sol.status}"
+        )
     return sol
 
 

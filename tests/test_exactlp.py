@@ -20,8 +20,13 @@ from cqap.shannon import JointSystem
 from cqap.tradeoffs import rule_tradeoff
 
 
+def sparse(rows):
+    """Literal dense rows as the (column, value) pairs solve_lp reads."""
+    return [(list(enumerate(a)), sense, b) for a, sense, b in rows]
+
+
 def test_small_maximization_with_duals():
-    res = solve_lp([3, 2], [([1, 1], "<=", 4), ([1, 0], "<=", 2)])
+    res = solve_lp([3, 2], sparse([([1, 1], "<=", 4), ([1, 0], "<=", 2)]))
     assert res.status == "optimal"
     assert res.value == 10
     assert res.x == [2, 2]
@@ -30,7 +35,7 @@ def test_small_maximization_with_duals():
 
 def test_optimal_solve_logs_its_size_and_pivots(caplog):
     with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
-        solve_lp([1, 1], [([1, 1], "==", 3), ([1, -1], "==", 1), ([2, 2], "==", 6)])
+        solve_lp([1, 1], sparse([([1, 1], "==", 3), ([1, -1], "==", 1), ([2, 2], "==", 6)]))
     assert caplog.messages == [
         "retiring dependent tableau row 2",
         "optimal: 3 rows, 2 columns, 2 + 0 pivots, 1 rows retired",
@@ -38,40 +43,41 @@ def test_optimal_solve_logs_its_size_and_pivots(caplog):
 
 
 def test_minimization_flips_duals():
-    res = solve_lp([1, 1], [([1, 2], ">=", 4)], maximize=False)
+    # minimize x + y as the maximization of -(x + y); a >= row prices <= 0
+    res = solve_lp([-1, -1], sparse([([1, 2], ">=", 4)]))
     assert res.status == "optimal"
-    assert res.value == 2
+    assert res.value == -2
     assert res.x == [0, 2]
-    assert res.duals == [F(1, 2)]
-    assert sum(d * b for d, (_, _, b) in zip(res.duals, [([1, 2], ">=", 4)])) == 2
+    assert res.duals == [F(-1, 2)]
+    assert sum(d * b for d, (_, _, b) in zip(res.duals, [([1, 2], ">=", 4)])) == -2
 
 
 def test_equality_rows():
-    res = solve_lp([1, 1], [([1, 1], "==", 3), ([1, -1], "==", 1)])
+    res = solve_lp([1, 1], sparse([([1, 1], "==", 3), ([1, -1], "==", 1)]))
     assert res.status == "optimal"
     assert res.value == 3
     assert res.x == [2, 1]
 
 
 def test_infeasible():
-    res = solve_lp([1], [([1], "<=", -1)])
+    res = solve_lp([1], sparse([([1], "<=", -1)]))
     assert res.status == "infeasible"
 
 
 def test_unbounded():
     assert solve_lp([1], []).status == "unbounded"
-    assert solve_lp([1], [([-1], "<=", 1)]).status == "unbounded"
+    assert solve_lp([1], sparse([([-1], "<=", 1)])).status == "unbounded"
 
 
 def test_beale_cycling_example_terminates():
     # a classic tableau that cycles under naive pivoting
     res = solve_lp(
         [F(3, 4), -150, F(1, 50), -6],
-        [
+        sparse([
             ([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
             ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
             ([0, 0, 1, 0], "<=", 1),
-        ],
+        ]),
     )
     assert res.status == "optimal"
     assert res.value == F(1, 20)
@@ -79,7 +85,7 @@ def test_beale_cycling_example_terminates():
 
 
 def test_redundant_equality_row_gets_zero_dual():
-    res = solve_lp([1, 0], [([1, 1], "==", 2), ([2, 2], "==", 4)])
+    res = solve_lp([1, 0], sparse([([1, 1], "==", 2), ([2, 2], "==", 4)]))
     assert res.status == "optimal"
     assert res.value == 2
     assert sum(d * b for d, b in zip(res.duals, [2, 4])) == 2
@@ -96,18 +102,18 @@ def test_redundant_equality_row_gets_zero_dual():
 def test_retired_row_holding_another_rows_artificial(c, rows, value):
     # phase 1 retires a dependent tableau row whose basic artificial belongs
     # to a different input row; both rows still get their multipliers
-    res = solve_lp(c, rows)
+    res = solve_lp(c, sparse(rows))
     assert res.status == "optimal"
     assert res.value == value
     assert sum(d * b for d, (_, _, b) in zip(res.duals, rows)) == value
 
 
 def test_negative_rhs_on_every_sense():
-    # x >= 1 written three ways, minimize x
+    # x >= 1 written three ways, minimize x as the maximization of -x
     for row in [([-1], "<=", -1), ([1], ">=", 1), ([-1, ], "==", -1)]:
-        res = solve_lp([1], [row], maximize=False)
+        res = solve_lp([-1], sparse([row]))
         assert res.status == "optimal", row
-        assert res.value == 1
+        assert res.value == -1
         assert res.x == [1]
 
 
@@ -115,10 +121,10 @@ def test_zero_rhs_ge_rows_start_on_their_slack():
     # phase 1 has nothing to do: the >= row with right side 0 needs no artificial
     c = [1, 2]
     rows = [([1, 1], "<=", 4), ([F(1, 2), F(-1, 2)], ">=", 0)]
-    lp = _Simplex([F(v) for v in c], rows)
+    lp = _Simplex([F(v) for v in c], sparse(rows))
     lp._build()
     assert lp.first_art == lp.ncols
-    res = solve_lp(c, rows)
+    res = solve_lp(c, sparse(rows))
     assert res.status == "optimal"
     assert res.value == 6
     assert res.x == [2, 2]
@@ -127,10 +133,15 @@ def test_zero_rhs_ge_rows_start_on_their_slack():
 
 
 def test_rejects_malformed_rows():
+    ok = ([(0, 1)], "<=", 3)
+    with pytest.raises(ValueError, match=r"^row 1: column 2 is outside 0\.\.1$"):
+        solve_lp([1, 2], [ok, ([(2, 1)], "<=", 3)])
+    with pytest.raises(ValueError, match=r"^row 1: column -1 is outside 0\.\.1$"):
+        solve_lp([1, 2], [ok, ([(-1, 1)], "<=", 3)])
+    with pytest.raises(ValueError, match=r"^row 2: column 0 repeats$"):
+        solve_lp([1, 2], [ok, ok, ([(0, 1), (1, 0), (0, 2)], "<=", 3)])
     with pytest.raises(ValueError):
-        solve_lp([1, 2], [([1], "<=", 3)])
-    with pytest.raises(ValueError):
-        solve_lp([1], [([1], "<", 3)])
+        solve_lp([1], [([(0, 1)], "<", 3)])
 
 
 # ----------------------------------------------------------------------------
@@ -157,10 +168,17 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
     solves = {}
     real_solve = exactlp.solve_lp
 
-    def recording_solve(c, rows, maximize=True):
+    def recording_solve(c, rows):
         before = pivots
-        res = real_solve(c, rows, maximize)
-        program = repr((list(c), [(list(a), s, b) for a, s, b in rows], maximize))
+        res = real_solve(c, rows)
+        # keyed on the dense program and the maximize flag, as when the pins were taken
+        dense = []
+        for pairs, s, b in rows:
+            a = [F(0)] * len(c)
+            for j, v in pairs:
+                a[j] += v
+            dense.append((a, s, b))
+        program = repr((list(c), dense, True))
         key = hashlib.sha256(program.encode()).hexdigest()
         solves[key] = (repr((res.status, res.value, res.x, res.duals)), pivots - before)
         return res
@@ -208,7 +226,7 @@ def test_matches_scipy(problem):
     from scipy.optimize import linprog
 
     c, rows = problem
-    res = solve_lp(c, rows)
+    res = solve_lp(c, sparse(rows))
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for coeffs, sense, rhs in rows:
         if sense == "<=":

@@ -22,6 +22,7 @@ from cqap.proofs import (
     ConstructionError,
     ProofSequence,
     ProofStep,
+    _derive_witness,
     bundle_from_json,
     bundle_to_json,
     composition,
@@ -186,6 +187,18 @@ def test_construct_respects_pledged_target_mass():
         {(0, 3): F(1), (0, 5): F(1)},
     )
     assert validate(ps)
+
+
+def test_derived_witness_is_pinned(generator_terms):
+    # the least-weight (sigma, mu) recorded from the dense-row program, so the
+    # sparse rows built for the LP must reproduce the same vertex
+    pool = {(0, 1): F(2), (0, 2): F(1), (0, 4): F(1)}
+    assert _derive_witness(pool, {(0, 3): F(1), (0, 5): F(1)}) == (
+        {(1, 2): F(1), (1, 4): F(1)}, {}
+    )
+    ext = generator_terms["path4"].provenance
+    g, th, _, _ = normalize(ext.g_s, ext.theta, ext.sigma_s, ext.mu_s)
+    assert _derive_witness(g, th) == ({(1, 2): F(2, 3), (4, 16): F(1, 3)}, {})
 
 
 # ═══════════════════════════════════════════════════════════════════════════

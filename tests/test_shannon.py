@@ -38,13 +38,6 @@ def rule_with_t(rules, query, *t_groups):
     return next(r for r in rules if set(r.t_targets) == want)
 
 
-def dense(coeffs, ncols):
-    row = [F(0)] * ncols
-    for c, w in coeffs:
-        row[c] += w
-    return row
-
-
 # ═══════════════════════════════════════════════════════════════════════════
 # two_reach: the worked certificate
 # ═══════════════════════════════════════════════════════════════════════════
@@ -177,7 +170,7 @@ def test_primal_is_certified_polymatroid_pair():
 def weighted_bound(system, lam, theta, log_s):
     """max Σλ·h_T(B) + Σθ·h_S(B') under the data rows, minus ‖θ‖₁·logS."""
     rows = [
-        (dense(r.coeffs, system.ncols), r.sense, r.bound.at(F(1), F(0)))
+        (r.coeffs, r.sense, r.bound.at(F(1), F(0)))
         for r in system.base_rows()
     ]
     c = [F(0)] * system.ncols
@@ -230,11 +223,7 @@ def full_polymatroid_rows(system, side):
         for y in range(1, full + 1):
             if x != y and x & y == x:
                 rows.append(
-                    (
-                        dense([(system.col(side, y), F(1)), (system.col(side, x), F(-1))], system.ncols),
-                        ">=",
-                        F(0),
-                    )
+                    ([(system.col(side, y), F(1)), (system.col(side, x), F(-1))], ">=", F(0))
                 )
     for i_set in range(1, full + 1):
         for j_set in range(1, full + 1):
@@ -244,7 +233,7 @@ def full_polymatroid_rows(system, side):
             coeffs.append((system.col(side, i_set | j_set), F(-1)))
             if i_set & j_set:
                 coeffs.append((system.col(side, i_set & j_set), F(-1)))
-            rows.append((dense(coeffs, system.ncols), ">=", F(0)))
+            rows.append((coeffs, ">=", F(0)))
     return rows
 
 
@@ -255,7 +244,7 @@ def test_elemental_basis_equals_full_form(name, s):
     rule = sorted(rules_of(query), key=lambda r: r.key())[0]
     base = solve_joint_lp(rule, system, s)
     rows = [
-        (dense(r.coeffs, system.ncols), r.sense, r.bound.at(F(1), F(0)) + r.s_mult * s)
+        (r.coeffs, r.sense, r.bound.at(F(1), F(0)) + r.s_mult * s)
         for r in system.rule_rows(rule)
     ]
     rows += full_polymatroid_rows(system, "S") + full_polymatroid_rows(system, "T")
@@ -270,7 +259,7 @@ def test_three_reach_rho4_joint_value():
     system = JointSystem(query)
     s = F(9, 8)
     rows = [
-        (dense(r.coeffs, system.ncols), r.sense, r.bound.at(F(1), F(0)) + r.s_mult * s)
+        (r.coeffs, r.sense, r.bound.at(F(1), F(0)) + r.s_mult * s)
         for r in system.rule_rows(rule)
     ]
     c = [F(0)] * system.ncols
@@ -310,9 +299,6 @@ def test_log_size_bound_solves_once_per_right_side(monkeypatch):
     for log_q in (F(1, 128), F(1, 64)):
         assert system.log_size_bound(rule.s_targets, log_q=log_q) == F(3, 2)
     assert len(solves) == 1
-    for log_q in (F(1, 128), F(1, 64)):
-        system.log_size_bound(rule.s_targets, with_ac=True, log_q=log_q)
-    assert len(solves) == 3
 
 
 # ═══════════════════════════════════════════════════════════════════════════

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqap.decompose import TreeDecomp, enumerate_pmtds
+from cqap.exactlp import LpError
 from cqap.polymatroids import verify_joint_inequality
 from cqap.queries import LogBound, load_query, parse_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
@@ -22,6 +23,7 @@ from cqap.shannon import JointSystem
 from cqap.tradeoffs import (
     TradeoffCurve,
     TradeoffTerm,
+    _probe,
     envelope,
     rule_tradeoff,
     scratch_term,
@@ -199,6 +201,15 @@ def test_rule_without_online_targets_rejected(two_reach):
     )
     with pytest.raises(ValueError):
         rule_tradeoff(dead, system)
+
+
+def test_probe_error_names_the_rule_and_the_point(two_reach):
+    # logS = 2 is the rule's cap, so without at_cap the whole S side fits
+    _, system, rt = two_reach
+    with pytest.raises(LpError, match="came back materialize-all$") as exc:
+        _probe(system, rt.rule, F(2))
+    assert rt.rule.pretty() in str(exc.value)
+    assert "at (logN, logQ, logS) = (1, 0, 2)" in str(exc.value)
 
 
 def test_rule_without_storage_targets_extracts_one_plane(two_reach):
