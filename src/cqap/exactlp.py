@@ -38,12 +38,29 @@ a*x >= 0 becomes the equivalent -a*x <= 0, whose slack starts basic at value
 dual is mapped back to the original row and certified against it.  The
 elemental submodularity and monotonicity rows of the Shannon programs are
 all of this kind, which leaves phase 1 only the data and budget rows.
+
+Warm start: an optimal result carries its final tableau, and `solve_lp` can
+start from it to solve the same program (same c, coefficients and senses) at
+other right sides.  The reduced costs do not depend on the right sides, so
+the start's basis stays dual feasible and no phase 1 is needed.  The new
+right sides go through the start's signed row scales, times one positive
+integer that clears their denominators.  Whatever the pivots since, each
+row's starting unit column holds the tableau's multiple of that row, so the
+new right-side column is the sum of those columns weighted by the new right
+sides.  Dual simplex pivots (Lemke, 1954) then restore primal feasibility: a
+row with a negative right side leaves, negated so that the pivot element is
+positive as in `_expel_artificials`, and the entering column keeps every
+reduced cost nonnegative.  Artificial columns never enter, and Bland's rule
+takes over after STALL_LIMIT degenerate pivots.  The program is infeasible
+when a retired row gets a nonzero right side or a leaving row has no
+negative entry.  The dual reading and the exact check are a cold solve's.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -67,19 +84,51 @@ class LpResult:
     value: Fraction | None
     x: list[Fraction]
     duals: list[Fraction]
+    # the final tableau of an optimal solve, for a warm start of the same program
+    _tableau: _Simplex | None = field(default=None, repr=False, compare=False)
 
 
 Row = tuple[Iterable[tuple[int, object]], str, object]  # ((column, value) pairs, sense, rhs)
 
 
-def solve_lp_guided(c: Sequence, rows: Sequence[Row]) -> LpResult:
+def solve_lp_guided(
+    c: Sequence, rows: Sequence[Row], start: LpResult | None = None
+) -> LpResult:
     """solve_lp under the name `shannon` calls (and perfbench traces)."""
-    return solve_lp(c, rows)
+    return solve_lp(c, rows, start=start)
 
 
-def solve_lp(c: Sequence, rows: Sequence[Row]) -> LpResult:
-    """Maximize c*x over x >= 0 subject to the given sparse rows."""
-    return _Simplex([Fraction(v) for v in c], rows).solve()
+def solve_lp(
+    c: Sequence, rows: Sequence[Row], start: LpResult | None = None
+) -> LpResult:
+    """Maximize c*x over x >= 0 subject to the given sparse rows.
+
+    `start` is an earlier optimal result of the same program, which may
+    differ only in its right sides; the solve then continues from its final
+    tableau by dual simplex.  A start from another program raises ValueError.
+    """
+    c = [Fraction(v) for v in c]
+    if start is None:
+        return _Simplex(c, rows).solve()
+    if start._tableau is None:
+        raise ValueError(f"a warm start needs an optimal result, not {start.status!r}")
+    return start._tableau.restart(c, rows).resolve()
+
+
+def _parse(rows: Sequence[Row], nvars: int):
+    """Each row as (nonzero [(column, Fraction)], sense, Fraction rhs)."""
+    for i, (coeffs, sense, rhs) in enumerate(rows):
+        if sense not in ("<=", ">=", "=="):
+            raise ValueError(f"unknown sense {sense!r}")
+        seen, nonzero = set(), []
+        for j, v in coeffs:
+            if j in seen or not 0 <= j < nvars:
+                problem = "repeats" if j in seen else f"is outside 0..{nvars - 1}"
+                raise ValueError(f"row {i}: column {j} {problem}")
+            seen.add(j)
+            if v:
+                nonzero.append((j, Fraction(v)))
+        yield nonzero, sense, Fraction(rhs)
 
 
 class _Simplex:
@@ -87,20 +136,10 @@ class _Simplex:
         self.nvars = len(c)
         self.c = c
         self.cscale = lcm(*(v.denominator for v in c), 1)
+        self.bscale = 1  # the right-side column holds bscale times its value
         self.rows_in = []  # (scaled nonzero coefficients {column: int}, sense, scaled rhs)
         self.rscale = []  # signed: scaled row i == rscale[i] * original row i
-        for i, (coeffs, sense, rhs) in enumerate(rows):
-            if sense not in ("<=", ">=", "=="):
-                raise ValueError(f"unknown sense {sense!r}")
-            seen, nonzero = set(), []
-            for j, v in coeffs:
-                if j in seen or not 0 <= j < self.nvars:
-                    problem = "repeats" if j in seen else f"is outside 0..{self.nvars - 1}"
-                    raise ValueError(f"row {i}: column {j} {problem}")
-                seen.add(j)
-                if v:
-                    nonzero.append((j, Fraction(v)))
-            rhs = Fraction(rhs)
+        for nonzero, sense, rhs in _parse(rows, self.nvars):
             s = lcm(*(v.denominator for _, v in nonzero), rhs.denominator)
             # a negative scale flips the sense: a >= row with rhs 0 starts on its slack
             if rhs < 0 or (rhs == 0 and sense == ">="):
@@ -209,42 +248,20 @@ class _Simplex:
         self.basis[r] = col
         self.pivots += 1
 
-    def _iterate(self, obj: list[int], allow_art: bool) -> str:
+    def _iterate(self, obj: list[int], choose) -> str:
+        """Pivot on choose(obj, bland) until it returns a status string.
+
+        After STALL_LIMIT pivots in a row that leave the objective value
+        where it was, `bland` asks for the smallest-index choice.
+        """
         stall = 0
         bland = False
         while True:
-            entering = -1
-            best = 0
-            for j in range(self.ncols):
-                if not allow_art and j >= self.first_art:
-                    break
-                if obj[j] < 0:
-                    if bland:
-                        entering = j
-                        break
-                    if obj[j] < best:
-                        best = obj[j]
-                        entering = j
-            if entering < 0:
-                return "optimal"
-            leaving = -1
-            num = den = 0  # best ratio so far as num/den with den > 0
-            for i, row in enumerate(self.tab):
-                rd = row.get(entering, 0)
-                if rd <= 0 or not self.live[i]:
-                    continue
-                rn = row.get(self.ncols, 0)
-                if (
-                    leaving < 0
-                    or rn * den < num * rd
-                    or (rn * den == num * rd and self.basis[i] < self.basis[leaving])
-                ):
-                    num, den = rn, rd
-                    leaving = i
-            if leaving < 0:
-                return "unbounded"
+            step = choose(obj, bland)
+            if isinstance(step, str):
+                return step
             val, d = obj[self.ncols], self.div
-            self._pivot(obj, leaving, entering)
+            self._pivot(obj, *step)
             if obj[self.ncols] * d == val * self.div:
                 stall += 1
                 if stall > STALL_LIMIT:
@@ -252,6 +269,77 @@ class _Simplex:
             else:
                 stall = 0
                 bland = False
+
+    def _primal_step(self, obj: list[int], bland: bool, allow_art: bool):
+        """Largest improving reduced cost enters; minimum ratio leaves."""
+        entering = -1
+        best = 0
+        for j in range(self.ncols):
+            if not allow_art and j >= self.first_art:
+                break
+            if obj[j] < 0:
+                if bland:
+                    entering = j
+                    break
+                if obj[j] < best:
+                    best = obj[j]
+                    entering = j
+        if entering < 0:
+            return "optimal"
+        leaving = -1
+        num = den = 0  # best ratio so far as num/den with den > 0
+        for i, row in enumerate(self.tab):
+            rd = row.get(entering, 0)
+            if rd <= 0 or not self.live[i]:
+                continue
+            rn = row.get(self.ncols, 0)
+            if (
+                leaving < 0
+                or rn * den < num * rd
+                or (rn * den == num * rd and self.basis[i] < self.basis[leaving])
+            ):
+                num, den = rn, rd
+                leaving = i
+        if leaving < 0:
+            return "unbounded"
+        return leaving, entering
+
+    def _dual_step(self, obj: list[int], bland: bool):
+        """Most negative right side leaves (smallest basis index under Bland).
+
+        The entering column has a negative entry in the leaving row and the
+        least ratio obj[j] / -entry, smallest index on ties, so every reduced
+        cost stays nonnegative.  The leaving row is negated before the pivot
+        to make the pivot element positive.
+        """
+        rhs = self.ncols
+        leaving = -1
+        for i, row in enumerate(self.tab):
+            v = row.get(rhs, 0)
+            if v < 0 and self.live[i] and (
+                leaving < 0
+                or (self.basis[i] < self.basis[leaving] if bland else v < self.tab[leaving][rhs])
+            ):
+                leaving = i
+        if leaving < 0:
+            return "optimal"
+        row = self.tab[leaving]
+        entering = -1
+        num = den = 0  # best ratio so far as num/den with den > 0
+        for j, a in row.items():
+            if a >= 0 or j >= self.first_art:
+                continue
+            if (
+                entering < 0
+                or obj[j] * den < num * -a
+                or (obj[j] * den == num * -a and j < entering)
+            ):
+                num, den = obj[j], -a
+                entering = j
+        if entering < 0:
+            return "infeasible"
+        self.tab[leaving] = {j: -a for j, a in row.items()}
+        return leaving, entering
 
     # ── the two phases ──────────────────────────────────────────────────
 
@@ -262,7 +350,7 @@ class _Simplex:
                 self.ncols - self.first_art
             )
             obj = self._objective_row(phase1, 1)
-            status = self._iterate(obj, allow_art=True)
+            status = self._iterate(obj, lambda o, b: self._primal_step(o, b, True))
             if status != "optimal":  # pragma: no cover - phase 1 is bounded
                 raise LpError("phase 1 terminated abnormally")
             if obj[self.ncols] != 0:
@@ -270,19 +358,102 @@ class _Simplex:
             self._expel_artificials()
         obj = self._objective_row(self.c, self.cscale)
         phase1 = self.pivots
-        status = self._iterate(obj, allow_art=False)
+        status = self._iterate(obj, lambda o, b: self._primal_step(o, b, False))
         if status == "unbounded":
             return LpResult("unbounded", None, [], [])
+        res = self._optimal(obj)
+        log.debug("optimal: %d rows, %d columns, %d + %d pivots, %d rows retired",
+                  len(self.tab), self.nvars, phase1, self.pivots - phase1, self.live.count(False))
+        return res
+
+    def _optimal(self, obj: list[int]) -> LpResult:
+        """Read off and check the optimum; keep the tableau for warm starts."""
+        den = self.div * self.bscale
         x = [ZERO] * self.nvars
         for i, b in enumerate(self.basis):
             if self.live[i] and b < self.nvars:
-                x[b] = Fraction(self.tab[i].get(self.ncols, 0), self.div)
+                x[b] = Fraction(self.tab[i].get(self.ncols, 0), den)
         duals = self._read_duals(obj)
-        value = Fraction(obj[self.ncols], self.div * self.cscale)
+        value = Fraction(obj[self.ncols], den * self.cscale)
         self._check(x, duals, value)
-        log.debug("optimal: %d rows, %d columns, %d + %d pivots, %d rows retired",
-                  len(self.tab), self.nvars, phase1, self.pivots - phase1, self.live.count(False))
-        return LpResult("optimal", value, x, duals)
+        self.obj = obj
+        return LpResult("optimal", value, x, duals, self)
+
+    # ── warm start ──────────────────────────────────────────────────────
+
+    def restart(self, c: list[Fraction], rows: Sequence[Row]) -> _Simplex:
+        """A copy of this optimal tableau for the same program at new right sides.
+
+        The new right sides are scaled by the rows' signed scales, so they
+        may be negative or fractional; `resolve` deals with both.
+        """
+        if c != self.c:
+            raise ValueError("the start solved another program: c differs")
+        parsed = list(_parse(rows, self.nvars))
+        if len(parsed) != len(self.rows_in):
+            raise ValueError(
+                f"the start solved another program: {len(self.rows_in)} rows, not {len(parsed)}"
+            )
+        warm = copy.copy(self)
+        warm.rows_in = []
+        for i, ((nonzero, sense, rhs), (scaled, sense0, _)) in enumerate(zip(parsed, self.rows_in)):
+            if sense != sense0:
+                raise ValueError(
+                    f"the start solved another program: row {i} has sense {sense0!r}, not {sense!r}"
+                )
+            s = self.rscale[i]
+            new = {j: v * s for j, v in nonzero}
+            if new != scaled:
+                j = min(j for j in new.keys() | scaled.keys() if new.get(j) != scaled.get(j))
+                raise ValueError(
+                    f"the start solved another program: row {i}, column {j} coefficient differs"
+                )
+            warm.rows_in.append((scaled, sense, rhs * s))
+        warm.tab = [dict(row) for row in self.tab]
+        warm.basis = list(self.basis)
+        warm.live = list(self.live)
+        warm.obj = list(self.obj)
+        warm.pivots = 0
+        return warm
+
+    def resolve(self) -> LpResult:
+        """Rebuild the right-side column, then pivot back to feasibility."""
+        rhs = self.ncols
+        self.bscale = lcm(*(b.denominator for _, _, b in self.rows_in), 1)
+        # row i's unit column started as sign * e_i, so the tableau holds
+        # div * sign * (the inverse basis times e_i) there
+        weight = {}
+        for i, (_, _, b) in enumerate(self.rows_in):
+            if b:
+                col, sign = self._unit(i)
+                weight[col] = sign * (b * self.bscale).numerator
+        obj = self.obj
+        cost = [int(v * self.cscale) for v in self.c]
+        obj[rhs] = 0
+        for i, row in enumerate(self.tab):
+            v = sum(row.get(col, 0) * w for col, w in weight.items())
+            if v:
+                row[rhs] = v
+            else:
+                row.pop(rhs, None)
+            if not self.live[i]:
+                if v:  # the rows it combines ask 0 == v
+                    return LpResult("infeasible", None, [], [])
+            elif self.basis[i] < self.nvars:
+                obj[rhs] += cost[self.basis[i]] * v
+        status = self._iterate(obj, self._dual_step)
+        if status == "infeasible":
+            return LpResult("infeasible", None, [], [])
+        dual = self.pivots
+        # a primal pass confirms the optimum; the dual ratio test keeps every
+        # reduced cost nonnegative, so it finds nothing to pivot on
+        status = self._iterate(obj, lambda o, b: self._primal_step(o, b, False))
+        if status != "optimal":  # pragma: no cover - a dual feasible basis bounds it
+            raise LpError(f"warm start ended {status}")
+        res = self._optimal(obj)
+        log.debug("warm optimal: %d rows, %d columns, %d dual + %d primal pivots, %d rows retired",
+                  len(self.tab), self.nvars, dual, self.pivots - dual, self.live.count(False))
+        return res
 
     def _expel_artificials(self):
         """Pivot basic artificials out, or retire their (redundant) rows.
@@ -323,12 +494,15 @@ class _Simplex:
         duals = []
         den = self.div * self.cscale
         for i in range(len(self.rows_in)):
-            if self.art_col[i] is not None:
-                duals.append(Fraction(obj[self.art_col[i]] * self.rscale[i], den))
-            else:
-                v = obj[self.slack_col[i]] * self.slack_sign[i]
-                duals.append(Fraction(v * self.rscale[i], den))
+            col, sign = self._unit(i)
+            duals.append(Fraction(obj[col] * sign * self.rscale[i], den))
         return duals
+
+    def _unit(self, i: int) -> tuple[int, int]:
+        """Row i's starting unit column, and the sign of its entry there."""
+        if self.art_col[i] is not None:
+            return self.art_col[i], 1
+        return self.slack_col[i], self.slack_sign[i]
 
     def _check(self, x, duals, value):
         reduced = [ZERO] * self.nvars

@@ -26,11 +26,11 @@ Row families (multiplier names match their downstream use):
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .exactlp import LpError, solve_lp_guided
+from .exactlp import LpError, LpResult, solve_lp_guided
 from .polymatroids import SetFunction, check_polymatroid
 from .queries import Cqap, LogBound, LogConstraint, SplitConstraint
 from .relalg import Database, VarSet, submasks
@@ -238,6 +238,8 @@ class JointSolution:
     # and the right side stays a valid bound at every (logN, logQ, logS)
     line: tuple[Fraction, Fraction, Fraction] | None = None
     s_cap: Fraction | None = None
+    # the exact LP result, whose final tableau a later probe may start from
+    lp: LpResult | None = field(default=None, repr=False, compare=False)
 
 
 def solve_joint_lp(
@@ -248,12 +250,15 @@ def solve_joint_lp(
     log_n=Fraction(1),
     log_q=Fraction(0),
     at_cap: bool = False,
+    start: JointSolution | None = None,
 ) -> JointSolution:
     """Solve the maximin program for one rule at a numeric probe point.
 
     `at_cap` solves the program even when the budget covers the whole S side
     (the program is still feasible at exactly the cap); probing there is how
-    the last tradeoff piece is pinned down.
+    the last tradeoff piece is pinned down.  `start` is an earlier optimal
+    solution for the same rule: the program differs only in its right sides,
+    so the solve warm-starts from that solution's final tableau.
     """
     log_s, log_n, log_q = Fraction(log_s), Fraction(log_n), Fraction(log_q)
     if not rule.t_targets:
@@ -270,6 +275,7 @@ def solve_joint_lp(
     res = solve_lp_guided(
         c_obj,
         [(r.coeffs, r.sense, r.bound.at(log_n, log_q) + r.s_mult * log_s) for r in rows],
+        start=None if start is None else start.lp,
     )
     if res.status == "unbounded":  # pragma: no cover - T targets bound t
         return JointSolution("unbounded", s_cap=cap)
@@ -278,14 +284,15 @@ def solve_joint_lp(
             f"joint program for {rule.pretty()} at (logN, logQ, logS) = "
             f"({log_n}, {log_q}, {log_s}) came back {res.status}"
         )
-    sol = _package(rule, system, rows, res.x, res.duals, res.value, cap)
+    sol = _package(rule, system, rows, res, cap)
     log.debug(
         "rule %s at (%s, %s, %s): OBJ=%s", rule.pretty(), log_n, log_q, log_s, sol.value
     )
     return sol
 
 
-def _package(rule, system, rows, x, raw, value, cap) -> JointSolution:
+def _package(rule, system, rows, res: LpResult, cap) -> JointSolution:
+    x, raw, value = res.x, res.duals, res.value
     h_s = SetFunction(system.n, [ZERO] + x[: system.m])
     h_t = SetFunction(system.n, [ZERO] + x[system.m : 2 * system.m])
     if not (check_polymatroid(h_s) and check_polymatroid(h_t)):
@@ -324,5 +331,5 @@ def _package(rule, system, rows, x, raw, value, cap) -> JointSolution:
     if value > 0 and sum(d.lam.values()) != 1:
         raise LpError("target multipliers do not sum to one")
     return JointSolution(
-        "optimal", value, h_s, h_t, d, (a_part, b_part, c_part), cap
+        "optimal", value, h_s, h_t, d, (a_part, b_part, c_part), cap, res
     )

@@ -8,6 +8,18 @@ over the storage budget is concave and piecewise linear, so a rule's whole
 tradeoff is a short list of such terms; `rule_tradeoff` recovers them exactly
 by probing tangents and certifying each piece with its dual line.
 
+Two kinds of probe do that.  A value probe (the two ends of the budget range
+and each refinement point) needs only the program's value and some tangent
+there: the pieces are a property of the value function, whichever optimal
+dual a probe reports.  So every value probe of a rule after the first
+warm-starts from the rule's last optimal probe by dual simplex.  A term's
+certificate comes from one request probe per piece, in the piece's interior
+at a small logQ > 0; its dual becomes the term's proof, so it is solved cold
+and does not depend on the order of the value probes.  One request probe is
+enough: its dual line is a valid bound everywhere and tight at the probe,
+and when it carries the piece's (a, c) it is also tight at logQ = 0, so by
+concavity it is tight on the whole segment between.
+
 Terms also arise in closed form from fractional edge covers, either of the
 whole query or bag-by-bag along a root-to-node path of a decomposition; those
 constructions are `tradeoff_from_edge_cover` and `tradeoff_from_path`.
@@ -253,8 +265,8 @@ class RuleTradeoff:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _probe(system, rule, s, q=ZERO, at_cap=False) -> JointSolution:
-    sol = solve_joint_lp(rule, system, s, log_q=q, at_cap=at_cap)
+def _probe(system, rule, s, q=ZERO, at_cap=False, start=None) -> JointSolution:
+    sol = solve_joint_lp(rule, system, s, log_q=q, at_cap=at_cap, start=start)
     if sol.status != "optimal":
         raise LpError(
             f"tradeoff probe of {rule.pretty()} at (logN, logQ, logS) = "
@@ -267,35 +279,40 @@ def _tangent(sol: JointSolution) -> tuple[Fraction, Fraction]:
     return sol.line[0], sol.line[2]
 
 
-def _refine(system, rule, lo_s, lo, hi_s, hi, depth=0) -> list:
+def _refine(rule, probe, lo_s, lo, hi_s, hi, depth=0) -> list:
     """Tangents covering [lo_s, hi_s] as (a, c, end_s), piecewise.
 
-    Soundness rests on two facts: each probe's line is a globally valid
-    bound that is tight at the probe, and the value function is concave, so
-    a line tight at two points is tight on the whole interval between them.
+    `probe(s)` solves the rule's program at logS = s.  Soundness rests on
+    two facts: each probe's line is a globally valid bound that is tight at
+    the probe, and the value function is concave, so a line tight at two
+    points is tight on the whole interval between them.
     """
+    where = (
+        f"tangents of {rule.pretty()} at (logN, logQ, logS) = "
+        f"(1, 0, {lo_s}) and (1, 0, {hi_s})"
+    )
     if depth > 40:  # pragma: no cover - refinement is worst-case linear
-        raise LpError("tradeoff refinement did not converge")
+        raise LpError(f"{where}: refinement did not converge")
     a0, c0 = _tangent(lo)
     a1, c1 = _tangent(hi)
     if (a0, c0) == (a1, c1):
         return [(a0, c0, hi_s)]
     if c0 == c1:
-        raise LpError("distinct parallel tangents cannot both be tight")
+        raise LpError(f"{where}: distinct parallel tangents cannot both be tight")
     s_star = (a0 - a1) / (c0 - c1)
     if s_star <= lo_s:  # the low probe sat on a degenerate support
         if a1 - c1 * lo_s != lo.value:
-            raise LpError("tangent geometry left the concave curve")
+            raise LpError(f"{where}: tangent geometry left the concave curve")
         return [(a1, c1, hi_s)]
     if s_star >= hi_s:
         if a0 - c0 * hi_s != hi.value:
-            raise LpError("tangent geometry left the concave curve")
+            raise LpError(f"{where}: tangent geometry left the concave curve")
         return [(a0, c0, hi_s)]
-    mid = _probe(system, rule, s_star)
+    mid = probe(s_star)
     if mid.value == a0 - c0 * s_star:
         return [(a0, c0, s_star), (a1, c1, hi_s)]
-    left = _refine(system, rule, lo_s, lo, s_star, mid, depth + 1)
-    right = _refine(system, rule, s_star, mid, hi_s, hi, depth + 1)
+    left = _refine(rule, probe, lo_s, lo, s_star, mid, depth + 1)
+    right = _refine(rule, probe, s_star, mid, hi_s, hi, depth + 1)
     if left[-1][:2] == right[0][:2]:
         left[-1] = right.pop(0)
     return left + right
@@ -305,28 +322,39 @@ def _pin_request_exponent(system, rule, a, c, m, span) -> TradeoffTerm:
     """Fix the Q coefficient of the piece through (m, a - c*m).
 
     At a budget probe alone the request coefficient is undetermined (any
-    value prices a slack request row), so the piece is re-solved at two tiny
-    request levels; three collinear values certify the plane, and solving in
-    its relative interior makes the reported dual line unique.
+    value prices a slack request row), so the piece is solved once more, cold,
+    at a small request level q.  Its dual line a' + b*logQ - c'*logS is a
+    valid bound everywhere (weak duality) and tight at (m, q).  When (a', c')
+    is the piece's (a, c), the line also meets the value a - c*m at (m, 0);
+    the value function is concave, so the line is tight on the whole segment
+    from (m, 0) to (m, q), and b is the exact request coefficient.  Solving
+    in the segment's relative interior makes the reported dual line unique.
+    Only when the line misses (a, c), because q crossed a kink, is the probe
+    retried at a smaller q.
     """
-    v0 = a - c * m
     step = Fraction(1, 64)
+    tried = []
     for _ in range(6):
-        half = _probe(system, rule, m, q=step / 2)
-        whole = _probe(system, rule, m, q=step)
-        if half.value * 2 == v0 + whole.value:
-            b = (whole.value - v0) / step
+        q = step / 2
+        sol = _probe(system, rule, m, q=q)
+        a1, b, c1 = sol.line
+        if (a1, c1) == (a, c):
             if b < 0:
-                raise LpError("request coefficient cannot be negative")
-            if half.line != (a, b, c):
-                raise LpError("pinned plane disagrees with its interior dual")
-            prov = extract_joint_inequality(half, system)
+                raise LpError(
+                    f"request probe of {rule.pretty()} at (logN, logQ, logS) = "
+                    f"(1, {q}, {m}): request coefficient {b} cannot be negative"
+                )
+            prov = extract_joint_inequality(sol, system)
             return TradeoffTerm(
                 space_exp=c, rhs=LogBound(a, b), span=span, provenance=prov
             )
+        tried.append(str(q))
         step /= 16
-        log.debug("request probe crossed a kink; retrying at %s", step)
-    raise LpError("request coefficient did not stabilise")
+        log.debug("request probe crossed a kink; retrying at %s", step / 2)
+    raise LpError(
+        f"request coefficient of {rule.pretty()} at logS = {m} did not stabilise: "
+        f"the dual lines at logQ = {', '.join(tried)} all missed (a, c) = ({a}, {c})"
+    )
 
 
 def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
@@ -343,9 +371,17 @@ def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
     cap = system.log_size_bound(rule.s_targets)
     if cap is None or cap <= 0:  # pragma: no cover - targets are data-tied
         raise LpError("storage targets admit no positive budget cap")
-    lo = _probe(system, rule, ZERO)
-    hi = _probe(system, rule, cap, at_cap=True)
-    pieces = _refine(system, rule, ZERO, lo, cap, hi)
+    last = None
+
+    def probe(s, at_cap=False):
+        """A value probe, warm-started from the rule's last optimal one."""
+        nonlocal last
+        last = _probe(system, rule, s, at_cap=at_cap, start=last)
+        return last
+
+    lo = probe(ZERO)
+    hi = probe(cap, at_cap=True)
+    pieces = _refine(rule, probe, ZERO, lo, cap, hi)
     for (a0, c0, end), (a1, c1, _) in zip(pieces, pieces[1:]):
         if (a0 - a1) / (c1 - c0) != -end:  # pragma: no cover - exactness guard
             raise LpError("recorded breakpoint is not the line crossing")

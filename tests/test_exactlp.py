@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cqap import exactlp
@@ -39,6 +39,17 @@ def test_optimal_solve_logs_its_size_and_pivots(caplog):
     assert caplog.messages == [
         "retiring dependent tableau row 2",
         "optimal: 3 rows, 2 columns, 2 + 0 pivots, 1 rows retired",
+    ]
+
+
+def test_warm_solve_logs_its_size_and_pivots(caplog):
+    with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
+        start = solve_lp([3, 2], sparse([([1, 1], "<=", 4), ([1, 0], "<=", 2)]))
+        res = solve_lp([3, 2], sparse([([1, 1], "<=", 4), ([1, 0], "<=", 5)]), start=start)
+    assert (res.status, res.value, res.x) == ("optimal", 12, [4, 0])
+    assert caplog.messages == [
+        "optimal: 2 rows, 2 columns, 0 + 2 pivots, 0 rows retired",
+        "warm optimal: 2 rows, 2 columns, 1 dual + 0 primal pivots, 0 rows retired",
     ]
 
 
@@ -132,6 +143,37 @@ def test_zero_rhs_ge_rows_start_on_their_slack():
     assert sum(d * b for d, (_, _, b) in zip(res.duals, rows)) == res.value
 
 
+def test_warm_start_over_dependent_equality_rows():
+    # phase 1 retires the second row; a new right side must keep it a multiple
+    c = [1, 1]
+    start = solve_lp(c, sparse([([1, 1], "==", 3), ([2, 2], "==", 6), ([1, 0], "<=", 2)]))
+    assert start._tableau.live == [True, False, True]
+    moved = [([1, 1], "==", 4), ([2, 2], "==", 8), ([1, 0], "<=", 1)]
+    res = solve_lp(c, sparse(moved), start=start)
+    assert (res.status, res.value, res.x) == ("optimal", 4, [1, 3])
+    assert sum(d * b for d, (_, _, b) in zip(res.duals, moved)) == 4
+    broken = [([1, 1], "==", 4), ([2, 2], "==", 7), ([1, 0], "<=", 1)]
+    assert solve_lp(c, sparse(broken), start=start).status == "infeasible"
+    assert solve_lp(c, sparse(broken)).status == "infeasible"
+
+
+def test_warm_start_rejects_another_program():
+    rows = [([1, 1], "<=", 4), ([1, 0], "<=", 2)]
+    start = solve_lp([3, 2], sparse(rows))
+    cases = [
+        ([3, 1], rows, r"c differs"),
+        ([3, 2], [rows[0], ([1, 1], "<=", 2)], r"row 1, column 1 coefficient differs"),
+        ([3, 2], [([1, 1], ">=", 4), rows[1]], r"row 0 has sense '<=', not '>='"),
+        ([3, 2], rows[:1], r"2 rows, not 1"),
+    ]
+    for c, other, message in cases:
+        with pytest.raises(ValueError, match=rf"^the start solved another program: {message}$"):
+            solve_lp(c, sparse(other), start=start)
+    infeasible = solve_lp([1], sparse([([1], "<=", -1)]))
+    with pytest.raises(ValueError, match=r"needs an optimal result, not 'infeasible'$"):
+        solve_lp([1], sparse([([1], "<=", 1)]), start=infeasible)
+
+
 def test_rejects_malformed_rows():
     ok = ([(0, 1)], "<=", 3)
     with pytest.raises(ValueError, match=r"^row 1: column 2 is outside 0\.\.1$"):
@@ -149,9 +191,9 @@ def test_rejects_malformed_rows():
 # ----------------------------------------------------------------------------
 
 # Digest of (status, value, x, duals) of every distinct program the three_reach
-# rule tradeoffs solve, and the pivots they take; taken from the dense tableau.
-THREE_REACH_SOLVES = "f58afa90c1a391cadb245cff97ed5038c7cabf3b30620e7a57a4f07a812152df"
-THREE_REACH_PIVOTS = 1262
+# rule tradeoffs solve, cold or warm, and the pivots they take.
+THREE_REACH_SOLVES = "ef0106920c913c55bbf27ef64cd9f4ea2a5ffce3e6f5c16c34629311da10c042"
+THREE_REACH_PIVOTS = 586
 
 
 def test_three_reach_solves_are_bit_identical(monkeypatch):
@@ -168,10 +210,11 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
     solves = {}
     real_solve = exactlp.solve_lp
 
-    def recording_solve(c, rows):
+    def recording_solve(c, rows, start=None):
         before = pivots
-        res = real_solve(c, rows)
-        # keyed on the dense program and the maximize flag, as when the pins were taken
+        res = real_solve(c, rows, start=start)
+        # keyed on the dense program and the maximize flag, as when the pins were
+        # first taken; a warm solve is keyed apart, since its duals may differ
         dense = []
         for pairs, s, b in rows:
             a = [F(0)] * len(c)
@@ -180,6 +223,8 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
             dense.append((a, s, b))
         program = repr((list(c), dense, True))
         key = hashlib.sha256(program.encode()).hexdigest()
+        if start is not None:
+            key += " warm"
         solves[key] = (repr((res.status, res.value, res.x, res.duals)), pivots - before)
         return res
 
@@ -256,3 +301,27 @@ def test_matches_scipy(problem):
     assert res.status == expected
     if expected == "optimal":
         assert abs(float(res.value) - (-ref.fun)) < 1e-7
+
+
+rhs_value = st.fractions(min_value=-2, max_value=5, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_lp(), st.lists(rhs_value, min_size=10, max_size=10))
+def test_warm_start_matches_a_cold_solve(problem, new_rhs):
+    # b1 -> b2 -> b3, each step warm from the last optimal solve; a box row
+    # keeps most programs bounded, so that most draws get a start
+    c, rows = problem
+    rows = rows + [([1] * len(c), "<=", 4)]
+    start = solve_lp(c, sparse(rows))
+    assume(start.status == "optimal")
+    for bs in (new_rhs[:5], new_rhs[5:]):
+        moved = [(a, sense, b) for (a, sense, _), b in zip(rows, bs)]
+        warm = solve_lp(c, sparse(moved), start=start)
+        cold = solve_lp(c, sparse(moved))
+        assert warm.status == cold.status
+        assert warm.value == cold.value
+        if warm.status != "optimal":
+            break
+        assert sum(d * b for d, (_, _, b) in zip(warm.duals, moved)) == warm.value
+        start = warm

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqap import tradeoffs
 from cqap.decompose import TreeDecomp, enumerate_pmtds
 from cqap.exactlp import LpError
 from cqap.polymatroids import verify_joint_inequality
@@ -210,6 +211,55 @@ def test_probe_error_names_the_rule_and_the_point(two_reach):
         _probe(system, rt.rule, F(2))
     assert rt.rule.pretty() in str(exc.value)
     assert "at (logN, logQ, logS) = (1, 0, 2)" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "name, rules, terms, solves", [("two_reach", 1, 1, 3), ("three_reach", 4, 8, 21)]
+)
+def test_one_cold_probe_per_rule_and_per_term(monkeypatch, name, rules, terms, solves):
+    # value probes after a rule's first are warm; each term's request probe is cold
+    calls = []
+    real = tradeoffs.solve_joint_lp
+
+    def counting(rule, *args, start=None, **kwargs):
+        calls.append((rule, start is None))
+        return real(rule, *args, start=start, **kwargs)
+
+    monkeypatch.setattr(tradeoffs, "solve_joint_lp", counting)
+    query = q(name)
+    system = JointSystem(query)
+    rules_kept = prune_rules(generate_rules(enumerate_pmtds(query)))
+    curves = [rule_tradeoff(r, system) for r in rules_kept]
+    for rt in curves:
+        cold = sum(1 for rule, is_cold in calls if is_cold and rule is rt.rule)
+        assert cold == 1 + len(rt.terms), rt.rule.pretty()
+    assert (len(curves), sum(len(rt.terms) for rt in curves)) == (rules, terms)
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize(
+    "tilt, message",
+    [
+        (lambda a, b, c: (a, -b, c), r"\(1, 1/128, 1\): request coefficient -1 cannot be negative$"),
+        (lambda a, b, c: (a + 1, b, c), r"at logS = 1 did not stabilise: the dual lines at logQ = "
+         r"1/128, 1/2048, .*, 1/134217728 all missed \(a, c\) = \(1, 1/2\)$"),
+    ],
+)
+def test_request_pin_error_names_the_rule_and_the_probe(monkeypatch, two_reach, tilt, message):
+    # the two_reach piece S*T^2 ~ N^2*Q^2 spans [0, 2], so its request probes sit at logS = 1
+    _, system, rt = two_reach
+    real = tradeoffs._probe
+
+    def tilted(system, rule, s, q=ZERO, **kwargs):
+        sol = real(system, rule, s, q, **kwargs)
+        if q:
+            sol.line = tilt(*sol.line)
+        return sol
+
+    monkeypatch.setattr(tradeoffs, "_probe", tilted)
+    with pytest.raises(LpError, match=message) as exc:
+        rule_tradeoff(rt.rule, system)
+    assert rt.rule.pretty() in str(exc.value)
 
 
 def test_rule_without_storage_targets_extracts_one_plane(two_reach):
