@@ -10,8 +10,12 @@ nonnegative.  Constraints are rows (coefficients, sense, rhs) with senses
 columns are indices into c, each at most once, and absent columns are zero.
 The solver returns the optimal value, a primal point, and one dual
 multiplier per input row, normalized so that  value == sum(dual_i * rhs_i).
-Every optimal solve re-checks primal feasibility, dual feasibility and strong
-duality exactly and raises LpError if any fail.
+Every optimal solve checks primal feasibility, dual feasibility and strong
+duality of what it returns, and raises LpError if any fail.  The checks run
+on scaled integers over a few shared denominators: the point over the lcm
+of its denominators (div*bscale for a point read off the tableau), each
+scaled row's multiplier over div*cscale, where it must be an integer, and
+the costs over cscale; the value is compared by cross-multiplication.
 
 The tableau is kept fraction-free and sparse.  Each row is pre-scaled to
 integers and holds only its nonzeros, as {column: int} with the right side
@@ -62,13 +66,14 @@ import copy
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 log = logging.getLogger(__name__)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # pivots without objective progress before falling back to Bland's rule
 STALL_LIMIT = 30
@@ -107,7 +112,7 @@ def solve_lp(
     differ only in its right sides; the solve then continues from its final
     tableau by dual simplex.  A start from another program raises ValueError.
     """
-    c = [Fraction(v) for v in c]
+    c = [_rational(v) for v in c]
     if start is None:
         return _Simplex(c, rows).solve()
     if start._tableau is None:
@@ -115,20 +120,27 @@ def solve_lp(
     return start._tableau.restart(c, rows).resolve()
 
 
-def _parse(rows: Sequence[Row], nvars: int):
-    """Each row as (nonzero [(column, Fraction)], sense, Fraction rhs)."""
-    for i, (coeffs, sense, rhs) in enumerate(rows):
-        if sense not in ("<=", ">=", "=="):
-            raise ValueError(f"unknown sense {sense!r}")
-        seen, nonzero = set(), []
-        for j, v in coeffs:
-            if j in seen or not 0 <= j < nvars:
-                problem = "repeats" if j in seen else f"is outside 0..{nvars - 1}"
-                raise ValueError(f"row {i}: column {j} {problem}")
-            seen.add(j)
-            if v:
-                nonzero.append((j, Fraction(v)))
-        yield nonzero, sense, Fraction(rhs)
+def _rational(v):
+    """v as an exact rational: ints and Fractions as they are, others via Fraction."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _check_sense(sense: str):
+    if sense not in ("<=", ">=", "=="):
+        raise ValueError(f"unknown sense {sense!r}")
+
+
+def _parse_coeffs(i: int, coeffs: tuple, nvars: int) -> list[tuple[int, Fraction | int]]:
+    """Row i's nonzero (column, rational) pairs, each column checked once."""
+    seen, nonzero = set(), []
+    for j, v in coeffs:
+        if j in seen or not 0 <= j < nvars:
+            problem = "repeats" if j in seen else f"is outside 0..{nvars - 1}"
+            raise ValueError(f"row {i}: column {j} {problem}")
+        seen.add(j)
+        if v:
+            nonzero.append((j, _rational(v)))
+    return nonzero
 
 
 class _Simplex:
@@ -136,10 +148,18 @@ class _Simplex:
         self.nvars = len(c)
         self.c = c
         self.cscale = lcm(*(v.denominator for v in c), 1)
-        self.bscale = 1  # the right-side column holds bscale times its value
+        self.cost = [v.numerator * (self.cscale // v.denominator) for v in c]
+        # the right sides in rows_in and the right-side column are bscale
+        # times the scaled rows' right sides
+        self.bscale = 1
         self.rows_in = []  # (scaled nonzero coefficients {column: int}, sense, scaled rhs)
         self.rscale = []  # signed: scaled row i == rscale[i] * original row i
-        for nonzero, sense, rhs in _parse(rows, self.nvars):
+        self.coeffs_in = []  # each row's (column, value) pairs as given
+        for i, (coeffs, sense, rhs) in enumerate(rows):
+            _check_sense(sense)
+            coeffs = tuple(coeffs)
+            nonzero = _parse_coeffs(i, coeffs, self.nvars)
+            rhs = _rational(rhs)
             s = lcm(*(v.denominator for _, v in nonzero), rhs.denominator)
             # a negative scale flips the sense: a >= row with rhs 0 starts on its slack
             if rhs < 0 or (rhs == 0 and sense == ">="):
@@ -147,6 +167,7 @@ class _Simplex:
             scaled = {j: v.numerator * s // v.denominator for j, v in nonzero}
             self.rows_in.append((scaled, sense, rhs.numerator * s // rhs.denominator))
             self.rscale.append(s)
+            self.coeffs_in.append(coeffs)
 
     # ── tableau construction ────────────────────────────────────────────
 
@@ -190,13 +211,13 @@ class _Simplex:
 
     # ── pivoting ────────────────────────────────────────────────────────
 
-    def _objective_row(self, cost: list, scale: int) -> list[int]:
-        """Reduced costs (z_j - c_j) scaled by div*scale, value cell last.
+    def _objective_row(self, cost: list[int]) -> list[int]:
+        """Reduced costs (z_j - c_j) of integer costs, times div, value cell last.
 
         Relies on every basic column holding div at its own row, the
         canonical form the pivot rule maintains.
         """
-        num = [int(v * scale) for v in cost] + [0] * (self.ncols - len(cost))
+        num = cost + [0] * (self.ncols - len(cost))
         obj = [-self.div * v for v in num] + [0]
         for i, row in enumerate(self.tab):
             if not self.live[i]:
@@ -346,17 +367,15 @@ class _Simplex:
     def solve(self) -> LpResult:
         self._build()
         if self.first_art < self.ncols:
-            phase1 = [ZERO] * self.first_art + [-ONE] * (
-                self.ncols - self.first_art
-            )
-            obj = self._objective_row(phase1, 1)
+            phase1 = [0] * self.first_art + [-1] * (self.ncols - self.first_art)
+            obj = self._objective_row(phase1)
             status = self._iterate(obj, lambda o, b: self._primal_step(o, b, True))
             if status != "optimal":  # pragma: no cover - phase 1 is bounded
                 raise LpError("phase 1 terminated abnormally")
             if obj[self.ncols] != 0:
                 return LpResult("infeasible", None, [], [])
             self._expel_artificials()
-        obj = self._objective_row(self.c, self.cscale)
+        obj = self._objective_row(self.cost)
         phase1 = self.pivots
         status = self._iterate(obj, lambda o, b: self._primal_step(o, b, False))
         if status == "unbounded":
@@ -384,31 +403,49 @@ class _Simplex:
     def restart(self, c: list[Fraction], rows: Sequence[Row]) -> _Simplex:
         """A copy of this optimal tableau for the same program at new right sides.
 
-        The new right sides are scaled by the rows' signed scales, so they
-        may be negative or fractional; `resolve` deals with both.
+        The program is the same when c, every sense and every row's
+        coefficients match the ones this tableau was built from.  Each row's
+        (column, value) pairs are compared as given first, which is an
+        identity hit when the caller passes the same tuples again; only a row
+        whose pairs differ is parsed and scaled, to compare its nonzeros and
+        name the column that differs.  The new right sides go through the
+        rows' signed scales, times one positive integer bscale that clears
+        their denominators, so they may come out negative; `resolve` deals
+        with that.
         """
         if c != self.c:
             raise ValueError("the start solved another program: c differs")
-        parsed = list(_parse(rows, self.nvars))
-        if len(parsed) != len(self.rows_in):
+        if len(rows) != len(self.rows_in):
             raise ValueError(
-                f"the start solved another program: {len(self.rows_in)} rows, not {len(parsed)}"
+                f"the start solved another program: {len(self.rows_in)} rows, not {len(rows)}"
             )
-        warm = copy.copy(self)
-        warm.rows_in = []
-        for i, ((nonzero, sense, rhs), (scaled, sense0, _)) in enumerate(zip(parsed, self.rows_in)):
+        scaled_rhs = []  # each scaled right side as a reduced (numerator, denominator)
+        for i, (coeffs, sense, rhs) in enumerate(rows):
+            _check_sense(sense)
+            scaled, sense0, _ = self.rows_in[i]
             if sense != sense0:
                 raise ValueError(
                     f"the start solved another program: row {i} has sense {sense0!r}, not {sense!r}"
                 )
             s = self.rscale[i]
-            new = {j: v * s for j, v in nonzero}
-            if new != scaled:
-                j = min(j for j in new.keys() | scaled.keys() if new.get(j) != scaled.get(j))
-                raise ValueError(
-                    f"the start solved another program: row {i}, column {j} coefficient differs"
-                )
-            warm.rows_in.append((scaled, sense, rhs * s))
+            coeffs = tuple(coeffs)
+            if coeffs != self.coeffs_in[i]:
+                new = {j: v * s for j, v in _parse_coeffs(i, coeffs, self.nvars)}
+                if new != scaled:
+                    j = min(j for j in new.keys() | scaled.keys() if new.get(j) != scaled.get(j))
+                    raise ValueError(
+                        f"the start solved another program: row {i}, column {j} coefficient differs"
+                    )
+            rhs = _rational(rhs)
+            num, den = rhs.numerator * s, rhs.denominator
+            g = gcd(num, den)
+            scaled_rhs.append((num // g, den // g))
+        warm = copy.copy(self)
+        warm.bscale = lcm(*(den for _, den in scaled_rhs), 1)
+        warm.rows_in = [
+            (scaled, sense, num * (warm.bscale // den))
+            for (scaled, sense, _), (num, den) in zip(self.rows_in, scaled_rhs)
+        ]
         warm.tab = [dict(row) for row in self.tab]
         warm.basis = list(self.basis)
         warm.live = list(self.live)
@@ -419,19 +456,18 @@ class _Simplex:
     def resolve(self) -> LpResult:
         """Rebuild the right-side column, then pivot back to feasibility."""
         rhs = self.ncols
-        self.bscale = lcm(*(b.denominator for _, _, b in self.rows_in), 1)
         # row i's unit column started as sign * e_i, so the tableau holds
         # div * sign * (the inverse basis times e_i) there
         weight = {}
         for i, (_, _, b) in enumerate(self.rows_in):
             if b:
                 col, sign = self._unit(i)
-                weight[col] = sign * (b * self.bscale).numerator
+                weight[col] = sign * b
         obj = self.obj
-        cost = [int(v * self.cscale) for v in self.c]
+        cost = self.cost
         obj[rhs] = 0
         for i, row in enumerate(self.tab):
-            v = sum(row.get(col, 0) * w for col, w in weight.items())
+            v = sum(map(mul, map(row.get, weight, repeat(0)), weight.values()))
             if v:
                 row[rhs] = v
             else:
@@ -495,7 +531,8 @@ class _Simplex:
         den = self.div * self.cscale
         for i in range(len(self.rows_in)):
             col, sign = self._unit(i)
-            duals.append(Fraction(obj[col] * sign * self.rscale[i], den))
+            y = obj[col]
+            duals.append(Fraction(y * sign * self.rscale[i], den) if y else ZERO)
         return duals
 
     def _unit(self, i: int) -> tuple[int, int]:
@@ -505,25 +542,46 @@ class _Simplex:
         return self.slack_col[i], self.slack_sign[i]
 
     def _check(self, x, duals, value):
-        reduced = [ZERO] * self.nvars
-        dual_value = ZERO
+        """Check the reported optimum exactly, on scaled integers.
+
+        Primal feasibility: the point is scaled by the lcm L of its
+        denominators and bscale (div*bscale for a point read off this
+        tableau), so each scaled row's L * (lhs - rhs) is an integer whose
+        sign, times the row scale's, is the original row's.  The multiplier
+        of scaled row i is duals[i] / rscale[i]; it must be Y_i / (div*cscale)
+        for an integer Y_i, as every dual read off this tableau is.  Dual
+        feasibility then compares sum_i Y_i * a_ij with div * C_j, where
+        c_j = C_j / cscale, and strong duality compares sum_i Y_i * b_i over
+        div*cscale*bscale with the value by cross-multiplication.
+        """
+        big = lcm(self.bscale, *(v.denominator for v in x))
+        xs = [v.numerator * (big // v.denominator) for v in x]
+        rhs_scale = big // self.bscale
+        den = self.div * self.cscale
+        reduced = [0] * self.nvars
+        dual_value = 0
         for i, (coeffs, sense, b) in enumerate(self.rows_in):
             s = self.rscale[i]
-            lhs = sum(a * x[j] for j, a in coeffs.items())
-            gap = lhs - b if s > 0 else b - lhs  # sign of the original lhs - rhs
+            gap = sum(map(mul, coeffs.values(), map(xs.__getitem__, coeffs))) - b * rhs_scale
+            if s < 0:
+                gap = -gap  # the sign of the original lhs - rhs
             ok = gap <= 0 if sense == "<=" else gap >= 0 if sense == ">=" else gap == 0
             if not ok:
                 raise LpError(f"optimal point violates a {sense} row")
-            if sense == "<=" and duals[i] < 0:
+            y = duals[i].numerator
+            if sense == "<=" and y < 0:
                 raise LpError("negative multiplier on a <= row")
-            if sense == ">=" and duals[i] > 0:
+            if sense == ">=" and y > 0:
                 raise LpError("positive multiplier on a >= row")
-            if duals[i]:
-                y = duals[i] / s  # the multiplier of the scaled row
+            if y:
+                y, rest = divmod(y * den, duals[i].denominator * s)
+                if rest:
+                    raise LpError("multiplier is not on the tableau's denominator")
                 for j, a in coeffs.items():
                     reduced[j] += y * a
                 dual_value += y * b
-        if any(r < cj for r, cj in zip(reduced, self.c)):
+        div = self.div
+        if any(r < cj * div for r, cj in zip(reduced, self.cost)):
             raise LpError("dual infeasibility detected")
-        if dual_value != value:
+        if dual_value * value.denominator != value.numerator * den * self.bscale:
             raise LpError("strong duality gap; simplex state is corrupt")

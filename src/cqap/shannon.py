@@ -186,16 +186,16 @@ class JointSystem:
         when the program is unbounded (no target is tied to the data, which
         well-formed queries never produce).
         """
-        dc = [
-            (r.coeffs, r.sense, r.bound.at(log_n, log_q))
-            for r in self._degree_rows() if r.tag[:2] == ("dc", "S")
+        side_s = [
+            r for r in self.base_rows() if r.tag[0] in ("mono", "sub", "dc") and r.tag[1] == "S"
         ]
+        dc = [(r.coeffs, r.sense, r.bound.at(log_n, log_q)) for r in side_s if r.tag[0] == "dc"]
         # the program depends on the probe only through these right sides
         key = (tuple(sorted(targets)), tuple(rhs for _, _, rhs in dc))
         if key in self._caps:
             return self._caps[key]
         tcol = self.m
-        rows = [(r.coeffs, r.sense, ZERO) for r in self._polymatroid_rows("S")] + dc
+        rows = [(r.coeffs, r.sense, ZERO) for r in side_s if r.tag[0] != "dc"] + dc
         rows += [(((b - 1, -ONE), (tcol, ONE)), "<=", ZERO) for b in sorted(targets)]
         c_obj = [ZERO] * (tcol + 1)
         c_obj[tcol] = ONE
@@ -274,7 +274,7 @@ def solve_joint_lp(
     c_obj[system.col_obj] = ONE
     res = solve_lp_guided(
         c_obj,
-        [(r.coeffs, r.sense, r.bound.at(log_n, log_q) + r.s_mult * log_s) for r in rows],
+        [(r.coeffs, r.sense, _rhs(r, log_n, log_q, log_s)) for r in rows],
         start=None if start is None else start.lp,
     )
     if res.status == "unbounded":  # pragma: no cover - T targets bound t
@@ -291,6 +291,13 @@ def solve_joint_lp(
     return sol
 
 
+def _rhs(row: LpRow, log_n, log_q, log_s) -> Fraction:
+    """The row's numeric right side at a probe; most rows have none."""
+    if row.bound is NO_BOUND and not row.s_mult:
+        return ZERO
+    return row.bound.at(log_n, log_q) + row.s_mult * log_s
+
+
 def _package(rule, system, rows, res: LpResult, cap) -> JointSolution:
     x, raw, value = res.x, res.duals, res.value
     h_s = SetFunction(system.n, [ZERO] + x[: system.m])
@@ -300,14 +307,16 @@ def _package(rule, system, rows, res: LpResult, cap) -> JointSolution:
     d = JointDuals({}, {}, {}, {}, {}, {}, {}, {}, ZERO, {}, {})
     a_part = b_part = c_part = ZERO
     for row, mult in zip(rows, raw):
+        if not mult:
+            continue
         w = -mult if row.sense == ">=" else mult
         if w < 0:
             raise LpError("multiplier sign violates its row sense")
-        a_part += mult * row.bound.n
-        b_part += mult * row.bound.q
-        c_part -= mult * row.s_mult
-        if not w:
-            continue
+        if row.bound is not NO_BOUND:
+            a_part += mult * row.bound.n
+            b_part += mult * row.bound.q
+        if row.s_mult:
+            c_part -= mult * row.s_mult
         tag = row.tag
         if tag[0] == "lam":
             d.lam[tag[1]] = w

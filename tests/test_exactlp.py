@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -174,6 +175,29 @@ def test_warm_start_rejects_another_program():
         solve_lp([1], sparse([([1], "<=", 1)]), start=infeasible)
 
 
+def test_warm_start_accepts_the_same_program_rebuilt(caplog):
+    # fresh objects: a new list of pairs per row, ints in place of Fractions
+    # and explicit zero entries, over a row whose scale is negative
+    c = [F(3), F(2), F(0)]
+    rows = [
+        (((0, F(1)), (1, F(1))), "<=", F(4)),
+        (((0, F(1, 2)),), "<=", F(1)),
+        (((1, F(1)), (2, F(-1))), ">=", F(0)),
+    ]
+    start = solve_lp(c, rows)
+    assert (start.status, start.value) == ("optimal", 10)
+    rebuilt = [
+        ([(0, 1), (1, 1), (2, 0)], "<=", 5),
+        ([(0, F(1, 2)), (1, 0)], "<=", F(3, 2)),
+        ([(1, 1), (2, -1), (0, 0)], ">=", 0),
+    ]
+    with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
+        warm = solve_lp([3, 2, 0], rebuilt, start=start)
+    assert caplog.messages[-1].startswith("warm optimal:")
+    cold = solve_lp([3, 2, 0], rebuilt)
+    assert (warm.status, warm.value) == (cold.status, cold.value) == ("optimal", 13)
+
+
 def test_rejects_malformed_rows():
     ok = ([(0, 1)], "<=", 3)
     with pytest.raises(ValueError, match=r"^row 1: column 2 is outside 0\.\.1$"):
@@ -325,3 +349,120 @@ def test_warm_start_matches_a_cold_solve(problem, new_rhs):
             break
         assert sum(d * b for d, (_, _, b) in zip(warm.duals, moved)) == warm.value
         start = warm
+
+
+# ----------------------------------------------------------------------------
+# The exact self-check of an optimum
+# ----------------------------------------------------------------------------
+
+TINY = F(1, 2**61 - 1)
+
+
+def reference_check(c, rows, x, duals, value):
+    """The message of the first exact check that rejects, or None.
+
+    The three checks of an optimum in Fraction arithmetic on the dense rows as
+    given: primal feasibility and the multiplier's sign row by row, then dual
+    feasibility, then strong duality.
+    """
+    reduced = [F(0)] * len(c)
+    dual_value = F(0)
+    for (a, sense, b), y in zip(rows, duals):
+        gap = sum(v * xj for v, xj in zip(a, x)) - b
+        ok = gap <= 0 if sense == "<=" else gap >= 0 if sense == ">=" else gap == 0
+        if not ok:
+            return f"optimal point violates a {sense} row"
+        if sense == "<=" and y < 0:
+            return "negative multiplier on a <= row"
+        if sense == ">=" and y > 0:
+            return "positive multiplier on a >= row"
+        for j, v in enumerate(a):
+            reduced[j] += y * v
+        dual_value += y * b
+    if any(r < cj for r, cj in zip(reduced, c)):
+        return "dual infeasibility detected"
+    if dual_value != value:
+        return "strong duality gap; simplex state is corrupt"
+    return None
+
+
+def perturbed(res, kind, index, step):
+    """(x, duals, value) of an optimum with one entry moved by step (+1 or -1).
+
+    "x" moves one entry of x by step/(2^61 - 1), "sign" flips one dual,
+    "size" moves one dual by step of the tableau's units for that row, and
+    "value" moves the value by step/(2^61 - 1).
+    """
+    x, duals, value = list(res.x), list(res.duals), res.value
+    if kind == "x":
+        x[index % len(x)] += step * TINY
+    elif kind == "sign":
+        duals[index % len(duals)] *= -1
+    elif kind == "size":
+        i = index % len(duals)
+        lp = res._tableau
+        duals[i] += step * F(lp.rscale[i], lp.div * lp.cscale)
+    else:
+        value += step * TINY
+    return x, duals, value
+
+
+MAX_LE = ([3, 2], [([1, 1], "<=", 4), ([1, 0], "<=", 2)])  # x = [2, 2], duals [2, 1]
+MIN_GE = ([-1, -1], [([1, 2], ">=", 4)])  # x = [0, 2], dual -1/2
+EQUAL = ([1, 1], [([1, 1], "==", 3), ([1, -1], "==", 1)])  # x = [2, 1]
+
+# one change per verdict of the check, with that verdict
+VERDICT_EXAMPLES = [
+    (MAX_LE, ("x", 0, -1), None),
+    (MAX_LE, ("x", 0, 1), "optimal point violates a <= row"),
+    (MIN_GE, ("x", 1, -1), "optimal point violates a >= row"),
+    (EQUAL, ("x", 0, 1), "optimal point violates a == row"),
+    (MAX_LE, ("sign", 0, 1), "negative multiplier on a <= row"),
+    (MIN_GE, ("sign", 0, 1), "positive multiplier on a >= row"),
+    (MAX_LE, ("size", 1, -1), "dual infeasibility detected"),
+    (MAX_LE, ("value", 0, 1), "strong duality gap; simplex state is corrupt"),
+]
+
+
+def test_verdict_examples_cover_every_verdict():
+    verdicts = []
+    for (c, rows), change, verdict in VERDICT_EXAMPLES:
+        res = solve_lp(c, sparse(rows))
+        assert reference_check(c, rows, *perturbed(res, *change)) == verdict
+        verdicts.append(verdict)
+    assert len(set(verdicts)) == 8
+
+
+def verdict_examples(test):
+    for problem, change, _ in VERDICT_EXAMPLES:
+        test = example(problem, change, None)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    random_lp(),
+    st.tuples(
+        st.sampled_from(["x", "sign", "size", "value"]),
+        st.integers(0, 3),
+        st.sampled_from([-1, 1]),
+    ),
+    st.none() | st.lists(rhs_value, min_size=4, max_size=4),
+)
+@verdict_examples
+def test_check_agrees_with_a_fraction_reference(problem, change, new_rhs):
+    # an optimum perturbed once, cold or warm from fractional right sides
+    c, rows = problem
+    res = solve_lp(c, sparse(rows))
+    assume(res.status == "optimal")
+    if new_rhs is not None:
+        rows = [(a, sense, b) for (a, sense, _), b in zip(rows, new_rhs)]
+        res = solve_lp(c, sparse(rows), start=res)
+        assume(res.status == "optimal")
+    x, duals, value = perturbed(res, *change)
+    verdict = reference_check(c, rows, x, duals, value)
+    if verdict is None:
+        res._tableau._check(x, duals, value)
+    else:
+        with pytest.raises(LpError, match=f"^{re.escape(verdict)}$"):
+            res._tableau._check(x, duals, value)
