@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .relalg import VarSet, members, size, subset, vs_str
+from .relalg import VarSet, size, subset, vs_str
 
 log = logging.getLogger(__name__)
 
@@ -95,20 +95,28 @@ def sample_entropic(n: int, rng: random.Random) -> SetFunction:
     of that float.  Rounding can break a tight polymatroid inequality, so a
     draw whose Fractions are not an exact polymatroid is replaced by a fresh
     one: the result is always an exact polymatroid.
+
+    The marginals are taken from the full table down: each subset's marginal
+    sums its lowest missing variable out of the one-larger subset's marginal,
+    so every subset costs one pass over a table no larger than its parent's.
     """
+    full = (1 << n) - 1
     while True:
         domains = [rng.choice([2, 3, 4]) for _ in range(n)]
         cells = list(product(*[range(d) for d in domains]))
         weights = [rng.random() + 1e-9 for _ in cells]
         total = sum(weights)
-        probs = [w / total for w in weights]
-        vals = [Fraction(0)] * (1 << n)
-        for s in range(1, 1 << n):
+        margs = {full: {cell: w / total for cell, w in zip(cells, weights)}}
+        for s in range(full - 1, 0, -1):
+            out = ~s & (s + 1)  # the lowest variable not in s
+            pos = size(s & (out - 1))  # its position in the parent's keys
             marg: dict = {}
-            idx = members(s)
-            for cell, p in zip(cells, probs):
-                key = tuple(cell[i] for i in idx)
+            for key, p in margs[s | out].items():
+                key = key[:pos] + key[pos + 1 :]
                 marg[key] = marg.get(key, 0.0) + p
+            margs[s] = marg
+        vals = [Fraction(0)] * (1 << n)
+        for s, marg in margs.items():
             vals[s] = Fraction(-sum(p * math.log2(p) for p in marg.values() if p > 0))
         h = SetFunction(n, vals)
         if check_polymatroid(h):

@@ -26,6 +26,15 @@ rules by increasing target count and compares each only with the minimal
 rules kept so far; that is exact because a rule strictly below another has
 strictly fewer targets and strict domination is transitive.
 
+Many states share a side, and the plans share most of their views, so the
+fold interns each distinct clean side as a small int (hash-consing:
+Filliâtre & Conchon, 2006) and memoises the insert per (side, view): each
+clean insert is computed once, the states are pairs of ints, and equal
+sides are one frozenset object.  The rules are built only at the end and
+sorted by each side's `tuple(sorted(side))`, computed once per side; that
+is `TwoPhaseRule.key`'s order, and since distinct sides have distinct
+tuples no two rules tie.
+
 The choice structure is kept as `picks` (plan index, node index) so later
 stages can map every target back to the plan node that produced it.
 """
@@ -103,22 +112,43 @@ def generate_rules(plans: Sequence[Pmtd]) -> list[TwoPhaseRule]:
     loses nothing.  States are extended in insertion order and views in node
     order, so each rule keeps the first choice in product order, i.e. the
     one picking earliest nodes.
+
+    Sides are interned: a state is a pair of side ids, and the insert of a
+    view into a side is computed once and then looked up by (side id, view).
+    The rules are sorted by the per-side `tuple(sorted(side))` pairs, which
+    is `TwoPhaseRule.key`'s order.
     """
     per_plan = [plan_choices(p) for p in plans]
-    if not per_plan or any(not c for c in per_plan):
-        raise ValueError("every plan must offer at least one view")
-    states: dict = {(frozenset(), frozenset()): ()}
+    if not per_plan:
+        raise ValueError("no plans to fold into rules")
     for i, choices in enumerate(per_plan):
+        if not choices:
+            raise ValueError(f"plan {i} offers no view: every node is hollow")
+    sides: list[frozenset[VarSet]] = [frozenset()]
+    side_ids: dict[frozenset[VarSet], int] = {sides[0]: 0}
+    moves: dict[VarSet, dict[int, int]] = {}  # view -> side id -> side id
+    states: dict = {(0, 0): ()}
+    for i, choices in enumerate(per_plan):
+        views = [(node, m, v, moves.setdefault(v, {})) for node, m, v in choices]
         step: dict = {}
         for (s, t), picks in states.items():
-            for node, m, v in choices:
-                nxt = (_add_target(s, v), t) if m else (s, _add_target(t, v))
-                step.setdefault(nxt, picks + ((i, node),))
+            for node, m, v, into in views:
+                side = s if m else t
+                nxt = into.get(side)
+                if nxt is None:
+                    new = _add_target(sides[side], v)
+                    nxt = into[side] = side_ids.setdefault(new, len(sides))
+                    if nxt == len(sides):
+                        sides.append(new)
+                key = (nxt, t) if m else (s, nxt)
+                if key not in step:
+                    step[key] = picks + ((i, node),)
         states = step
         log.debug("folded plan %d: %d partial rules", i, len(states))
-    rules = [TwoPhaseRule(s, t, picks) for (s, t), picks in states.items()]
-    rules.sort(key=TwoPhaseRule.key)
-    log.debug("generated %d rules from %d plans", len(rules), len(plans))
+    order = [tuple(sorted(side)) for side in sides]
+    done = sorted(states, key=lambda st: (order[st[1]], order[st[0]]))
+    rules = [TwoPhaseRule(sides[s], sides[t], states[s, t]) for s, t in done]
+    log.debug("generated %d rules, %d distinct sides", len(rules), len(sides))
     return rules
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqap import rules as rules_module
 from cqap.decompose import (
     Pmtd,
     TreeDecomp,
@@ -281,6 +282,34 @@ def test_generate_requires_views():
     hollow = Pmtd(td, (True,), (0,))
     with pytest.raises(ValueError):
         generate_rules([hollow])
+
+
+def test_generate_names_the_missing_views():
+    td = TreeDecomp((vs(0, 1),), (-1,))
+    hollow = Pmtd(td, (True,), (0,))
+    full = Pmtd(td, (True,), (vs(0, 1),))
+    with pytest.raises(ValueError, match=r"^no plans to fold into rules$"):
+        generate_rules([])
+    with pytest.raises(
+        ValueError, match=r"^plan 2 offers no view: every node is hollow$"
+    ):
+        generate_rules([full, full, hollow, full])
+
+
+def test_each_clean_insert_is_computed_once(monkeypatch):
+    plans = enumerate_pmtds(q("four_reach"))
+    calls = []
+    add_target = rules_module._add_target
+
+    def recorded(side, v):
+        calls.append((side, v))
+        return add_target(side, v)
+
+    monkeypatch.setattr(rules_module, "_add_target", recorded)
+    generated = generate_rules(plans)
+    assert calls
+    assert len(set(calls)) == len(calls)
+    assert rules_digest(generated) == FOUR_REACH_DIGESTS["enumerated"][0]
 
 
 # ----------------------------------------------------------------------------
