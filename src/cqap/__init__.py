@@ -1,3 +1,3 @@
-"""Space/time analysis and execution for conjunctive queries with access patterns."""
+"""Space/time tradeoff analysis for conjunctive queries with access patterns."""
 
 __version__ = "0.1.0"

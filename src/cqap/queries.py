@@ -13,13 +13,11 @@ appear in several atoms (self-joins); constraint declarations are written
 against the relation's first occurrence and are re-bound positionally to every
 occurrence.
 
-Two constraint views coexist:
-
-  * data view   -- numeric bounds checked against loaded relations,
-  * analysis view -- exact log-scale bounds, rational multiples of log N and
-    log Q, consumed by the bound/tradeoff machinery.  Numeric bounds enter the
-    analysis view only when their base-2 log is exact (powers of two);
-    everything else stays data-side.
+The analysis reads the declared constraints as exact log-scale bounds,
+rational multiples of log N and log Q (`analysis_constraints`).  A symbolic
+bound N^a always enters; a numeric bound enters only when it is a power of
+two, so that its base-2 log is exact.  Other numeric bounds, and the request
+cap `ac |Q| <= k`, are parsed and printed but do not enter the analysis.
 
 Split constraints (X, Y | X, N_Z) are spanned from cardinality constraints:
 one for every chain emptyset != X < Y <= Z.
@@ -27,25 +25,11 @@ one for every chain emptyset != X < Y <= Z.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .relalg import (
-    MAX_VARS,
-    Database,
-    DegreeConstraint,
-    Relation,
-    VarSet,
-    members,
-    oracle_join,
-    subset,
-    vs,
-    vs_str,
-)
-
-log = logging.getLogger(__name__)
+from .relalg import MAX_VARS, VarSet, members, subset, vs, vs_str
 
 
 class QueryError(ValueError):
@@ -165,7 +149,7 @@ class DcDecl:
     """A declared constraint on a relation, positional in its formal args.
 
     `x_pos`/`y_pos` index into the argument list of the relation's first
-    occurrence; `num` is a checkable numeric bound, `sym` an exponent a with
+    occurrence; `num` is a numeric bound, `sym` an exponent a with
     bound N^a.  Exactly the size declaration uses x_pos = ().
     """
 
@@ -228,22 +212,12 @@ class Cqap:
 
     # -- constraint views ---------------------------------------------------
 
-    def data_constraints(self) -> list[DegreeConstraint]:
-        """Numeric declared constraints, bound to first-occurrence schemas."""
-        out = []
-        for d in self.decls:
-            if d.num is None:
-                continue
-            args = self.first_occurrence(d.rel).args
-            y = vs(*(args[p] for p in d.y_pos))
-            x = vs(*(args[p] for p in d.x_pos))
-            out.append(DegreeConstraint(x, y, d.num, d.rel))
-        return out
-
-    def analysis_constraints(self, db: Database | None = None) -> list[LogConstraint]:
-        """Per-atom log-bounds: declared symbolic ones, exact-log numeric
-        ones, and (when a database is supplied) actual sizes rounded up to
-        the next power of two.  The smallest bound per (x, y) is kept."""
+    def analysis_constraints(self) -> list[LogConstraint]:
+        """Per-atom log-bounds from the declared `dc` lines: every symbolic
+        N^a bound, and every numeric bound that is a power of two (its log2
+        is exact).  Other numeric bounds, and `ac |Q| <= k`, are parsed and
+        printed but do not enter the analysis.  The smallest bound per
+        (x, y) is kept."""
         rows: list[LogConstraint] = []
         for atom in self.atoms:
             for d in self.decls:
@@ -254,10 +228,6 @@ class Cqap:
                 lg = _exact_log(d.num, d.sym)
                 if lg is not None:
                     rows.append(LogConstraint(x, y, lg, atom.rel))
-            if db is not None and atom.rel in db.relations:
-                m = max(1, len(db.relations[atom.rel]))
-                lg = LogBound(n=Fraction((m - 1).bit_length()))
-                rows.append(LogConstraint(0, atom.varset, lg, atom.rel))
         best: dict[tuple[VarSet, VarSet], LogConstraint] = {}
         for r in rows:
             k = (r.x, r.y)
@@ -269,8 +239,8 @@ class Cqap:
         """The request is a materialized relation of log-size logQ."""
         return LogConstraint(0, self.access, LogBound(q=Fraction(1)), "Q")
 
-    def split_constraints(self, db: Database | None = None) -> list[SplitConstraint]:
-        return span_split_constraints(self.analysis_constraints(db))
+    def split_constraints(self) -> list[SplitConstraint]:
+        return span_split_constraints(self.analysis_constraints())
 
 
 def _exact_log(num: int | None, sym: Fraction | None) -> LogBound | None:
@@ -279,47 +249,6 @@ def _exact_log(num: int | None, sym: Fraction | None) -> LogBound | None:
     if num is not None and num >= 1 and num & (num - 1) == 0:
         return LogBound(n=Fraction(num.bit_length() - 1))
     return None
-
-
-# ═══════════════════════════════════════════════════════════════════════════
-# Binding atoms to stored relations
-# ═══════════════════════════════════════════════════════════════════════════
-
-
-def bind_atom(q: Cqap, db: Database, i: int) -> Relation:
-    """The relation for atom i, columns re-bound for self-joins.
-
-    Stored relations use the argument order of the relation's first
-    occurrence; later occurrences permute values positionally.
-    """
-    atom = q.atoms[i]
-    base = db[atom.rel]
-    first = q.first_occurrence(atom.rel)
-    if base.schema != first.varset:
-        raise QueryError(
-            f"relation {atom.rel} stored over {vs_str(base.schema, q.var_names)}, "
-            f"expected {vs_str(first.varset, q.var_names)}"
-        )
-    if atom.args == first.args:
-        return base
-    src_cols = members(base.schema)
-    src_of = {v: p for p, v in enumerate(src_cols)}
-    tgt_cols = members(atom.varset)
-    # formal position p carries first.args[p] in storage and atom.args[p] here
-    carrier = {atom.args[p]: src_of[first.args[p]] for p in range(len(atom.args))}
-    rows = [tuple(row[carrier[v]] for v in tgt_cols) for row in base.rows]
-    return Relation(f"{atom.rel}@{i}", atom.varset, rows)
-
-
-def bind_atoms(q: Cqap, db: Database) -> list[Relation]:
-    return [bind_atom(q, db, i) for i in range(len(q.atoms))]
-
-
-def oracle_answer(db: Database, q: Cqap, request: Relation) -> Relation:
-    """Brute-force answers for a batch of requests (the executable spec)."""
-    if request.schema != q.access:
-        raise QueryError("request schema must equal the access pattern")
-    return oracle_join(request, bind_atoms(q, db), q.head)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -350,7 +279,10 @@ def _parse_bound(text: str, where: str) -> tuple[int | None, Fraction | None]:
     text = text.strip()
     m = re.fullmatch(r"N\s*\^\s*([0-9]+(?:/[0-9]+)?)", text)
     if m:
-        return None, Fraction(m.group(1))
+        try:
+            return None, Fraction(m.group(1))
+        except ZeroDivisionError:
+            raise QueryError(f"{where}: exponent {m.group(1)} has a zero denominator") from None
     if re.fullmatch(r"\d+", text):
         v = int(text)
         if v < 1:
@@ -465,6 +397,8 @@ def parse_query(text: str, name_hint: str = "query") -> Cqap:
         m = _AC_RE.match(line)
         if m:
             q.ac_cap = int(m.group(1))
+            if q.ac_cap < 1:
+                raise QueryError(f"{line}: bound must be >= 1")
             continue
         raise QueryError(f"cannot parse constraint line: {line!r}")
     return q

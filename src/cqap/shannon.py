@@ -33,7 +33,7 @@ from itertools import combinations
 from .exactlp import LpError, LpResult, solve_lp_guided
 from .polymatroids import SetFunction, check_polymatroid
 from .queries import Cqap, LogBound, LogConstraint, SplitConstraint
-from .relalg import Database, VarSet, submasks
+from .relalg import VarSet, submasks
 from .rules import TwoPhaseRule
 
 log = logging.getLogger(__name__)
@@ -71,14 +71,14 @@ class JointSystem:
     maximin variable t at 2m, where m = 2^n - 1.
     """
 
-    def __init__(self, q: Cqap, db: Database | None = None):
+    def __init__(self, q: Cqap):
         self.q = q
         self.n = q.n
         self.full: VarSet = (1 << q.n) - 1
         self.m = (1 << q.n) - 1
-        self.dc: list[LogConstraint] = q.analysis_constraints(db)
+        self.dc: list[LogConstraint] = q.analysis_constraints()
         self.ac: LogConstraint = q.access_constraint()
-        self.sc: list[SplitConstraint] = q.split_constraints(db)
+        self.sc: list[SplitConstraint] = q.split_constraints()
         self._base: list[LpRow] | None = None
         self._caps: dict[tuple, Fraction | None] = {}
 
@@ -302,8 +302,12 @@ def _package(rule, system, rows, res: LpResult, cap) -> JointSolution:
     x, raw, value = res.x, res.duals, res.value
     h_s = SetFunction(system.n, [ZERO] + x[: system.m])
     h_t = SetFunction(system.n, [ZERO] + x[system.m : 2 * system.m])
-    if not (check_polymatroid(h_s) and check_polymatroid(h_t)):
-        raise LpError("primal solution is not a polymatroid pair")
+    for side, h in (("h_S", h_s), ("h_T", h_t)):
+        if not check_polymatroid(h):
+            raise LpError(
+                f"primal solution for {rule.pretty()} is not a polymatroid pair: "
+                f"{side} fails"
+            )
     d = JointDuals({}, {}, {}, {}, {}, {}, {}, {}, ZERO, {}, {})
     a_part = b_part = c_part = ZERO
     for row, mult in zip(rows, raw):
@@ -311,7 +315,10 @@ def _package(rule, system, rows, res: LpResult, cap) -> JointSolution:
             continue
         w = -mult if row.sense == ">=" else mult
         if w < 0:
-            raise LpError("multiplier sign violates its row sense")
+            raise LpError(
+                f"multiplier {mult} on row {row.tag} of {rule.pretty()} has the "
+                f"wrong sign for its sense {row.sense!r}"
+            )
         if row.bound is not NO_BOUND:
             a_part += mult * row.bound.n
             b_part += mult * row.bound.q
@@ -337,8 +344,9 @@ def _package(rule, system, rows, res: LpResult, cap) -> JointSolution:
         elif tag[0] == "gm":
             c = system.sc[tag[1]]
             d.gm[(c.x, c.y, c.z)] = w
-    if value > 0 and sum(d.lam.values()) != 1:
-        raise LpError("target multipliers do not sum to one")
+    lam_sum = sum(d.lam.values())
+    if value > 0 and lam_sum != 1:
+        raise LpError(f"target multipliers of {rule.pretty()} sum to {lam_sum}, not 1")
     return JointSolution(
         "optimal", value, h_s, h_t, d, (a_part, b_part, c_part), cap, res
     )

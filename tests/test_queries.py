@@ -1,4 +1,4 @@
-"""Query text form, normalization, constraint views, atom binding."""
+"""Query text form, normalization, constraint views."""
 
 from __future__ import annotations
 
@@ -8,17 +8,14 @@ from pathlib import Path
 import pytest
 
 from cqap.queries import (
-    Cqap,
     LogBound,
     QueryError,
-    bind_atom,
     load_query,
-    oracle_answer,
     parse_query,
     print_query,
     span_split_constraints,
 )
-from cqap.relalg import Database, Dictionary, Relation, vs
+from cqap.relalg import vs
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "queries"
 
@@ -63,8 +60,6 @@ def test_parse_numeric_and_symbolic_bounds():
     assert q.decls[0].sym == Fraction(3, 2)
     assert q.decls[1].num == 100
     assert q.ac_cap == 1
-    dcs = q.data_constraints()
-    assert len(dcs) == 1 and dcs[0].bound == 100
 
 
 @pytest.mark.parametrize(
@@ -76,6 +71,8 @@ def test_parse_numeric_and_symbolic_bounds():
         "phi(x1 | x1) :- R(x1, x2)",  # missing terminator
         "phi(x1 | x1) :- R(x1, x2).\ndc S: size = N^1",  # unknown relation
         "phi(x1 | x1) :- R(x1, x2).\ndc R: (x1 -> x9) <= 4",  # foreign var
+        "phi(x1 | x1) :- R(x1, x2).\ndc R: size = N^1/0",  # zero denominator
+        "phi(x1 | x1) :- R(x1, x2).\nac |Q| <= 0",  # request cap below 1
     ],
 )
 def test_parse_rejects(bad):
@@ -119,14 +116,6 @@ def test_analysis_constraints_prefer_smaller_and_exact_logs():
     assert (vs(1), vs(0, 1)) not in by_key  # 100 is not a power of two
 
 
-def test_analysis_constraints_from_data_round_up():
-    q = parse_query("phi(x1, x2 | x1) :- R(x1, x2).")
-    db = Database()
-    db.add(Relation("R", vs(0, 1), {(i, i + 1) for i in range(5)}))
-    rows = q.analysis_constraints(db)
-    assert rows[0].log == LogBound(n=Fraction(3))  # 5 rows -> 2^3
-
-
 def test_access_constraint_is_symbolic_q():
     q = load_query(CORPUS / "two_reach.cqap")
     ac = q.access_constraint()
@@ -147,42 +136,3 @@ def test_span_split_constraints_includes_full_edge():
     q = load_query(CORPUS / "two_reach.cqap")
     sc = q.split_constraints()
     assert any(c.x == vs(0) and c.y == vs(0, 2) == c.z for c in sc)
-
-
-# ----------------------------------------------------------------------------
-# binding and the oracle
-# ----------------------------------------------------------------------------
-
-
-def _sd_db() -> tuple[Cqap, Database, Dictionary]:
-    q = load_query(CORPUS / "set_disjointness_k2.cqap")
-    d = Dictionary()
-    e, s1, s2 = d.intern("e"), d.intern("s1"), d.intern("s2")
-    # stored over the first occurrence R(y, x1): ascending vars (x1, y)
-    db = Database()
-    db.add(Relation("R", vs(0, 2), {(s1, e), (s2, e)}))
-    return q, db, d
-
-
-def test_bind_atom_permutes_self_join():
-    q, db, d = _sd_db()
-    b0 = bind_atom(q, db, 0)
-    assert b0 is db["R"]
-    b1 = bind_atom(q, db, 1)
-    assert b1.schema == vs(1, 2)
-    assert b1.rows == db["R"].rows  # same pairs, now read as (x2, y)
-
-
-def test_oracle_answer_set_disjointness():
-    q, db, d = _sd_db()
-    e, s1, s2 = d.intern("e"), d.intern("s1"), d.intern("s2")
-    req = Relation("Q", q.access, {(s1, s2)})
-    out = oracle_answer(db, q, req)
-    assert out.schema == q.head
-    assert out.rows == {(s1, s2, e)}
-
-
-def test_oracle_answer_rejects_bad_request_schema():
-    q, db, _ = _sd_db()
-    with pytest.raises(QueryError):
-        oracle_answer(db, q, Relation("Q", vs(0), {(1,)}))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -160,6 +161,41 @@ def test_primal_is_certified_polymatroid_pair():
     # the maximin witness really attains the value on some target
     assert min(sol.h_t(b) for b in rule.t_targets) == sol.value
     assert all(sol.h_s(b) >= F(9, 8) for b in rule.s_targets)
+
+
+def test_package_errors_name_the_rule_row_and_residual():
+    query = q("two_reach")
+    system = JointSystem(query)
+    (rule,) = rules_of(query)
+    sol = solve_joint_lp(rule, system, F(1))
+    rows = system.rule_rows(rule)
+    res = sol.lp
+
+    def package(**changes):
+        return shannon._package(rule, system, rows, replace(res, **changes), sol.s_cap)
+
+    assert package().duals == sol.duals
+    # the theta row is ">=", so its multiplier -1/2 turns positive
+    i = next(k for k, r in enumerate(rows) if r.tag[0] == "theta")
+    flipped = list(res.duals)
+    assert flipped[i] == F(-1, 2)
+    flipped[i] = -flipped[i]
+    with pytest.raises(shannon.LpError) as e:
+        package(duals=flipped)
+    assert str(e.value) == (
+        "multiplier 1/2 on row ('theta', 3) of T{0,1,2} v S{0,1} "
+        "has the wrong sign for its sense '>='"
+    )
+    with pytest.raises(shannon.LpError) as e:
+        package(duals=[m / 2 for m in res.duals])
+    assert str(e.value) == "target multipliers of T{0,1,2} v S{0,1} sum to 1/2, not 1"
+    bad_t = list(res.x)
+    bad_t[system.col("T", 1)] = F(-1)
+    with pytest.raises(shannon.LpError) as e:
+        package(x=bad_t)
+    assert str(e.value) == (
+        "primal solution for T{0,1,2} v S{0,1} is not a polymatroid pair: h_T fails"
+    )
 
 
 # ═══════════════════════════════════════════════════════════════════════════
