@@ -32,6 +32,9 @@ pivots have p == d, which leaves every row without such a nonzero as it is.
 Entering variable: largest reduced-cost improvement, switching to Bland's
 smallest-index rule after a stretch of degenerate pivots so cycling cannot
 occur.  Leaving variable: minimum ratio with smallest-basis-index tie-break.
+A solve may take PIVOT_LIMIT pivots, all phases together; one that needs
+more raises PivotLimitError with the phase it stopped in, its pivot count
+and the program's size, instead of running on for minutes.
 
 Each row is scaled so that its right side is nonnegative, flipping its sense
 where the scale is negative.  A row that ends up as "<=" starts with its slack
@@ -77,10 +80,16 @@ ZERO = Fraction(0)
 
 # pivots without objective progress before falling back to Bland's rule
 STALL_LIMIT = 30
+# pivots one solve may take, all phases together, before PivotLimitError
+PIVOT_LIMIT = 20_000
 
 
 class LpError(RuntimeError):
     """The solver reached an inconsistent state (a bug, not bad input)."""
+
+
+class PivotLimitError(LpError):
+    """A solve needed more than PIVOT_LIMIT pivots."""
 
 
 @dataclass
@@ -269,11 +278,12 @@ class _Simplex:
         self.basis[r] = col
         self.pivots += 1
 
-    def _iterate(self, obj: list[int], choose) -> str:
+    def _iterate(self, obj: list[int], choose, phase: str) -> str:
         """Pivot on choose(obj, bland) until it returns a status string.
 
         After STALL_LIMIT pivots in a row that leave the objective value
-        where it was, `bland` asks for the smallest-index choice.
+        where it was, `bland` asks for the smallest-index choice.  A pivot
+        past the solve's PIVOT_LIMIT raises PivotLimitError naming `phase`.
         """
         stall = 0
         bland = False
@@ -281,6 +291,11 @@ class _Simplex:
             step = choose(obj, bland)
             if isinstance(step, str):
                 return step
+            if self.pivots >= PIVOT_LIMIT:
+                raise PivotLimitError(
+                    f"exact simplex passed its budget of {PIVOT_LIMIT} pivots in {phase}: "
+                    f"{self.pivots} pivots on {len(self.tab)} rows x {self.nvars} columns"
+                )
             val, d = obj[self.ncols], self.div
             self._pivot(obj, *step)
             if obj[self.ncols] * d == val * self.div:
@@ -369,7 +384,7 @@ class _Simplex:
         if self.first_art < self.ncols:
             phase1 = [0] * self.first_art + [-1] * (self.ncols - self.first_art)
             obj = self._objective_row(phase1)
-            status = self._iterate(obj, lambda o, b: self._primal_step(o, b, True))
+            status = self._iterate(obj, lambda o, b: self._primal_step(o, b, True), "phase 1")
             if status != "optimal":  # pragma: no cover - phase 1 is bounded
                 raise LpError("phase 1 terminated abnormally")
             if obj[self.ncols] != 0:
@@ -377,7 +392,7 @@ class _Simplex:
             self._expel_artificials()
         obj = self._objective_row(self.cost)
         phase1 = self.pivots
-        status = self._iterate(obj, lambda o, b: self._primal_step(o, b, False))
+        status = self._iterate(obj, lambda o, b: self._primal_step(o, b, False), "phase 2")
         if status == "unbounded":
             return LpResult("unbounded", None, [], [])
         res = self._optimal(obj)
@@ -477,13 +492,13 @@ class _Simplex:
                     return LpResult("infeasible", None, [], [])
             elif self.basis[i] < self.nvars:
                 obj[rhs] += cost[self.basis[i]] * v
-        status = self._iterate(obj, self._dual_step)
+        status = self._iterate(obj, self._dual_step, "the dual phase")
         if status == "infeasible":
             return LpResult("infeasible", None, [], [])
         dual = self.pivots
         # a primal pass confirms the optimum; the dual ratio test keeps every
         # reduced cost nonnegative, so it finds nothing to pivot on
-        status = self._iterate(obj, lambda o, b: self._primal_step(o, b, False))
+        status = self._iterate(obj, lambda o, b: self._primal_step(o, b, False), "phase 2")
         if status != "optimal":  # pragma: no cover - a dual feasible basis bounds it
             raise LpError(f"warm start ended {status}")
         res = self._optimal(obj)

@@ -14,10 +14,12 @@ against the relation's first occurrence and are re-bound positionally to every
 occurrence.
 
 The analysis reads the declared constraints as exact log-scale bounds,
-rational multiples of log N and log Q (`analysis_constraints`).  A symbolic
-bound N^a always enters; a numeric bound enters only when it is a power of
-two, so that its base-2 log is exact.  Other numeric bounds, and the request
-cap `ac |Q| <= k`, are parsed and printed but do not enter the analysis.
+rational multiples of log N and log Q (`analysis_constraints`).  Its bounds
+are asymptotic in N, so a symbolic bound N^a reads as a*logN and a numeric
+bound k >= 1 is a constant, O(1) = N^0, which reads as 0 whatever k is.  So
+`dc R1: (x1 -> x1,x2) <= 1` is the functional dependency x1 -> x2, and
+`<= 100` states the same up to a constant factor.  The request cap
+`ac |Q| <= k` is parsed and printed but does not enter the analysis.
 
 Split constraints (X, Y | X, N_Z) are spanned from cardinality constraints:
 one for every chain emptyset != X < Y <= Z.
@@ -213,11 +215,10 @@ class Cqap:
     # -- constraint views ---------------------------------------------------
 
     def analysis_constraints(self) -> list[LogConstraint]:
-        """Per-atom log-bounds from the declared `dc` lines: every symbolic
-        N^a bound, and every numeric bound that is a power of two (its log2
-        is exact).  Other numeric bounds, and `ac |Q| <= k`, are parsed and
-        printed but do not enter the analysis.  The smallest bound per
-        (x, y) is kept."""
+        """Per-atom log-bounds from every declared `dc` line: a symbolic
+        bound N^a as a*logN, a numeric bound k >= 1 as the constant N^0 (a
+        degree bound of 1 is a functional dependency).  `ac |Q| <= k` does
+        not enter the analysis.  The smallest bound per (x, y) is kept."""
         rows: list[LogConstraint] = []
         for atom in self.atoms:
             for d in self.decls:
@@ -225,9 +226,8 @@ class Cqap:
                     continue
                 y = vs(*(atom.args[p] for p in d.y_pos))
                 x = vs(*(atom.args[p] for p in d.x_pos))
-                lg = _exact_log(d.num, d.sym)
-                if lg is not None:
-                    rows.append(LogConstraint(x, y, lg, atom.rel))
+                lg = LogBound(n=d.sym) if d.sym is not None else LogBound()
+                rows.append(LogConstraint(x, y, lg, atom.rel))
         best: dict[tuple[VarSet, VarSet], LogConstraint] = {}
         for r in rows:
             k = (r.x, r.y)
@@ -241,14 +241,6 @@ class Cqap:
 
     def split_constraints(self) -> list[SplitConstraint]:
         return span_split_constraints(self.analysis_constraints())
-
-
-def _exact_log(num: int | None, sym: Fraction | None) -> LogBound | None:
-    if sym is not None:
-        return LogBound(n=sym)
-    if num is not None and num >= 1 and num & (num - 1) == 0:
-        return LogBound(n=Fraction(num.bit_length() - 1))
-    return None
 
 
 # ═══════════════════════════════════════════════════════════════════════════

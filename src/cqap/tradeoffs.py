@@ -8,17 +8,21 @@ over the storage budget is concave and piecewise linear, so a rule's whole
 tradeoff is a short list of such terms; `rule_tradeoff` recovers them exactly
 by probing tangents and certifying each piece with its dual line.
 
-Two kinds of probe do that.  A value probe (the two ends of the budget range
-and each refinement point) needs only the program's value and some tangent
-there: the pieces are a property of the value function, whichever optimal
-dual a probe reports.  So every value probe of a rule after the first
-warm-starts from the rule's last optimal probe by dual simplex.  A term's
-certificate comes from one request probe per piece, in the piece's interior
-at a small logQ > 0; its dual becomes the term's proof, so it is solved cold
-and does not depend on the order of the value probes.  One request probe is
-enough: its dual line is a valid bound everywhere and tight at the probe,
-and when it carries the piece's (a, c) it is also tight at logQ = 0, so by
-concavity it is tight on the whole segment between.
+Two kinds of probe do that, all on one program per rule that differs only
+in its right sides, so a rule's first value probe is its only cold solve.
+A value probe (the two ends of the budget range and each refinement point)
+needs only the program's value and some tangent there: the pieces are a
+property of the value function, whichever optimal dual a probe reports.  So
+every value probe after the first warm-starts from the rule's last optimal
+probe by dual simplex.  A term's certificate comes from one request probe
+per piece, in the piece's interior at a small logQ > 0.  It warm-starts from
+the value probe whose tangent is that piece, a short move in (logS, logQ),
+and its request coefficient and certificate are those of the optimal basis
+the dual simplex reaches.  The probe path is fixed by the rule, so the
+certificates do not depend on other rules or on the order they are solved
+in.  One request probe is enough: its dual line is a valid bound everywhere
+and tight at the probe, and when it carries the piece's (a, c) it is also
+tight at logQ = 0, so by concavity it is tight on the whole segment between.
 
 Terms also arise in closed form from fractional edge covers, either of the
 whole query or bag-by-bag along a root-to-node path of a decomposition; those
@@ -280,12 +284,13 @@ def _tangent(sol: JointSolution) -> tuple[Fraction, Fraction]:
 
 
 def _refine(rule, probe, lo_s, lo, hi_s, hi, depth=0) -> list:
-    """Tangents covering [lo_s, hi_s] as (a, c, end_s), piecewise.
+    """Pieces covering [lo_s, hi_s] as (a, c, end_s, sol), in order.
 
-    `probe(s)` solves the rule's program at logS = s.  Soundness rests on
-    two facts: each probe's line is a globally valid bound that is tight at
-    the probe, and the value function is concave, so a line tight at two
-    points is tight on the whole interval between them.
+    `probe(s)` solves the rule's program at logS = s, and `sol` is the probe
+    whose tangent (a, c) is the piece.  Soundness rests on two facts: each
+    probe's line is a globally valid bound that is tight at the probe, and
+    the value function is concave, so a line tight at two points is tight on
+    the whole interval between them.
     """
     where = (
         f"tangents of {rule.pretty()} at (logN, logQ, logS) = "
@@ -296,21 +301,21 @@ def _refine(rule, probe, lo_s, lo, hi_s, hi, depth=0) -> list:
     a0, c0 = _tangent(lo)
     a1, c1 = _tangent(hi)
     if (a0, c0) == (a1, c1):
-        return [(a0, c0, hi_s)]
+        return [(a0, c0, hi_s, lo)]
     if c0 == c1:
         raise LpError(f"{where}: distinct parallel tangents cannot both be tight")
     s_star = (a0 - a1) / (c0 - c1)
     if s_star <= lo_s:  # the low probe sat on a degenerate support
         if a1 - c1 * lo_s != lo.value:
             raise LpError(f"{where}: tangent geometry left the concave curve")
-        return [(a1, c1, hi_s)]
+        return [(a1, c1, hi_s, hi)]
     if s_star >= hi_s:
         if a0 - c0 * hi_s != hi.value:
             raise LpError(f"{where}: tangent geometry left the concave curve")
-        return [(a0, c0, hi_s)]
+        return [(a0, c0, hi_s, lo)]
     mid = probe(s_star)
     if mid.value == a0 - c0 * s_star:
-        return [(a0, c0, s_star), (a1, c1, hi_s)]
+        return [(a0, c0, s_star, lo), (a1, c1, hi_s, hi)]
     left = _refine(rule, probe, lo_s, lo, s_star, mid, depth + 1)
     right = _refine(rule, probe, s_star, mid, hi_s, hi, depth + 1)
     if left[-1][:2] == right[0][:2]:
@@ -318,25 +323,29 @@ def _refine(rule, probe, lo_s, lo, hi_s, hi, depth=0) -> list:
     return left + right
 
 
-def _pin_request_exponent(system, rule, a, c, m, span) -> TradeoffTerm:
+def _pin_request_exponent(system, rule, a, c, m, span, start) -> TradeoffTerm:
     """Fix the Q coefficient of the piece through (m, a - c*m).
 
     At a budget probe alone the request coefficient is undetermined (any
-    value prices a slack request row), so the piece is solved once more, cold,
-    at a small request level q.  Its dual line a' + b*logQ - c'*logS is a
-    valid bound everywhere (weak duality) and tight at (m, q).  When (a', c')
-    is the piece's (a, c), the line also meets the value a - c*m at (m, 0);
-    the value function is concave, so the line is tight on the whole segment
-    from (m, 0) to (m, q), and b is the exact request coefficient.  Solving
-    in the segment's relative interior makes the reported dual line unique.
-    Only when the line misses (a, c), because q crossed a kink, is the probe
-    retried at a smaller q.
+    value prices a slack request row), so the piece is solved once more at
+    a small request level q, warm-started from `start`, the value probe
+    whose tangent is (a, c).  Only right sides move between the two, so the
+    dual simplex walks from that probe's basis; b and the term's certificate
+    are read off the optimal basis it reaches.  That dual line
+    a' + b*logQ - c'*logS is a valid bound everywhere (weak duality) and
+    tight at (m, q).  When (a', c') is the piece's (a, c), the line also
+    meets the value a - c*m at (m, 0); the value function is concave, so the
+    line is tight on the whole segment from (m, 0) to (m, q), and b is the
+    exact request coefficient.  Solving in the segment's relative interior
+    makes the reported dual line unique.  Only when the line misses (a, c),
+    because q crossed a kink, is the probe retried at a smaller q, again
+    from `start`.
     """
     step = Fraction(1, 64)
     tried = []
     for _ in range(6):
         q = step / 2
-        sol = _probe(system, rule, m, q=q)
+        sol = _probe(system, rule, m, q=q, start=start)
         a1, b, c1 = sol.line
         if (a1, c1) == (a, c):
             if b < 0:
@@ -358,7 +367,12 @@ def _pin_request_exponent(system, rule, a, c, m, span) -> TradeoffTerm:
 
 
 def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
-    """Extract the exact piecewise tradeoff of one rule over logN=1, logQ=0."""
+    """Extract the exact piecewise tradeoff of one rule over logN=1, logQ=0.
+
+    The rule's first value probe is its only cold solve; every other probe
+    warm-starts from an earlier one of the same rule, so the terms and their
+    certificates depend on the rule alone.
+    """
     if not rule.t_targets:
         raise ValueError("a rule without online targets has no finite tradeoff")
     if not rule.s_targets:
@@ -366,7 +380,7 @@ def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
         a, c = _tangent(sol)
         if c:  # pragma: no cover - no storage rows means no storage weight
             raise LpError("storage weight appeared without storage targets")
-        term = _pin_request_exponent(system, rule, a, c, ZERO, (ZERO, None))
+        term = _pin_request_exponent(system, rule, a, c, ZERO, (ZERO, None), sol)
         return RuleTradeoff(rule, [term], None)
     cap = system.log_size_bound(rule.s_targets)
     if cap is None or cap <= 0:  # pragma: no cover - targets are data-tied
@@ -382,17 +396,17 @@ def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
     lo = probe(ZERO)
     hi = probe(cap, at_cap=True)
     pieces = _refine(rule, probe, ZERO, lo, cap, hi)
-    for (a0, c0, end), (a1, c1, _) in zip(pieces, pieces[1:]):
+    for (a0, c0, end, _), (a1, c1, _, _) in zip(pieces, pieces[1:]):
         if (a0 - a1) / (c1 - c0) != -end:  # pragma: no cover - exactness guard
             raise LpError("recorded breakpoint is not the line crossing")
     terms = []
     start = ZERO
-    for a, c, end in pieces:
+    for a, c, end, sol in pieces:
         if not start < end:  # pragma: no cover - exactness guard
             raise LpError("empty tradeoff piece")
         terms.append(
             _pin_request_exponent(
-                system, rule, a, c, (start + end) / 2, (start, end)
+                system, rule, a, c, (start + end) / 2, (start, end), sol
             )
         )
         start = end

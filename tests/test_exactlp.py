@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cqap import exactlp
 from cqap.decompose import enumerate_pmtds
-from cqap.exactlp import LpError, _Simplex, solve_lp
+from cqap.exactlp import LpError, PivotLimitError, _Simplex, solve_lp
 from cqap.queries import load_query
 from cqap.rules import generate_rules, prune_rules
 from cqap.shannon import JointSystem
@@ -52,6 +52,23 @@ def test_warm_solve_logs_its_size_and_pivots(caplog):
         "optimal: 2 rows, 2 columns, 0 + 2 pivots, 0 rows retired",
         "warm optimal: 2 rows, 2 columns, 1 dual + 0 primal pivots, 0 rows retired",
     ]
+
+
+def test_pivot_budget_names_the_phase_the_count_and_the_size(monkeypatch):
+    # the cold solve takes 2 phase-2 pivots, the warm one 1 dual pivot
+    rows = sparse([([1, 1], "<=", 4), ([1, 0], "<=", 2)])
+    moved = sparse([([1, 1], "<=", 4), ([1, 0], "<=", 5)])
+    monkeypatch.setattr(exactlp, "PIVOT_LIMIT", 2)
+    start = solve_lp([3, 2], rows)
+    assert start.value == 10
+    monkeypatch.setattr(exactlp, "PIVOT_LIMIT", 1)
+    cold = r"^exact simplex passed its budget of 1 pivots in phase 2: 1 pivots on 2 rows x 2 columns$"
+    with pytest.raises(PivotLimitError, match=cold):
+        solve_lp([3, 2], rows)
+    monkeypatch.setattr(exactlp, "PIVOT_LIMIT", 0)
+    warm = r"^exact simplex passed its budget of 0 pivots in the dual phase: 0 pivots on 2 rows x 2 columns$"
+    with pytest.raises(PivotLimitError, match=warm):
+        solve_lp([3, 2], moved, start=start)
 
 
 def test_minimization_flips_duals():
@@ -216,8 +233,8 @@ def test_rejects_malformed_rows():
 
 # Digest of (status, value, x, duals) of every distinct program the three_reach
 # rule tradeoffs solve, cold or warm, and the pivots they take.
-THREE_REACH_SOLVES = "ef0106920c913c55bbf27ef64cd9f4ea2a5ffce3e6f5c16c34629311da10c042"
-THREE_REACH_PIVOTS = 586
+THREE_REACH_SOLVES = "e53bf654a66a715aba53704ba4d3bdd0bdc923617a41aa8f93d691865d5f6e31"
+THREE_REACH_PIVOTS = 349
 
 
 def test_three_reach_solves_are_bit_identical(monkeypatch):

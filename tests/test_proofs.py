@@ -240,14 +240,23 @@ def test_normalize_two_entry_target_then_construct(generator_terms):
 
 
 def _discharge_both_sides(ext, label):
+    """Construct and validate the proof of each side; the total step count."""
     ps = construct(ext.g_t, ext.lam, sigma=ext.sigma_t, mu=ext.mu_t, name=label)
     rep = validate(ps)
     assert rep, (label, "T", rep.reason)
+    steps = len(ps.steps)
     if ext.theta:
         g, th, sg, mus = ext.scaled_s_side()
         ps = construct(g, th, sigma=sg, mu=mus, name=label)
         rep = validate(ps)
         assert rep, (label, "S", rep.reason)
+        steps += len(ps.steps)
+    return steps
+
+
+# the proof steps over every side of the fixtures' terms; a ceiling, so that
+# certificates may get shorter but never longer
+FIXTURE_PROOF_STEPS = 264
 
 
 def test_construct_discharges_every_extracted_piece(
@@ -256,12 +265,13 @@ def test_construct_discharges_every_extracted_piece(
     _, _, rt2 = two_reach
     _, _, c3 = three_reach
     _, _, c4 = four_reach
-    checked = 0
+    checked = steps = 0
     for tag, curve in [("2r", rt2), *c3.items(), *c4.items()]:
         for t in curve.terms:
-            _discharge_both_sides(t.provenance, f"{tag} {t.pretty()}")
+            steps += _discharge_both_sides(t.provenance, f"{tag} {t.pretty()}")
             checked += 1
     assert checked >= 12
+    assert steps <= FIXTURE_PROOF_STEPS
 
 
 def test_construct_discharges_generator_inequalities(generator_terms):

@@ -102,18 +102,22 @@ def test_analysis_constraints_self_join_covers_both_atoms():
 def test_analysis_constraints_prefer_smaller_and_exact_logs():
     q = parse_query(
         """
-        phi(x1, x2 | x1) :- R(x1, x2).
+        phi(x1, x2, x3 | x1) :- R(x1, x2), S(x2, x3).
         dc R: size = N^2
         dc R: size = N^1
         dc R: (x1 -> x1,x2) <= 8
         dc R: (x2 -> x1,x2) <= 100
+        dc S: (x2 -> x2,x3) <= 1
+        dc S: (x3 -> x2,x3) <= 1024
         """
     )
     rows = q.analysis_constraints()
     by_key = {(r.x, r.y): r.log for r in rows}
     assert by_key[(0, vs(0, 1))] == LogBound(n=Fraction(1))
-    assert by_key[(vs(0), vs(0, 1))] == LogBound(n=Fraction(3))  # log2 8
-    assert (vs(1), vs(0, 1)) not in by_key  # 100 is not a power of two
+    # a number is O(1) in N, whatever its size: N^0
+    for key in [(vs(0), vs(0, 1)), (vs(1), vs(0, 1)), (vs(1), vs(1, 2)), (vs(2), vs(1, 2))]:
+        assert by_key[key] == LogBound(), key
+    assert len(by_key) == 5
 
 
 def test_access_constraint_is_symbolic_q():
