@@ -5,7 +5,6 @@ A query is written in a small datalog-style text form:
     three_reach(x1, x4 | x1, x4) :- R1(x1, x2), R2(x2, x3), R3(x3, x4).
     dc R1: size = N^1
     dc R1: (x1 -> x1,x2) <= 100
-    ac |Q| <= 1
 
 Head variables left of `|`, access (bound-at-request-time) variables right of
 it.  The head is normalized to include the access variables.  Relations may
@@ -18,8 +17,9 @@ rational multiples of log N and log Q (`analysis_constraints`).  Its bounds
 are asymptotic in N, so a symbolic bound N^a reads as a*logN and a numeric
 bound k >= 1 is a constant, O(1) = N^0, which reads as 0 whatever k is.  So
 `dc R1: (x1 -> x1,x2) <= 1` is the functional dependency x1 -> x2, and
-`<= 100` states the same up to a constant factor.  The request cap
-`ac |Q| <= k` is parsed and printed but does not enter the analysis.
+`<= 100` states the same up to a constant factor.  The request size logQ is
+a parameter of the analysis, not a declared bound, so a request cap line
+`ac |Q| <= k` is rejected.
 
 Split constraints (X, Y | X, N_Z) are spanned from cardinality constraints:
 one for every chain emptyset != X < Y <= Z.
@@ -182,7 +182,6 @@ class Cqap:
     head: VarSet
     access: VarSet
     decls: list[DcDecl] = field(default_factory=list)
-    ac_cap: int | None = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -217,8 +216,8 @@ class Cqap:
     def analysis_constraints(self) -> list[LogConstraint]:
         """Per-atom log-bounds from every declared `dc` line: a symbolic
         bound N^a as a*logN, a numeric bound k >= 1 as the constant N^0 (a
-        degree bound of 1 is a functional dependency).  `ac |Q| <= k` does
-        not enter the analysis.  The smallest bound per (x, y) is kept."""
+        degree bound of 1 is a functional dependency).  The smallest bound
+        per (x, y) is kept."""
         rows: list[LogConstraint] = []
         for atom in self.atoms:
             for d in self.decls:
@@ -256,7 +255,7 @@ _DC_SIZE_RE = re.compile(rf"^dc\s+({_NAME})\s*:\s*size\s*=\s*(.+)$")
 _DC_DEG_RE = re.compile(
     rf"^dc\s+({_NAME})\s*:\s*\(\s*([^()]*?)\s*->\s*([^()]*?)\s*\)\s*<=\s*(.+)$"
 )
-_AC_RE = re.compile(r"^ac\s+\|Q\|\s*<=\s*(\d+)$")
+_AC_RE = re.compile(r"^ac\s+\|Q\|\s*<=\s*\d+$")
 
 
 def _split_names(text: str, where: str) -> list[str]:
@@ -386,12 +385,10 @@ def parse_query(text: str, name_hint: str = "query") -> Cqap:
             num, sym = _parse_bound(bound_txt, line)
             q.decls.append(DcDecl(rel, x_pos, y_pos, num, sym))
             continue
-        m = _AC_RE.match(line)
-        if m:
-            q.ac_cap = int(m.group(1))
-            if q.ac_cap < 1:
-                raise QueryError(f"{line}: bound must be >= 1")
-            continue
+        if _AC_RE.match(line):
+            raise QueryError(
+                f"{line}: logQ is a parameter of the analysis, not a declared bound"
+            )
         raise QueryError(f"cannot parse constraint line: {line!r}")
     return q
 
@@ -423,6 +420,4 @@ def print_query(q: Cqap) -> str:
             xs = ",".join(nm[first.args[p]] for p in d.x_pos)
             ys = ",".join(nm[first.args[p]] for p in d.y_pos)
             out.append(f"dc {d.rel}: ({xs} -> {ys}) <= {bound}")
-    if q.ac_cap is not None:
-        out.append(f"ac |Q| <= {q.ac_cap}")
     return "\n".join(out) + "\n"

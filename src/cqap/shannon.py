@@ -8,19 +8,29 @@ where h_S ranges over what preprocessing could have stored within the budget
 (h_S(B') >= logS for every S-target) and both sides are tied to the data by
 degree rows and by split couplings that charge a stored projection plus a
 residual traversal to one cardinality.  This module assembles that program
-over exact rationals, solves it, and reports one multiplier per row family so
-callers can reassemble the certifying inequality and the symbolic cost line.
+over exact rationals and solves it.  Each row names the certificate
+coordinates its multiplier is added to, so one pass over the optimal dual
+prices the cost line and builds the certifying inequality
 
-Row families (multiplier names match their downstream use):
+    <g_S, h_S> + <g_T, h_T> >= <theta, h_S> + <lam, h_T>
 
-    lam      t <= h_T(B)                     one per T-target
-    theta    h_S(B') >= logS                 one per S-target
-    mono     h([n]) >= h([n] - i)            elemental, both sides
-    sub      h(X+i) + h(X+j) >= h(X+ij) + h(X)   elemental, both sides
-    dc       h(y | x) <= bound               declared degree rows, both sides
-    ac       h_T(A) <= logQ                  request row, T side only
-    gp       h_S(x) + h_T(y | x) <= bound    split coupling
-    gm       h_S(y | x) + h_T(x) <= bound    split coupling, mirrored
+together with the submodularity (sigma) and monotonicity (mu) multipliers a
+stepwise proof of each side spends.
+
+Row families and their certificate coordinates (g, sigma and mu take the
+row's side, as g_s or g_t; X+i is X with variable i added):
+
+    lam    t <= h_T(B)                        lam (0, B)        per T-target
+    theta  h_S(B') >= logS                    theta (0, B')     per S-target
+    mono   h([n]) >= h([n] - i)               mu ([n]-i, [n])   elemental, both sides
+    sub    h(X+i) + h(X+j) >= h(X+ij) + h(X)  sigma (X+i, X+j)  elemental, both sides
+    dc     h(y | x) <= bound                  g (x, y)          degree, both sides
+    ac     h_T(A) <= logQ                     g_t (0, A)        request, T side only
+    gp     h_S(x) + h_T(y | x) <= bound       g_s (0, x) and g_t (x, y)
+    gm     h_S(y | x) + h_T(x) <= bound       g_s (x, y) and g_t (0, x)
+
+The data rows (dc, ac, gp, gm) are built from their terms h_side(y | x), so a
+row's coefficients and its certificate coordinates come from the same terms.
 """
 
 from __future__ import annotations
@@ -31,7 +41,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactlp import LpError, LpResult, solve_lp_guided
-from .polymatroids import SetFunction, check_polymatroid
+from .polymatroids import CondVec, JointInequality, SetFunction, check_polymatroid
+from .proofs import normalize
 from .queries import Cqap, LogBound, LogConstraint, SplitConstraint
 from .relalg import VarSet, submasks
 from .rules import TwoPhaseRule
@@ -49,7 +60,8 @@ class LpRow:
 
     `coeffs` are (column, value) pairs, each column once, and go to
     `solve_lp` as they are.  The numeric right side at a probe is
-    bound.at(logN, logQ) + s_mult*logS.
+    bound.at(logN, logQ) + s_mult*logS.  `cert` holds the (part, key)
+    certificate coordinates the row's nonnegative multiplier is added to.
     """
 
     coeffs: tuple[tuple[int, Fraction], ...]
@@ -57,6 +69,7 @@ class LpRow:
     bound: LogBound
     s_mult: Fraction
     tag: tuple
+    cert: tuple[tuple[str, tuple[VarSet, VarSet]], ...]
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -97,12 +110,16 @@ class JointSystem:
 
     def _polymatroid_rows(self, side: str) -> list[LpRow]:
         rows = []
+        mu, sigma = f"mu_{side.lower()}", f"sigma_{side.lower()}"
         for i in range(self.n):
             rest = self.full & ~(1 << i)
             coeffs = [(self.col(side, self.full), ONE)]
             if rest:
                 coeffs.append((self.col(side, rest), -ONE))
-            rows.append(LpRow(tuple(coeffs), ">=", NO_BOUND, ZERO, ("mono", side, i)))
+            cert = ((mu, (rest, self.full)),)
+            rows.append(
+                LpRow(tuple(coeffs), ">=", NO_BOUND, ZERO, ("mono", side, i), cert)
+            )
         for i, j in combinations(range(self.n), 2):
             pair = (1 << i) | (1 << j)
             for x in submasks(self.full & ~pair):
@@ -117,38 +134,41 @@ class JointSystem:
                         col = self.col(side, z)
                         acc[col] = acc.get(col, ZERO) + w
                 coeffs = tuple(sorted(acc.items()))
-                rows.append(LpRow(coeffs, ">=", NO_BOUND, ZERO, ("sub", side, i, j, x)))
+                cert = ((sigma, (x | (1 << i), x | (1 << j))),)
+                rows.append(
+                    LpRow(coeffs, ">=", NO_BOUND, ZERO, ("sub", side, i, j, x), cert)
+                )
         return rows
 
+    def _data_row(self, terms, bound: LogBound, tag: tuple) -> LpRow:
+        """The row  sum of h_side(y | x) <= bound  over (side, x, y) `terms`.
+
+        Each term is also the row's certificate coordinate (x, y) on g_side.
+        """
+        acc: dict[int, Fraction] = {}
+        for side, x, y in terms:
+            for z, w in ((y, ONE), (x, -ONE)):
+                if z:
+                    col = self.col(side, z)
+                    acc[col] = acc.get(col, ZERO) + w
+        cert = tuple((f"g_{side.lower()}", (x, y)) for side, x, y in terms)
+        return LpRow(tuple(sorted(acc.items())), "<=", bound, ZERO, tag, cert)
+
     def _degree_rows(self) -> list[LpRow]:
-        rows = []
-        for side in ("S", "T"):
-            for k, c in enumerate(self.dc):
-                coeffs = [(self.col(side, c.y), ONE)]
-                if c.x:
-                    coeffs.append((self.col(side, c.x), -ONE))
-                rows.append(
-                    LpRow(tuple(sorted(coeffs)), "<=", c.log, ZERO, ("dc", side, k))
-                )
+        rows = [
+            self._data_row([(side, c.x, c.y)], c.log, ("dc", side, k))
+            for side in ("S", "T")
+            for k, c in enumerate(self.dc)
+        ]
         if self.ac.y:
-            rows.append(
-                LpRow(((self.col("T", self.ac.y), ONE),), "<=", self.ac.log, ZERO, ("ac",))
-            )
+            rows.append(self._data_row([("T", self.ac.x, self.ac.y)], self.ac.log, ("ac",)))
         return rows
 
     def _split_rows(self) -> list[LpRow]:
         rows = []
         for k, c in enumerate(self.sc):
-            gp = {self.col("S", c.x): ONE, self.col("T", c.y): ONE}
-            gp[self.col("T", c.x)] = gp.get(self.col("T", c.x), ZERO) - ONE
-            rows.append(
-                LpRow(tuple(sorted(gp.items())), "<=", c.log, ZERO, ("gp", k))
-            )
-            gm = {self.col("S", c.y): ONE, self.col("T", c.x): ONE}
-            gm[self.col("S", c.x)] = gm.get(self.col("S", c.x), ZERO) - ONE
-            rows.append(
-                LpRow(tuple(sorted(gm.items())), "<=", c.log, ZERO, ("gm", k))
-            )
+            rows.append(self._data_row([("S", 0, c.x), ("T", c.x, c.y)], c.log, ("gp", k)))
+            rows.append(self._data_row([("S", c.x, c.y), ("T", 0, c.x)], c.log, ("gm", k)))
         return rows
 
     def base_rows(self) -> list[LpRow]:
@@ -165,10 +185,12 @@ class JointSystem:
         rows = []
         for b in sorted(rule.t_targets):
             coeffs = ((self.col("T", b), -ONE), (self.col_obj, ONE))
-            rows.append(LpRow(coeffs, "<=", NO_BOUND, ZERO, ("lam", b)))
+            cert = (("lam", (0, b)),)
+            rows.append(LpRow(coeffs, "<=", NO_BOUND, ZERO, ("lam", b), cert))
         for b in sorted(rule.s_targets):
             coeffs = ((self.col("S", b), ONE),)
-            rows.append(LpRow(coeffs, ">=", NO_BOUND, ONE, ("theta", b)))
+            cert = (("theta", (0, b)),)
+            rows.append(LpRow(coeffs, ">=", NO_BOUND, ONE, ("theta", b), cert))
         return rows + self.base_rows()
 
     # -- one-sided storage cap --------------------------------------------------
@@ -211,20 +233,41 @@ class JointSystem:
 
 
 @dataclass
-class JointDuals:
-    """Nonnegative multipliers per row family, in each row's natural sense."""
+class ExtractedInequality:
+    """A joint inequality <g_S, hS> + <g_T, hT> >= <theta, hS> + <lam, hT>.
 
-    lam: dict[VarSet, Fraction]
-    theta: dict[VarSet, Fraction]
-    mono_s: dict[int, Fraction]
-    mono_t: dict[int, Fraction]
-    sub_s: dict[tuple[int, int, VarSet], Fraction]
-    sub_t: dict[tuple[int, int, VarSet], Fraction]
-    dc_s: dict[tuple[VarSet, VarSet], Fraction]
-    dc_t: dict[tuple[VarSet, VarSet], Fraction]
-    ac: Fraction
-    gp: dict[tuple[VarSet, VarSet, VarSet], Fraction]
-    gm: dict[tuple[VarSet, VarSet, VarSet], Fraction]
+    `bound` prices the left side against the declared rows, so the inequality
+    certifies  <theta, hS> + <lam, hT> <= bound  on every instance.  When the
+    coefficients came from an optimal dual, sigma/mu carry the polymatroid
+    row multipliers (the witness `proofs.construct` spends to build a
+    stepwise proof).  Closed-form constructions leave them as None, and
+    `proofs.construct` then solves for a witness itself.
+    """
+
+    g_s: CondVec
+    g_t: CondVec
+    theta: CondVec
+    lam: CondVec
+    bound: LogBound
+    sigma_s: CondVec | None = None
+    mu_s: CondVec | None = None
+    sigma_t: CondVec | None = None
+    mu_t: CondVec | None = None
+
+    @property
+    def ineq(self) -> JointInequality:
+        return JointInequality(self.g_s, self.g_t, self.theta, self.lam)
+
+    @property
+    def space_weight(self) -> Fraction:
+        return sum(self.theta.values(), ZERO)
+
+    def scaled_s_side(self):
+        """The storage-side inequality divided by its target weight."""
+        return normalize(self.g_s, self.theta, self.sigma_s, self.mu_s)
+
+
+CERT_PARTS = ("g_s", "g_t", "theta", "lam", "sigma_s", "sigma_t", "mu_s", "mu_t")
 
 
 @dataclass
@@ -233,7 +276,9 @@ class JointSolution:
     value: Fraction | None = None
     h_s: SetFunction | None = None
     h_t: SetFunction | None = None
-    duals: JointDuals | None = None
+    # the certifying inequality read off the optimal dual; its bound is
+    # (line[0], line[1])
+    certificate: ExtractedInequality | None = None
     # value == line[0]*logN + line[1]*logQ - line[2]*logS at the solved probe,
     # and the right side stays a valid bound at every (logN, logQ, logS)
     line: tuple[Fraction, Fraction, Fraction] | None = None
@@ -308,7 +353,7 @@ def _package(rule, system, rows, res: LpResult, cap) -> JointSolution:
                 f"primal solution for {rule.pretty()} is not a polymatroid pair: "
                 f"{side} fails"
             )
-    d = JointDuals({}, {}, {}, {}, {}, {}, {}, {}, ZERO, {}, {})
+    vecs: dict[str, CondVec] = {part: {} for part in CERT_PARTS}
     a_part = b_part = c_part = ZERO
     for row, mult in zip(rows, raw):
         if not mult:
@@ -324,29 +369,13 @@ def _package(rule, system, rows, res: LpResult, cap) -> JointSolution:
             b_part += mult * row.bound.q
         if row.s_mult:
             c_part -= mult * row.s_mult
-        tag = row.tag
-        if tag[0] == "lam":
-            d.lam[tag[1]] = w
-        elif tag[0] == "theta":
-            d.theta[tag[1]] = w
-        elif tag[0] == "mono":
-            (d.mono_s if tag[1] == "S" else d.mono_t)[tag[2]] = w
-        elif tag[0] == "sub":
-            (d.sub_s if tag[1] == "S" else d.sub_t)[tag[2:]] = w
-        elif tag[0] == "dc":
-            c = system.dc[tag[2]]
-            (d.dc_s if tag[1] == "S" else d.dc_t)[(c.x, c.y)] = w
-        elif tag[0] == "ac":
-            d.ac = w
-        elif tag[0] == "gp":
-            c = system.sc[tag[1]]
-            d.gp[(c.x, c.y, c.z)] = w
-        elif tag[0] == "gm":
-            c = system.sc[tag[1]]
-            d.gm[(c.x, c.y, c.z)] = w
-    lam_sum = sum(d.lam.values())
+        for part, key in row.cert:
+            vec = vecs[part]
+            vec[key] = vec[key] + w if key in vec else w
+    lam_sum = sum(vecs["lam"].values())
     if value > 0 and lam_sum != 1:
         raise LpError(f"target multipliers of {rule.pretty()} sum to {lam_sum}, not 1")
+    cert = ExtractedInequality(bound=LogBound(a_part, b_part), **vecs)
     return JointSolution(
-        "optimal", value, h_s, h_t, d, (a_part, b_part, c_part), cap, res
+        "optimal", value, h_s, h_t, cert, (a_part, b_part, c_part), cap, res
     )

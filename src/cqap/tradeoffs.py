@@ -1,12 +1,13 @@
-"""Space-time tradeoff terms, their certifying inequalities, and envelopes.
+"""Space-time tradeoff terms and envelopes.
 
-A tradeoff term states S^c * T^k <= N^a * Q^b (up to polylog factors), read
-off from multipliers of the joint entropy program: k is the total weight on
-online targets (normalised to 1), c the total weight on storage targets, and
-(a, b) the priced data and request rows.  The value function of the program
-over the storage budget is concave and piecewise linear, so a rule's whole
-tradeoff is a short list of such terms; `rule_tradeoff` recovers them exactly
-by probing tangents and certifying each piece with its dual line.
+A tradeoff term states S^c * T^k <= N^a * Q^b (up to polylog factors), and
+carries as its provenance the certifying inequality the joint entropy program
+reports with its optimal dual: k is the total weight on online targets
+(normalised to 1), c the total weight on storage targets, and (a, b) the
+priced data and request rows.  The value function of the program over the
+storage budget is concave and piecewise linear, so a rule's whole tradeoff is
+a short list of such terms; `rule_tradeoff` recovers them exactly by probing
+tangents and certifying each piece with its dual line.
 
 Two kinds of probe do that, all on one program per rule that differs only
 in its right sides, so a rule's first value probe is its only cold solve.
@@ -42,124 +43,16 @@ from math import lcm
 
 from .decompose import TreeDecomp
 from .exactlp import LpError
-from .polymatroids import CondVec, JointInequality
+from .polymatroids import CondVec
 from .queries import Cqap, LogBound
 from .relalg import VarSet, members
 from .rules import TwoPhaseRule
-from .shannon import JointSolution, JointSystem, solve_joint_lp
+from .shannon import ExtractedInequality, JointSolution, JointSystem, solve_joint_lp
 
 log = logging.getLogger(__name__)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _acc(vec: dict, key, w: Fraction) -> None:
-    if w:
-        vec[key] = vec.get(key, ZERO) + w
-
-
-# ═══════════════════════════════════════════════════════════════════════════
-# Certifying inequalities
-# ═══════════════════════════════════════════════════════════════════════════
-
-
-@dataclass
-class ExtractedInequality:
-    """A joint inequality <g_S, hS> + <g_T, hT> >= <theta, hS> + <lam, hT>.
-
-    `bound` prices the left side against the declared rows, so the inequality
-    certifies  <theta, hS> + <lam, hT> <= bound  on every instance.  When the
-    coefficients came from an optimal dual, sigma/mu carry the polymatroid
-    row multipliers (the witness `proofs.construct` spends to build a
-    stepwise proof).  Closed-form constructions leave them as None, and
-    `proofs.construct` then solves for a witness itself.
-    """
-
-    ineq: JointInequality
-    g_s: CondVec
-    g_t: CondVec
-    theta: CondVec
-    lam: CondVec
-    bound: LogBound
-    sigma_s: dict[tuple[VarSet, VarSet], Fraction] | None = None
-    mu_s: dict[tuple[VarSet, VarSet], Fraction] | None = None
-    sigma_t: dict[tuple[VarSet, VarSet], Fraction] | None = None
-    mu_t: dict[tuple[VarSet, VarSet], Fraction] | None = None
-
-    @property
-    def space_weight(self) -> Fraction:
-        return sum(self.theta.values(), ZERO)
-
-    def scaled_s_side(self):
-        """The storage-side inequality divided by its target weight."""
-        w = self.space_weight
-        if not w:
-            raise ValueError("no storage targets to normalise by")
-        scale = lambda vec: {k: v / w for k, v in vec.items()}
-        parts = (self.g_s, self.theta, self.sigma_s, self.mu_s)
-        return tuple(None if p is None else scale(p) for p in parts)
-
-
-def extract_joint_inequality(
-    sol: JointSolution, system: JointSystem
-) -> ExtractedInequality:
-    """Assemble the certifying inequality from one optimal solve.
-
-    Degree multipliers stay on their own side; the request row charges the
-    online side; each split multiplier contributes to both sides, the stored
-    prefix as an unconditional term and the traversal as a conditional one.
-    """
-    d = sol.duals
-    if d is None:
-        raise ValueError("inequality extraction needs an optimal solution")
-    g_s: CondVec = {}
-    g_t: CondVec = {}
-    n_tot = q_tot = ZERO
-    dc_bounds = {(c.x, c.y): c.log for c in system.dc}
-    sc_bounds = {(c.x, c.y, c.z): c.log for c in system.sc}
-
-    def price(b: LogBound, w: Fraction):
-        nonlocal n_tot, q_tot
-        n_tot += w * b.n
-        q_tot += w * b.q
-
-    for key, w in d.dc_s.items():
-        _acc(g_s, key, w)
-        price(dc_bounds[key], w)
-    for key, w in d.dc_t.items():
-        _acc(g_t, key, w)
-        price(dc_bounds[key], w)
-    if d.ac:
-        _acc(g_t, (0, system.ac.y), d.ac)
-        price(system.ac.log, d.ac)
-    for (x, y, z), w in d.gp.items():
-        _acc(g_s, (0, x), w)
-        _acc(g_t, (x, y), w)
-        price(sc_bounds[(x, y, z)], w)
-    for (x, y, z), w in d.gm.items():
-        _acc(g_s, (x, y), w)
-        _acc(g_t, (0, x), w)
-        price(sc_bounds[(x, y, z)], w)
-
-    theta = {(0, b): w for b, w in d.theta.items()}
-    lam = {(0, b): w for b, w in d.lam.items()}
-    full = system.full
-    pair = lambda i, j, x: (x | (1 << i), x | (1 << j))
-    sigma_s = {pair(i, j, x): w for (i, j, x), w in d.sub_s.items()}
-    sigma_t = {pair(i, j, x): w for (i, j, x), w in d.sub_t.items()}
-    mu_s = {(full & ~(1 << i), full): w for i, w in d.mono_s.items()}
-    mu_t = {(full & ~(1 << i), full): w for i, w in d.mono_t.items()}
-
-    bound = LogBound(n_tot, q_tot)
-    if sol.line is not None and (n_tot, q_tot) != (sol.line[0], sol.line[1]):
-        raise LpError("priced bound disagrees with the solved cost line")
-    ineq = JointInequality(
-        lhs_s=g_s, lhs_t=g_t, rhs_s=dict(theta), rhs_t=dict(lam)
-    )
-    return ExtractedInequality(
-        ineq, g_s, g_t, theta, lam, bound, sigma_s, mu_s, sigma_t, mu_t
-    )
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -353,9 +246,11 @@ def _pin_request_exponent(system, rule, a, c, m, span, start) -> TradeoffTerm:
                     f"request probe of {rule.pretty()} at (logN, logQ, logS) = "
                     f"(1, {q}, {m}): request coefficient {b} cannot be negative"
                 )
-            prov = extract_joint_inequality(sol, system)
             return TradeoffTerm(
-                space_exp=c, rhs=LogBound(a, b), span=span, provenance=prov
+                space_exp=c,
+                rhs=LogBound(a, b),
+                span=span,
+                provenance=sol.certificate,
             )
         tried.append(str(q))
         step /= 16
@@ -419,6 +314,11 @@ def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
 # ═══════════════════════════════════════════════════════════════════════════
 # Closed-form generators
 # ═══════════════════════════════════════════════════════════════════════════
+
+
+def _acc(vec: dict, key, w: Fraction) -> None:
+    if w:
+        vec[key] = vec.get(key, ZERO) + w
 
 
 def _atom_cardinalities(q: Cqap) -> dict[VarSet, LogBound]:
@@ -486,12 +386,7 @@ def _cover_term(q: Cqap, bags, a_sets, covers) -> TradeoffTerm:
         _acc(theta, (0, a_set), ONE / alpha)
         space += ONE / alpha
     lam = {(0, bags[-1]): ONE}
-    ineq = JointInequality(
-        lhs_s=dict(g_s), lhs_t=dict(g_t), rhs_s=dict(theta), rhs_t=dict(lam)
-    )
-    prov = ExtractedInequality(
-        ineq, g_s, g_t, theta, lam, LogBound(n_tot, q_tot)
-    )
+    prov = ExtractedInequality(g_s, g_t, theta, lam, LogBound(n_tot, q_tot))
     return TradeoffTerm(
         space_exp=space, rhs=LogBound(n_tot, q_tot), provenance=prov
     )

@@ -54,12 +54,10 @@ def test_parse_numeric_and_symbolic_bounds():
         phi(x1, x2 | x1) :- R(x1, x2).
         dc R: size = N^3/2
         dc R: (x1 -> x1,x2) <= 100
-        ac |Q| <= 1
         """
     )
     assert q.decls[0].sym == Fraction(3, 2)
     assert q.decls[1].num == 100
-    assert q.ac_cap == 1
 
 
 @pytest.mark.parametrize(
@@ -73,6 +71,7 @@ def test_parse_numeric_and_symbolic_bounds():
         "phi(x1 | x1) :- R(x1, x2).\ndc R: (x1 -> x9) <= 4",  # foreign var
         "phi(x1 | x1) :- R(x1, x2).\ndc R: size = N^1/0",  # zero denominator
         "phi(x1 | x1) :- R(x1, x2).\nac |Q| <= 0",  # request cap below 1
+        "phi(x1 | x1) :- R(x1, x2).\nac |Q| <= 1",  # logQ is not declared
     ],
 )
 def test_parse_rejects(bad):

@@ -12,7 +12,7 @@ from cqap import shannon
 from cqap.decompose import enumerate_pmtds, pmtds_from_json
 from cqap.exactlp import solve_lp
 from cqap.polymatroids import check_polymatroid
-from cqap.queries import load_query
+from cqap.queries import LogBound, load_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
 from cqap.shannon import JointSystem, solve_joint_lp
 
@@ -60,18 +60,18 @@ def test_two_reach_certificate_is_the_worked_dual():
     x1, x3, x2 = (mask(query, v) for v in ("x1", "x3", "x2"))
     system = JointSystem(query)
     (rule,) = rules_of(query)
-    d = solve_joint_lp(rule, system, F(1)).duals
-    assert d.lam == {x1 | x2 | x3: F(1)}
-    assert d.theta == {x1 | x3: F(1, 2)}
-    assert d.ac == F(1)
-    # each relation is charged half: a stored prefix plus a traversal
-    assert d.gp == {(x1, x1 | x2, x1 | x2): F(1, 2), (x3, x2 | x3, x2 | x3): F(1, 2)}
-    assert d.gm == {} and d.dc_s == {} and d.dc_t == {}
+    d = solve_joint_lp(rule, system, F(1)).certificate
+    assert d.lam == {(0, x1 | x2 | x3): F(1)}
+    assert d.theta == {(0, x1 | x3): F(1, 2)}
+    # the request row charges the pair once; each relation is charged half
+    # by its gp row: a stored prefix plus a traversal, and no gm or dc row
+    assert d.g_s == {(0, x1): F(1, 2), (0, x3): F(1, 2)}
+    assert d.g_t == {(0, x1 | x3): F(1), (x1, x1 | x2): F(1, 2), (x3, x2 | x3): F(1, 2)}
+    assert d.bound == LogBound(F(1), F(1))
     # the stored halves merge on the request pair, the traversals on the full set
-    i1, i3, i2 = (query.var_index(v) for v in ("x1", "x3", "x2"))
-    assert d.sub_s == {(i1, i3, 0): F(1, 2)}
-    assert d.sub_t == {(i1, i2, x3): F(1, 2), (i3, i2, x1): F(1, 2)}
-    assert d.mono_s == {} and d.mono_t == {}
+    assert d.sigma_s == {(x1, x3): F(1, 2)}
+    assert d.sigma_t == {(x1 | x3, x1 | x2): F(1, 2), (x1 | x3, x2 | x3): F(1, 2)}
+    assert d.mu_s == {} and d.mu_t == {}
 
 
 def test_two_reach_budget_cap_region():
@@ -117,7 +117,7 @@ def test_three_reach_rho4_piece_sweep():
         assert sol.status == "optimal"
         assert sol.value == want, f"logS={s}"
         assert sol.s_cap == F(3, 2)
-        assert sum(sol.duals.lam.values()) == 1
+        assert sum(sol.certificate.lam.values()) == 1
         lines[s] = sol.line
     # every reported line stays a valid bound at every other probe
     for s_from, (a, _b, c) in lines.items():
@@ -174,7 +174,7 @@ def test_package_errors_name_the_rule_row_and_residual():
     def package(**changes):
         return shannon._package(rule, system, rows, replace(res, **changes), sol.s_cap)
 
-    assert package().duals == sol.duals
+    assert package().certificate == sol.certificate
     # the theta row is ">=", so its multiplier -1/2 turns positive
     i = next(k for k, r in enumerate(rows) if r.tag[0] == "theta")
     flipped = list(res.duals)
@@ -224,8 +224,10 @@ def test_weighted_bound_sandwich():
     system = JointSystem(query)
     s = F(9, 8)
     sol = solve_joint_lp(rule, system, s)
+    lam = {b: w for (_, b), w in sol.certificate.lam.items()}
+    theta = {b: w for (_, b), w in sol.certificate.theta.items()}
     # at the solved multipliers the bound is tight ...
-    assert weighted_bound(system, sol.duals.lam, sol.duals.theta, s) == sol.value
+    assert weighted_bound(system, lam, theta, s) == sol.value
     # ... and any other feasible choice can only be weaker
     x13 = mask(query, "x1", "x3")
     x14 = mask(query, "x1", "x4")
@@ -235,9 +237,9 @@ def test_weighted_bound_sandwich():
         {x13: F(1, 2), x24: F(1, 2)},
     )
     perturbed = (
-        sol.duals.lam,
-        {x14: sol.duals.theta.get(x14, F(0)) + F(1, 3), **{
-            b: w for b, w in sol.duals.theta.items() if b != x14
+        lam,
+        {x14: theta.get(x14, F(0)) + F(1, 3), **{
+            b: w for b, w in theta.items() if b != x14
         }},
     )
     for lam, theta in (hand, perturbed):
@@ -309,7 +311,7 @@ def test_solve_is_deterministic():
     a = solve_joint_lp(rule, system, F(5, 4))
     b = solve_joint_lp(rule, JointSystem(query), F(5, 4))
     assert a.value == b.value and a.line == b.line
-    assert a.duals == b.duals
+    assert a.certificate == b.certificate
 
 
 def test_log_size_bound_values():

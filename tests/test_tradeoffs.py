@@ -7,6 +7,7 @@ the hand-derivable closed forms and against random polymatroid pairs.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -211,6 +212,30 @@ def test_extraction_is_deterministic(two_reach):
     assert len(shared) == 4
     for one, other in zip(shared, apart):
         assert certificates(one) == certificates(other), one.rule.pretty()
+
+
+# SHA-256 over every conftest fixture term: its line, span and bound and the
+# eight certificate vectors, each as its sorted items.  Any change to a row,
+# the row order, a pivot rule or the certificate read-out moves a multiplier;
+# re-record only with the reason.
+FIXTURE_CERTIFICATES = "c7ad587af460719d988137fd0383cc476ab67f044cc9b6314cb51cd6f8600345"
+
+
+def test_fixture_certificates_are_pinned(two_reach, three_reach, four_reach):
+    curves = [two_reach[2]] + [three_reach[2][i] for i in (1, 2, 3, 4)]
+    curves += [four_reach[2][k] for k in ("deep", "wide", "single")]
+    parts = ("g_s", "g_t", "theta", "lam", "sigma_s", "sigma_t", "mu_s", "mu_t")
+    text = "\n".join(
+        repr((
+            t.line(),
+            t.span,
+            t.provenance.bound,
+            [sorted(getattr(t.provenance, p).items()) for p in parts],
+        ))
+        for rt in curves
+        for t in rt.terms
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_CERTIFICATES
 
 
 def test_rule_without_online_targets_rejected(two_reach):
