@@ -31,11 +31,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from .queries import Cqap, QueryError
-from .relalg import VarSet, members, proper_subset, size, subset, vs, vs_str
+from .relalg import VarSet, members, submasks, subset, vs, vs_str
 
 log = logging.getLogger(__name__)
 
-DEFAULT_CAP = 200_000
+# partial decompositions `enumerate_tds` may build before it gives up
+TD_CAP = 200_000
 
 
 class DecompositionError(ValueError):
@@ -285,7 +286,7 @@ def _components(edges: list[VarSet], bag: VarSet) -> list[tuple[list[VarSet], Va
     return result
 
 
-def _grow(bag: VarSet, uncovered: list[VarSet], max_bag: int, budget: list[int]):
+def _grow(bag: VarSet, uncovered: list[VarSet], budget: list[int]):
     """Yield child forests: lists of (bag, parent-offset) in preorder."""
     if not uncovered:
         yield []
@@ -293,28 +294,20 @@ def _grow(bag: VarSet, uncovered: list[VarSet], max_bag: int, budget: list[int])
     per_comp = []
     for comp_edges, comp_vars in _components(uncovered, bag):
         interface = comp_vars & bag
-        inner = members(comp_vars & ~bag)
         options = []
-        for bits in range(1, 1 << len(inner)):
-            child = interface
-            for p in range(len(inner)):
-                if bits >> p & 1:
-                    child |= 1 << inner[p]
-            if size(child) > max_bag:
-                continue
+        for inner in submasks(comp_vars & ~bag)[1:]:
+            child = interface | inner
             newly = [e for e in comp_edges if subset(e, child)]
             if not newly:
                 continue
             rest = [e for e in comp_edges if not subset(e, child)]
-            for forest in _grow(child, rest, max_bag, budget):
+            for forest in _grow(child, rest, budget):
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise DecompositionError(
                         "decomposition enumeration exceeded its resource cap"
                     )
                 options.append([(child, -1)] + [(b, o + 1) for b, o in forest])
-        if not options:
-            return  # component cannot be completed under max_bag
         per_comp.append(options)
     for combo in product(*per_comp):
         forest = []
@@ -326,29 +319,24 @@ def _grow(bag: VarSet, uncovered: list[VarSet], max_bag: int, budget: list[int])
         yield forest
 
 
-def enumerate_tds(q: Cqap, max_bag: int | None = None, cap: int = DEFAULT_CAP) -> list[TreeDecomp]:
+def enumerate_tds(q: Cqap) -> list[TreeDecomp]:
     """All rooted decompositions with the access variables in the root.
 
     Root bags are the access set plus any other variables; children are grown
     per connected component of uncovered edges, always containing the
-    component's interface and at least one newly covered edge.
+    component's interface and at least one newly covered edge.  Raises
+    `DecompositionError` once more than `TD_CAP` partial decompositions
+    have been built.
     """
     edges = sorted(set(q.edge_sets()))
-    all_vars = q.vars_all
-    if max_bag is None:
-        max_bag = size(all_vars)
-    budget = [cap]
+    budget = [TD_CAP]
     out = []
-    extra = members(all_vars & ~q.access)
-    for bits in range(1 << len(extra)):
-        root = q.access
-        for p in range(len(extra)):
-            if bits >> p & 1:
-                root |= 1 << extra[p]
-        if root == 0 or size(root) > max_bag:
+    for extra in submasks(q.vars_all & ~q.access):
+        root = q.access | extra
+        if root == 0:
             continue
         rest = [e for e in edges if not subset(e, root)]
-        for forest in _grow(root, rest, max_bag, budget):
+        for forest in _grow(root, rest, budget):
             bags = [root] + [b for b, _ in forest]
             parent = [-1] + [0 if o == -1 else o + 1 for _, o in forest]
             out.append(canonical_tree(bags, parent))
@@ -365,10 +353,10 @@ def _downward_closed_sets(td: TreeDecomp):
             yield in_m
 
 
-def enumerate_pmtds(q: Cqap, max_bag: int | None = None, cap: int = DEFAULT_CAP) -> list[Pmtd]:
+def enumerate_pmtds(q: Cqap) -> list[Pmtd]:
     """All minimal plans for the query, canonically ordered."""
     plans = []
-    for td in enumerate_tds(q, max_bag, cap):
+    for td in enumerate_tds(q):
         for in_m in _downward_closed_sets(td):
             p = make_pmtd(td, in_m, q)
             if p is not None:
@@ -448,6 +436,11 @@ def pmtds_from_json(text: str, q: Cqap) -> list[Pmtd]:
     plans = []
     for entry in doc["pmtds"]:
         bags = [vs(*(q.var_index(v) for v in bag)) for bag in entry["bags"]]
+        if len(entry["in_m"]) != len(bags):
+            raise QueryError(
+                f"plan in file has {len(entry['in_m'])} in_m flags for "
+                f"{len(bags)} bags: {entry}"
+            )
         td = TreeDecomp(tuple(bags), tuple(entry["parent"]))
         problems = td.validate(q.edge_sets())
         if problems:

@@ -56,29 +56,29 @@ class SetFunction:
         return self.values[s]
 
 
-def check_polymatroid(h: SetFunction, tol=0) -> bool:
+def check_polymatroid(h: SetFunction) -> bool:
     """Exhaustive nonnegativity, monotonicity and submodularity check.
 
-    With tol == 0 and exact values (ints and Fractions) the checks run on the
-    values scaled to integers by the lcm of their denominators: the verdict is
-    the same, since every inequality is homogeneous, and integers compare far
+    With exact values (ints and Fractions) the checks run on the values
+    scaled to integers by the lcm of their denominators: the verdict is the
+    same, since every inequality is homogeneous, and integers compare far
     faster than Fractions.
     """
     v = h.values
-    if tol == 0 and all(isinstance(x, (int, Fraction)) for x in v):
+    if all(isinstance(x, (int, Fraction)) for x in v):
         scale = math.lcm(*(x.denominator for x in v))
         v = [x.numerator * (scale // x.denominator) for x in v]
     full = (1 << h.n) - 1
     for s in range(full + 1):
-        if v[s] < -tol:
+        if v[s] < 0:
             return False
     for x in range(full + 1):
         for y in range(full + 1):
-            if subset(x, y) and v[x] > v[y] + tol:
+            if subset(x, y) and v[x] > v[y]:
                 return False
     for i in range(full + 1):
         for j in range(full + 1):
-            if v[i] + v[j] < v[i | j] + v[i & j] - tol:
+            if v[i] + v[j] < v[i | j] + v[i & j]:
                 return False
     return True
 

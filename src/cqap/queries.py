@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .relalg import MAX_VARS, VarSet, members, subset, vs, vs_str
+from .relalg import MAX_VARS, VarSet, members, submasks, subset, vs, vs_str
 
 
 class QueryError(ValueError):
@@ -105,20 +105,8 @@ def span_split_constraints(cardinality: list[LogConstraint]) -> list[SplitConstr
         if c.x != 0:
             continue
         z = c.y
-        mem = members(z)
-        k = len(mem)
-        for ybits in range(1, 1 << k):
-            y = 0
-            for p in range(k):
-                if ybits >> p & 1:
-                    y |= 1 << mem[p]
-            for xbits in range(1, 1 << k):
-                if xbits == ybits or xbits & ~ybits:
-                    continue
-                x = 0
-                for p in range(k):
-                    if xbits >> p & 1:
-                        x |= 1 << mem[p]
+        for y in submasks(z)[1:]:
+            for x in submasks(y)[1:-1]:
                 if (x, y, z) in seen:
                     continue
                 seen.add((x, y, z))

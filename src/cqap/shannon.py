@@ -31,6 +31,10 @@ row's side, as g_s or g_t; X+i is X with variable i added):
 
 The data rows (dc, ac, gp, gm) are built from their terms h_side(y | x), so a
 row's coefficients and its certificate coordinates come from the same terms.
+
+The analysis runs at logN = 1.  `solve_joint_lp` is one plain solve that
+returns the optimum or raises `LpError`; `tradeoffs.rule_tradeoff` owns the
+budget range [0, cap] and probes nowhere else.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ class LpRow:
 
     `coeffs` are (column, value) pairs, each column once, and go to
     `solve_lp` as they are.  The numeric right side at a probe is
-    bound.at(logN, logQ) + s_mult*logS.  `cert` holds the (part, key)
+    bound.at(1, logQ) + s_mult*logS.  `cert` holds the (part, key)
     certificate coordinates the row's nonnegative multiplier is added to.
     """
 
@@ -195,30 +199,26 @@ class JointSystem:
 
     # -- one-sided storage cap --------------------------------------------------
 
-    def log_size_bound(
-        self, targets: frozenset[VarSet] | set[VarSet],
-        *, log_n: Fraction = ONE, log_q: Fraction = ZERO,
-    ) -> Fraction | None:
+    def log_size_bound(self, targets: frozenset[VarSet] | set[VarSet]) -> Fraction | None:
         """max over h_S of min_B h_S(B), under the S side's degree rows.
 
         This is the largest log-size any strategy could need for the given
-        S-targets; once logS reaches it the whole S side fits in the budget.
-        The program takes the S side's polymatroid and degree rows as they
-        stand, with t in column m; T columns are never used.  Returns None
-        when the program is unbounded (no target is tied to the data, which
-        well-formed queries never produce).
+        S-targets; above it the joint program is infeasible.  The program
+        takes the S side's polymatroid and degree rows at logN = 1, with t in
+        column m; no S-side row reads logQ, so the bound is cached per target
+        set.  Returns None when the program is unbounded (no target is tied
+        to the data, which well-formed queries never produce).
         """
-        side_s = [
-            r for r in self.base_rows() if r.tag[0] in ("mono", "sub", "dc") and r.tag[1] == "S"
-        ]
-        dc = [(r.coeffs, r.sense, r.bound.at(log_n, log_q)) for r in side_s if r.tag[0] == "dc"]
-        # the program depends on the probe only through these right sides
-        key = (tuple(sorted(targets)), tuple(rhs for _, _, rhs in dc))
+        key = tuple(sorted(targets))
         if key in self._caps:
             return self._caps[key]
         tcol = self.m
-        rows = [(r.coeffs, r.sense, ZERO) for r in side_s if r.tag[0] != "dc"] + dc
-        rows += [(((b - 1, -ONE), (tcol, ONE)), "<=", ZERO) for b in sorted(targets)]
+        rows = [
+            (r.coeffs, r.sense, _rhs(r, ZERO, ZERO))
+            for r in self.base_rows()
+            if r.tag[0] in ("mono", "sub", "dc") and r.tag[1] == "S"
+        ]
+        rows += [(((b - 1, -ONE), (tcol, ONE)), "<=", ZERO) for b in key]
         c_obj = [ZERO] * (tcol + 1)
         c_obj[tcol] = ONE
         res = solve_lp_guided(c_obj, rows)
@@ -272,19 +272,17 @@ CERT_PARTS = ("g_s", "g_t", "theta", "lam", "sigma_s", "sigma_t", "mu_s", "mu_t"
 
 @dataclass
 class JointSolution:
-    status: str  # "optimal" | "materialize-all" | "unbounded"
-    value: Fraction | None = None
-    h_s: SetFunction | None = None
-    h_t: SetFunction | None = None
+    value: Fraction
+    h_s: SetFunction
+    h_t: SetFunction
     # the certifying inequality read off the optimal dual; its bound is
     # (line[0], line[1])
-    certificate: ExtractedInequality | None = None
-    # value == line[0]*logN + line[1]*logQ - line[2]*logS at the solved probe,
-    # and the right side stays a valid bound at every (logN, logQ, logS)
-    line: tuple[Fraction, Fraction, Fraction] | None = None
-    s_cap: Fraction | None = None
+    certificate: ExtractedInequality
+    # value == line[0] + line[1]*logQ - line[2]*logS at the solved probe, and
+    # the right side stays a valid bound at every (logQ, logS)
+    line: tuple[Fraction, Fraction, Fraction]
     # the exact LP result, whose final tableau a later probe may start from
-    lp: LpResult | None = field(default=None, repr=False, compare=False)
+    lp: LpResult = field(repr=False, compare=False)
 
 
 def solve_joint_lp(
@@ -292,58 +290,44 @@ def solve_joint_lp(
     system: JointSystem,
     log_s,
     *,
-    log_n=Fraction(1),
-    log_q=Fraction(0),
-    at_cap: bool = False,
+    log_q=ZERO,
     start: JointSolution | None = None,
 ) -> JointSolution:
-    """Solve the maximin program for one rule at a numeric probe point.
+    """Solve the rule's maximin program at (logN, logQ, logS) = (1, q, s).
 
-    `at_cap` solves the program even when the budget covers the whole S side
-    (the program is still feasible at exactly the cap); probing there is how
-    the last tradeoff piece is pinned down.  `start` is an earlier optimal
-    solution for the same rule: the program differs only in its right sides,
-    so the solve warm-starts from that solution's final tableau.
+    One plain solve: any outcome but optimal raises `LpError` naming the
+    rule, the point and the status, which is infeasible above the storage
+    cap and unbounded without T-targets; `tradeoffs.rule_tradeoff` owns the
+    budget range.  `start` is an earlier optimal solution of the same rule;
+    only right sides differ, so the solve warm-starts from its final tableau.
     """
-    log_s, log_n, log_q = Fraction(log_s), Fraction(log_n), Fraction(log_q)
-    if not rule.t_targets:
-        return JointSolution("unbounded")
-    cap = None
-    if rule.s_targets:
-        cap = system.log_size_bound(rule.s_targets, log_n=log_n, log_q=log_q)
-        if cap is not None and cap <= log_s and not (at_cap and cap == log_s):
-            log.debug("budget %s covers the whole S side (cap %s)", log_s, cap)
-            return JointSolution("materialize-all", s_cap=cap)
+    log_s, log_q = Fraction(log_s), Fraction(log_q)
     rows = system.rule_rows(rule)
     c_obj = [ZERO] * system.ncols
     c_obj[system.col_obj] = ONE
     res = solve_lp_guided(
         c_obj,
-        [(r.coeffs, r.sense, _rhs(r, log_n, log_q, log_s)) for r in rows],
+        [(r.coeffs, r.sense, _rhs(r, log_q, log_s)) for r in rows],
         start=None if start is None else start.lp,
     )
-    if res.status == "unbounded":  # pragma: no cover - T targets bound t
-        return JointSolution("unbounded", s_cap=cap)
-    if res.status != "optimal":  # pragma: no cover - cap precheck screens this
+    if res.status != "optimal":
         raise LpError(
             f"joint program for {rule.pretty()} at (logN, logQ, logS) = "
-            f"({log_n}, {log_q}, {log_s}) came back {res.status}"
+            f"(1, {log_q}, {log_s}) came back {res.status}"
         )
-    sol = _package(rule, system, rows, res, cap)
-    log.debug(
-        "rule %s at (%s, %s, %s): OBJ=%s", rule.pretty(), log_n, log_q, log_s, sol.value
-    )
+    sol = _package(rule, system, rows, res)
+    log.debug("rule %s at (1, %s, %s): OBJ=%s", rule.pretty(), log_q, log_s, sol.value)
     return sol
 
 
-def _rhs(row: LpRow, log_n, log_q, log_s) -> Fraction:
-    """The row's numeric right side at a probe; most rows have none."""
+def _rhs(row: LpRow, log_q, log_s) -> Fraction:
+    """The row's numeric right side at logN = 1; most rows have none."""
     if row.bound is NO_BOUND and not row.s_mult:
         return ZERO
-    return row.bound.at(log_n, log_q) + row.s_mult * log_s
+    return row.bound.at(ONE, log_q) + row.s_mult * log_s
 
 
-def _package(rule, system, rows, res: LpResult, cap) -> JointSolution:
+def _package(rule, system, rows, res: LpResult) -> JointSolution:
     x, raw, value = res.x, res.duals, res.value
     h_s = SetFunction(system.n, [ZERO] + x[: system.m])
     h_t = SetFunction(system.n, [ZERO] + x[system.m : 2 * system.m])
@@ -376,6 +360,4 @@ def _package(rule, system, rows, res: LpResult, cap) -> JointSolution:
     if value > 0 and lam_sum != 1:
         raise LpError(f"target multipliers of {rule.pretty()} sum to {lam_sum}, not 1")
     cert = ExtractedInequality(bound=LogBound(a_part, b_part), **vecs)
-    return JointSolution(
-        "optimal", value, h_s, h_t, cert, (a_part, b_part, c_part), cap, res
-    )
+    return JointSolution(value, h_s, h_t, cert, (a_part, b_part, c_part), res)

@@ -9,6 +9,9 @@ storage budget is concave and piecewise linear, so a rule's whole tradeoff is
 a short list of such terms; `rule_tradeoff` recovers them exactly by probing
 tangents and certifying each piece with its dual line.
 
+Every probe is one plain `solve_joint_lp` call; `rule_tradeoff` owns the
+budget range and probes only inside [0, cap], where the program is feasible.
+
 Two kinds of probe do that, all on one program per rule that differs only
 in its right sides, so a rule's first value probe is its only cold solve.
 A value probe (the two ends of the budget range and each refinement point)
@@ -82,9 +85,9 @@ class TradeoffTerm:
         k = self.time_exp
         return (self.rhs.n / k, self.rhs.q / k, self.space_exp / k)
 
-    def log_time(self, log_s, *, log_n=ONE, log_q=ZERO) -> Fraction:
+    def log_time(self, log_s, *, log_q=ZERO) -> Fraction:
         a, b, c = self.line()
-        return a * Fraction(log_n) + b * Fraction(log_q) - c * Fraction(log_s)
+        return a + b * Fraction(log_q) - c * Fraction(log_s)
 
     def __eq__(self, other):
         if not isinstance(other, TradeoffTerm):
@@ -144,10 +147,8 @@ class RuleTradeoff:
     terms: list[TradeoffTerm]
     s_cap: Fraction | None
 
-    def log_time(self, log_s, *, log_n=ONE, log_q=ZERO) -> Fraction:
-        return min(
-            t.log_time(log_s, log_n=log_n, log_q=log_q) for t in self.terms
-        )
+    def log_time(self, log_s, *, log_q=ZERO) -> Fraction:
+        return min(t.log_time(log_s, log_q=log_q) for t in self.terms)
 
     def with_scratch(self) -> list[TradeoffTerm]:
         """Terms plus the from-scratch fallback, deduplicated."""
@@ -160,16 +161,6 @@ class RuleTradeoff:
 # ═══════════════════════════════════════════════════════════════════════════
 # Exact piece extraction
 # ═══════════════════════════════════════════════════════════════════════════
-
-
-def _probe(system, rule, s, q=ZERO, at_cap=False, start=None) -> JointSolution:
-    sol = solve_joint_lp(rule, system, s, log_q=q, at_cap=at_cap, start=start)
-    if sol.status != "optimal":
-        raise LpError(
-            f"tradeoff probe of {rule.pretty()} at (logN, logQ, logS) = "
-            f"(1, {q}, {s}) came back {sol.status}"
-        )
-    return sol
 
 
 def _tangent(sol: JointSolution) -> tuple[Fraction, Fraction]:
@@ -238,7 +229,7 @@ def _pin_request_exponent(system, rule, a, c, m, span, start) -> TradeoffTerm:
     tried = []
     for _ in range(6):
         q = step / 2
-        sol = _probe(system, rule, m, q=q, start=start)
+        sol = solve_joint_lp(rule, system, m, log_q=q, start=start)
         a1, b, c1 = sol.line
         if (a1, c1) == (a, c):
             if b < 0:
@@ -264,14 +255,15 @@ def _pin_request_exponent(system, rule, a, c, m, span, start) -> TradeoffTerm:
 def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
     """Extract the exact piecewise tradeoff of one rule over logN=1, logQ=0.
 
-    The rule's first value probe is its only cold solve; every other probe
+    It reads the storage cap once and probes only inside [0, cap].  The
+    rule's first value probe is its only cold solve; every other probe
     warm-starts from an earlier one of the same rule, so the terms and their
     certificates depend on the rule alone.
     """
     if not rule.t_targets:
         raise ValueError("a rule without online targets has no finite tradeoff")
     if not rule.s_targets:
-        sol = _probe(system, rule, ZERO)
+        sol = solve_joint_lp(rule, system, ZERO)
         a, c = _tangent(sol)
         if c:  # pragma: no cover - no storage rows means no storage weight
             raise LpError("storage weight appeared without storage targets")
@@ -282,14 +274,14 @@ def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
         raise LpError("storage targets admit no positive budget cap")
     last = None
 
-    def probe(s, at_cap=False):
+    def probe(s):
         """A value probe, warm-started from the rule's last optimal one."""
         nonlocal last
-        last = _probe(system, rule, s, at_cap=at_cap, start=last)
+        last = solve_joint_lp(rule, system, s, start=last)
         return last
 
     lo = probe(ZERO)
-    hi = probe(cap, at_cap=True)
+    hi = probe(cap)
     pieces = _refine(rule, probe, ZERO, lo, cap, hi)
     for (a0, c0, end, _), (a1, c1, _, _) in zip(pieces, pieces[1:]):
         if (a0 - a1) / (c1 - c0) != -end:  # pragma: no cover - exactness guard
@@ -478,7 +470,7 @@ class TradeoffCurve:
         return "\n".join(lines) + "\n"
 
 
-def envelope(rule_terms, log_q=ZERO, *, log_n=ONE) -> TradeoffCurve:
+def envelope(rule_terms, log_q=ZERO) -> TradeoffCurve:
     """Max over rules of the min over each rule's term lines, clamped at 0.
 
     Terms with no storage exponent are from-scratch plans: they do not read
@@ -486,22 +478,29 @@ def envelope(rule_terms, log_q=ZERO, *, log_n=ONE) -> TradeoffCurve:
     join every rule's minimum and never stand alone in the maximum — a rule
     list holding only such terms contributes its fallbacks to the others
     rather than pinning the worst case to a constant.
+
+    The grid holds 0, every line's zero and every positive crossing of two
+    lines.  A max of mins of lines bends only where two lines cross and
+    reaches zero only where one does, so the grid holds every breakpoint.
+    Points collinear with their neighbours are dropped, and the walk stops
+    at the first zero, which a falling line in every minimum ensures; with
+    only from-scratch terms every line is flat and the grid is {0}.
     """
-    log_q, log_n = Fraction(log_q), Fraction(log_n)
+    log_q = Fraction(log_q)
     shared: set[tuple[Fraction, Fraction]] = set()
     sloped_groups: list[set[tuple[Fraction, Fraction]]] = []
     for terms in rule_terms:
         sloped: set[tuple[Fraction, Fraction]] = set()
         for term in terms:
             a, b, c = term.line()
-            line = (a * log_n + b * log_q, -c)
+            line = (a + b * log_q, -c)
             (sloped if c else shared).add(line)
         if sloped:
             sloped_groups.append(sloped)
     if sloped_groups:
-        groups = [sorted(g | shared) for g in sloped_groups]
+        groups = [g | shared for g in sloped_groups]
     elif shared:
-        groups = [sorted(shared)]
+        groups = [shared]
     else:
         raise ValueError("envelope needs at least one term")
 
@@ -515,40 +514,17 @@ def envelope(rule_terms, log_q=ZERO, *, log_n=ONE) -> TradeoffCurve:
                 s = (v1 - v0) / (m0 - m1)
                 if s > 0:
                     cands.add(s)
-    grid = sorted(cands)
-
-    def env_line_at(s: Fraction):
-        best = None
-        for g in groups:
-            v, ln = min((v0 + m0 * s, (v0, m0)) for v0, m0 in g)
-            if best is None or (v, ln) > best:
-                best = (v, ln)
-        return best[1]
-
-    segments: list[tuple[tuple[Fraction, Fraction], Fraction]] = []
-    for a, b in zip(grid, grid[1:] + [None]):
-        mid = (a + b) / 2 if b is not None else a + 1
-        v0, m0 = env_line_at(mid)
-        if v0 + m0 * a <= 0 and segments:
-            break
-        if segments and segments[-1][0] == (v0, m0):
-            continue
-        segments.append(((v0, m0), a))
 
     points: list[tuple[Fraction, Fraction]] = []
-    for (line, start), nxt in zip(segments, segments[1:] + [None]):
-        v0, m0 = line
-        if not points:
-            points.append((start, v0 + m0 * start))
-        if nxt is not None:
-            s = nxt[1]
-            points.append((s, v0 + m0 * s))
-        elif m0:
-            end = (-v0 / m0, ZERO)
-            if points[-1] != end:
-                points.append(end)
-        elif points[-1][0] != start:
-            points.append((start, v0))
+    for s in sorted(cands):
+        t = max(min(v0 + m0 * s for v0, m0 in g) for g in groups)
+        if len(points) > 1:
+            (s0, t0), (s1, t1) = points[-2:]
+            if (t1 - t0) * (s - s1) == (t - t1) * (s1 - s0):
+                points.pop()
+        points.append((s, t))
+        if t <= 0:
+            break
     for (s0, t0), (s1, t1) in zip(points, points[1:]):
         if s1 <= s0 or t1 > t0:  # pragma: no cover - exactness guard
             raise LpError("envelope walk produced a non-monotone curve")

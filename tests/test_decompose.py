@@ -2,22 +2,25 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
+from cqap import decompose
 from cqap.decompose import (
     DecompositionError,
     Pmtd,
     TreeDecomp,
     enumerate_pmtds,
+    enumerate_tds,
     induced_pmtd,
     is_free_connex,
     make_pmtd,
     pmtds_from_json,
     pmtds_to_json,
 )
-from cqap.queries import load_query
+from cqap.queries import QueryError, load_query
 from cqap.relalg import vs
 
 ROOT = Path(__file__).resolve().parent.parent / "corpus"
@@ -170,6 +173,13 @@ def test_four_reach_pinned_plans_load():
     assert len(got) == 11
 
 
+def test_enumeration_past_its_cap_raises(monkeypatch):
+    assert len(enumerate_tds(q("three_reach"))) > 3
+    monkeypatch.setattr(decompose, "TD_CAP", 3)
+    with pytest.raises(DecompositionError, match="exceeded its resource cap$"):
+        enumerate_tds(q("three_reach"))
+
+
 def test_four_reach_enumeration_covers_chains():
     query = q("four_reach")
     plans = enumerate_pmtds(query)
@@ -219,6 +229,17 @@ def test_plan_json_round_trip():
     text = pmtds_to_json(plans, query)
     back = pmtds_from_json(text, query)
     assert [p.key() for p in back] == [p.key() for p in plans]
+
+
+def test_plan_json_needs_one_in_m_flag_per_bag():
+    query = q("two_reach")
+    doc = json.loads(pmtds_to_json(enumerate_pmtds(query), query))
+    entry = next(e for e in doc["pmtds"] if len(e["bags"]) == 2)
+    for in_m in ([True, True, True], [True]):
+        entry["in_m"] = in_m
+        with pytest.raises(QueryError, match=f"{len(in_m)} in_m flags for 2 bags: ") as exc:
+            pmtds_from_json(json.dumps(doc), query)
+        assert repr(entry["bags"]) in str(exc.value)
 
 
 def test_enumerated_plans_are_valid():

@@ -10,7 +10,7 @@ import pytest
 
 from cqap import shannon
 from cqap.decompose import enumerate_pmtds, pmtds_from_json
-from cqap.exactlp import solve_lp
+from cqap.exactlp import LpError, solve_lp
 from cqap.polymatroids import check_polymatroid
 from cqap.queries import LogBound, load_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
@@ -49,10 +49,9 @@ def test_two_reach_value_line_and_cap():
     system = JointSystem(query)
     (rule,) = rules_of(query)
     sol = solve_joint_lp(rule, system, F(1))
-    assert sol.status == "optimal"
     assert sol.value == F(1, 2)
     assert sol.line == (F(1), F(1), F(1, 2))
-    assert sol.s_cap == 2
+    assert system.log_size_bound(rule.s_targets) == 2
 
 
 def test_two_reach_certificate_is_the_worked_dual():
@@ -78,10 +77,12 @@ def test_two_reach_budget_cap_region():
     query = q("two_reach")
     system = JointSystem(query)
     (rule,) = rules_of(query)
-    for s in (F(2), F(5, 2), F(7)):
-        assert solve_joint_lp(rule, system, s).status == "materialize-all"
+    assert solve_joint_lp(rule, system, F(2)).value == 0
+    for s in (F(5, 2), F(7)):
+        with pytest.raises(LpError, match="came back infeasible$"):
+            solve_joint_lp(rule, system, s)
     near = solve_joint_lp(rule, system, F(199, 100))
-    assert near.status == "optimal" and near.value == F(1, 200)
+    assert near.value == F(1, 200)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -111,20 +112,22 @@ def test_three_reach_rho4_piece_sweep():
         F(4, 3): F(2, 3),
         F(35, 24): F(1, 6),
     }
+    assert system.log_size_bound(rule.s_targets) == F(3, 2)
     lines = {}
     for s, want in expected.items():
         sol = solve_joint_lp(rule, system, s)
-        assert sol.status == "optimal"
         assert sol.value == want, f"logS={s}"
-        assert sol.s_cap == F(3, 2)
         assert sum(sol.certificate.lam.values()) == 1
         lines[s] = sol.line
     # every reported line stays a valid bound at every other probe
     for s_from, (a, _b, c) in lines.items():
         for s_at, want in expected.items():
             assert want <= a - c * s_at, (s_from, s_at)
-    # the budget that covers the whole S side is reported as such
-    assert solve_joint_lp(rule, system, F(3, 2)).status == "materialize-all"
+    # at the cap the whole S side fits and nothing is left to pay online;
+    # above it no stored h_S reaches the budget
+    assert solve_joint_lp(rule, system, F(3, 2)).value == 0
+    with pytest.raises(LpError, match="came back infeasible$"):
+        solve_joint_lp(rule, system, F(2))
 
 
 def test_three_reach_rho1_single_piece():
@@ -137,17 +140,16 @@ def test_three_reach_rho1_single_piece():
     probe = solve_joint_lp(rule, system, F(1), log_q=F(1, 64))
     assert probe.value == 1 + F(1, 64) - F(1, 2)
     assert probe.line == (F(1), F(1), F(1, 2))
-    assert probe.s_cap == 2
+    assert system.log_size_bound(rule.s_targets) == 2
 
 
 def test_obj_non_increasing_in_budget():
     query, rule = three_reach_rho(2)
     system = JointSystem(query)
+    cap = system.log_size_bound(rule.s_targets)
     last = None
-    for k in range(0, 8):
+    for k in range(0, int(4 * cap) + 1):
         sol = solve_joint_lp(rule, system, F(k, 4))
-        if sol.status != "optimal":
-            break
         if last is not None:
             assert sol.value <= last
         last = sol.value
@@ -172,7 +174,7 @@ def test_package_errors_name_the_rule_row_and_residual():
     res = sol.lp
 
     def package(**changes):
-        return shannon._package(rule, system, rows, replace(res, **changes), sol.s_cap)
+        return shannon._package(rule, system, rows, replace(res, **changes))
 
     assert package().certificate == sol.certificate
     # the theta row is ">=", so its multiplier -1/2 turns positive
@@ -250,7 +252,8 @@ def test_empty_t_side_reports_unbounded():
     query = q("two_reach")
     system = JointSystem(query)
     rule = TwoPhaseRule(s_targets=frozenset({mask(query, "x1", "x3")}), t_targets=frozenset())
-    assert solve_joint_lp(rule, system, F(1)).status == "unbounded"
+    with pytest.raises(LpError, match="came back unbounded$"):
+        solve_joint_lp(rule, system, F(1))
 
 
 def full_polymatroid_rows(system, side):
@@ -327,15 +330,15 @@ def test_log_size_bound_values():
     assert system3.log_size_bound(rule4.s_targets) == F(3, 2)
 
 
-def test_log_size_bound_solves_once_per_right_side(monkeypatch):
-    # the request probes move logQ, which no degree row of three_reach reads
+def test_log_size_bound_solves_once_per_target_set(monkeypatch):
+    # no S-side row reads logQ, so the bound depends on the targets alone
     query, rule = three_reach_rho(4)
     system = JointSystem(query)
     solves = []
     real = shannon.solve_lp_guided
     monkeypatch.setattr(shannon, "solve_lp_guided", lambda *a: solves.append(a) or real(*a))
-    for log_q in (F(1, 128), F(1, 64)):
-        assert system.log_size_bound(rule.s_targets, log_q=log_q) == F(3, 2)
+    for targets in (rule.s_targets, set(rule.s_targets)):
+        assert system.log_size_bound(targets) == F(3, 2)
     assert len(solves) == 1
 
 
@@ -374,4 +377,6 @@ def test_four_reach_three_target_rule_curve():
     assert low.value == F(1) and low.line == (F(1), F(1), F(0))
     high = solve_joint_lp(rule, system, F(3, 2), log_q=F(1, 64))
     assert high.value == F(33, 64) and high.line == (F(2), F(1), F(1))
-    assert solve_joint_lp(rule, system, F(2)).status == "materialize-all"
+    assert solve_joint_lp(rule, system, F(2)).value == 0
+    with pytest.raises(LpError, match="came back infeasible$"):
+        solve_joint_lp(rule, system, F(5, 2))

@@ -25,7 +25,6 @@ from cqap.shannon import JointSystem
 from cqap.tradeoffs import (
     TradeoffCurve,
     TradeoffTerm,
-    _probe,
     envelope,
     rule_tradeoff,
     scratch_term,
@@ -248,12 +247,12 @@ def test_rule_without_online_targets_rejected(two_reach):
 
 
 def test_probe_error_names_the_rule_and_the_point(two_reach):
-    # logS = 2 is the rule's cap, so without at_cap the whole S side fits
+    # logS = 5/2 is above the rule's cap of 2, so no stored h_S reaches it
     _, system, rt = two_reach
-    with pytest.raises(LpError, match="came back materialize-all$") as exc:
-        _probe(system, rt.rule, F(2))
+    with pytest.raises(LpError, match="came back infeasible$") as exc:
+        tradeoffs.solve_joint_lp(rt.rule, system, F(5, 2))
     assert rt.rule.pretty() in str(exc.value)
-    assert "at (logN, logQ, logS) = (1, 0, 2)" in str(exc.value)
+    assert "at (logN, logQ, logS) = (1, 0, 5/2) came back infeasible" in str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -292,15 +291,15 @@ def test_one_cold_probe_per_rule(monkeypatch, name, rules, terms, solves):
 def test_request_pin_error_names_the_rule_and_the_probe(monkeypatch, two_reach, tilt, message):
     # the two_reach piece S*T^2 ~ N^2*Q^2 spans [0, 2], so its request probes sit at logS = 1
     _, system, rt = two_reach
-    real = tradeoffs._probe
+    real = tradeoffs.solve_joint_lp
 
-    def tilted(system, rule, s, q=ZERO, **kwargs):
-        sol = real(system, rule, s, q, **kwargs)
-        if q:
+    def tilted(rule, system, s, *, log_q=ZERO, **kwargs):
+        sol = real(rule, system, s, log_q=log_q, **kwargs)
+        if log_q:
             sol.line = tilt(*sol.line)
         return sol
 
-    monkeypatch.setattr(tradeoffs, "_probe", tilted)
+    monkeypatch.setattr(tradeoffs, "solve_joint_lp", tilted)
     with pytest.raises(LpError, match=message) as exc:
         rule_tradeoff(rt.rule, system)
     assert rt.rule.pretty() in str(exc.value)
@@ -593,6 +592,50 @@ def test_envelope_of_only_fallbacks_is_flat():
 def test_envelope_of_one_line_is_its_clamped_segment(n, c):
     curve = envelope([[TradeoffTerm(space_exp=c, rhs=LogBound(n))]])
     assert curve.points == [(ZERO, n), (n / c, ZERO)]
+
+
+def exponents(hi):
+    return st.fractions(min_value=0, max_value=hi, max_denominator=4)
+
+
+random_terms = st.builds(
+    lambda c, a, b, k: TradeoffTerm(space_exp=c, rhs=LogBound(a, b), time_exp=F(k)),
+    st.one_of(st.just(ZERO), exponents(3)),
+    exponents(4),
+    exponents(2),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    groups=st.lists(st.lists(random_terms, min_size=1, max_size=3), min_size=1, max_size=4),
+    log_q=st.sampled_from([ZERO, F(1, 2), ONE]),
+)
+def test_envelope_is_the_clamped_max_of_mins_at_its_breakpoints(groups, log_q):
+    # from-scratch terms (no storage exponent) join every rule's minimum
+    shared = [t for g in groups for t in g if not t.space_exp]
+    sloped = [[t for t in g if t.space_exp] for g in groups]
+    sloped = [g for g in sloped if g] or [[]]
+
+    def want(s):
+        worst = max(min(t.log_time(s, log_q=log_q) for t in g + shared) for g in sloped)
+        return max(ZERO, worst)
+
+    points = envelope(groups, log_q).points
+    curve = TradeoffCurve(points)
+    checks = [s for s, _ in points]
+    checks += [(s0 + s1) / 2 for (s0, _), (s1, _) in zip(points, points[1:])]
+    checks.append(points[-1][0] + 1)
+    for s in checks:
+        assert curve.at(s) == want(s), s
+    for (s0, t0), (s1, t1), (s2, t2) in zip(points, points[1:], points[2:]):
+        assert (t1 - t0) * (s2 - s1) != (t2 - t1) * (s1 - s0), (s1, t1)
+    assert points[0][0] == 0
+    if points[-1][1] == 0:
+        assert all(t > 0 for _, t in points[:-1])
+    else:
+        assert len(points) == 1 or points[-2][1] > points[-1][1]
 
 
 def test_term_identity_ignores_scale():
