@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .relalg import VarSet, size, subset, vs_str
+from .relalg import VarSet, size, submasks, vs_str
 
 log = logging.getLogger(__name__)
 
@@ -57,29 +57,30 @@ class SetFunction:
 
 
 def check_polymatroid(h: SetFunction) -> bool:
-    """Exhaustive nonnegativity, monotonicity and submodularity check.
+    """Monotonicity and submodularity, checked on the elemental inequalities.
 
-    With exact values (ints and Fractions) the checks run on the values
-    scaled to integers by the lcm of their denominators: the verdict is the
-    same, since every inequality is homogeneous, and integers compare far
-    faster than Fractions.
+    These are h(N) >= h(N - i) for each variable i, and
+    h(K + i) + h(K + j) >= h(K + i + j) + h(K) for each pair i < j and each K
+    avoiding both.  They imply every monotonicity and submodularity
+    inequality, and with h(empty) = 0 monotonicity implies nonnegativity,
+    so the verdict is the exhaustive check's.  With exact values (ints and
+    Fractions) the checks run on the values scaled to integers by the lcm of
+    their denominators: the verdict is the same, since every inequality is
+    homogeneous, and integers compare far faster than Fractions.
     """
     v = h.values
     if all(isinstance(x, (int, Fraction)) for x in v):
         scale = math.lcm(*(x.denominator for x in v))
         v = [x.numerator * (scale // x.denominator) for x in v]
     full = (1 << h.n) - 1
-    for s in range(full + 1):
-        if v[s] < 0:
-            return False
-    for x in range(full + 1):
-        for y in range(full + 1):
-            if subset(x, y) and v[x] > v[y]:
-                return False
-    for i in range(full + 1):
-        for j in range(full + 1):
-            if v[i] + v[j] < v[i | j] + v[i & j]:
-                return False
+    if any(v[full] < v[full & ~(1 << i)] for i in range(h.n)):
+        return False
+    for i in range(h.n):
+        for j in range(i + 1, h.n):
+            bi, bj = 1 << i, 1 << j
+            for k in submasks(full & ~(bi | bj)):
+                if v[k | bi] + v[k | bj] < v[k | bi | bj] + v[k]:
+                    return False
     return True
 
 

@@ -85,9 +85,10 @@ class TradeoffTerm:
         k = self.time_exp
         return (self.rhs.n / k, self.rhs.q / k, self.space_exp / k)
 
-    def log_time(self, log_s, *, log_q=ZERO) -> Fraction:
-        a, b, c = self.line()
-        return a + b * Fraction(log_q) - c * Fraction(log_s)
+    def log_time(self, log_s) -> Fraction:
+        """logT at logN = 1, logQ = 0."""
+        a, _, c = self.line()
+        return a - c * Fraction(log_s)
 
     def __eq__(self, other):
         if not isinstance(other, TradeoffTerm):
@@ -147,8 +148,8 @@ class RuleTradeoff:
     terms: list[TradeoffTerm]
     s_cap: Fraction | None
 
-    def log_time(self, log_s, *, log_q=ZERO) -> Fraction:
-        return min(t.log_time(log_s, log_q=log_q) for t in self.terms)
+    def log_time(self, log_s) -> Fraction:
+        return min(t.log_time(log_s) for t in self.terms)
 
     def with_scratch(self) -> list[TradeoffTerm]:
         """Terms plus the from-scratch fallback, deduplicated."""

@@ -233,8 +233,8 @@ def test_rejects_malformed_rows():
 
 # Digest of (status, value, x, duals) of every distinct program the three_reach
 # rule tradeoffs solve, cold or warm, and the pivots they take.
-THREE_REACH_SOLVES = "e53bf654a66a715aba53704ba4d3bdd0bdc923617a41aa8f93d691865d5f6e31"
-THREE_REACH_PIVOTS = 349
+THREE_REACH_SOLVES = "0250878e34e7fe92d4a0ce529935ad0410b07fc5e351ce0f888e6195ec1bd660"
+THREE_REACH_PIVOTS = 323
 
 
 def test_three_reach_solves_are_bit_identical(monkeypatch):

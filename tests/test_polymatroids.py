@@ -46,7 +46,7 @@ def test_samplers_produce_polymatroids(n):
 
 
 def fraction_verdict(h):
-    """The same exhaustive check, evaluated directly on the Fractions."""
+    """Nonnegativity, monotonicity and submodularity over all 4^n pairs, on the Fractions."""
     v, every = h.values, range(1 << h.n)
     return (
         all(x >= 0 for x in v)
@@ -86,6 +86,24 @@ def test_exact_check_matches_the_fraction_verdict(case):
     n, seed, nudges = case
     base = sample_conic(n, random.Random(seed))
     h = SetFunction(n, [F(0)] + [v + F(k, p) for v, (k, p) in zip(base.values[1:], nudges)])
+    assert check_polymatroid(h) == fraction_verdict(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.lists(
+        st.sampled_from([F(0)] * 6 + [F(-1), F(1), F(-1, 2), F(1, 3)]),
+        min_size=(1 << n) - 1, max_size=(1 << n) - 1,
+    ),
+)))
+def test_elemental_check_matches_the_exhaustive_check(case):
+    # a polymatroid or a flat start, with a few values moved up or down
+    n, seed, flat, moves = case
+    base = [F(0)] * (1 << n) if flat else sample_conic(n, random.Random(seed)).values
+    h = SetFunction(n, [F(0)] + [v + m for v, m in zip(base[1:], moves)])
     assert check_polymatroid(h) == fraction_verdict(h)
 
 

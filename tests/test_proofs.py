@@ -256,7 +256,7 @@ def _discharge_both_sides(ext, label):
 
 # the proof steps over every side of the fixtures' terms; a ceiling, so that
 # certificates may get shorter but never longer
-FIXTURE_PROOF_STEPS = 264
+FIXTURE_PROOF_STEPS = 243
 
 
 def test_construct_discharges_every_extracted_piece(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -364,6 +366,26 @@ def test_four_reach_deep_rule_pieces():
     # between the two printed pieces the program is strictly tighter than
     # their crossing: the curve has an intermediate segment there
     assert solve_joint_lp(rule, system, F(29, 22)).value == F(53, 66)
+
+
+# dual pivots of the deep rule's warm move from logS = 0 to its storage cap;
+# pricing the most negative right side took 97, dual steepest edge takes 52
+FOUR_REACH_DEEP_CAP_PIVOTS = 52
+
+
+def test_four_reach_deep_rule_warm_move_to_the_cap(caplog):
+    query, rules = four_reach_rules()
+    system = JointSystem(query)
+    rule = rule_with_t(rules, query, ("x3", "x4", "x5"), ("x2", "x3", "x4"))
+    cap = system.log_size_bound(rule.s_targets)
+    low = solve_joint_lp(rule, system, F(0))
+    with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
+        high = solve_joint_lp(rule, system, cap, start=low)
+    assert (cap, high.value) == (F(3, 2), 0)
+    warm = [m for m in caplog.messages if m.startswith("warm optimal:")]
+    assert len(warm) == 1
+    dual = int(re.search(r"(\d+) dual \+ 0 primal pivots", warm[0]).group(1))
+    assert dual == FOUR_REACH_DEEP_CAP_PIVOTS
 
 
 def test_four_reach_three_target_rule_curve():

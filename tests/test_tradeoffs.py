@@ -217,7 +217,7 @@ def test_extraction_is_deterministic(two_reach):
 # eight certificate vectors, each as its sorted items.  Any change to a row,
 # the row order, a pivot rule or the certificate read-out moves a multiplier;
 # re-record only with the reason.
-FIXTURE_CERTIFICATES = "c7ad587af460719d988137fd0383cc476ab67f044cc9b6314cb51cd6f8600345"
+FIXTURE_CERTIFICATES = "060d37330aa478694c6169721cd040d15f80ef2bea3427b906dfb9dbdedb12cf"
 
 
 def test_fixture_certificates_are_pinned(two_reach, three_reach, four_reach):
@@ -619,7 +619,11 @@ def test_envelope_is_the_clamped_max_of_mins_at_its_breakpoints(groups, log_q):
     sloped = [g for g in sloped if g] or [[]]
 
     def want(s):
-        worst = max(min(t.log_time(s, log_q=log_q) for t in g + shared) for g in sloped)
+        def at(t):
+            a, b, c = t.line()
+            return a + b * log_q - c * s
+
+        worst = max(min(at(t) for t in g + shared) for g in sloped)
         return max(ZERO, worst)
 
     points = envelope(groups, log_q).points
