@@ -1,12 +1,12 @@
 """Exact linear programming over rationals.
 
-A two-phase simplex used where floating-point drift is unacceptable: optimal
+A simplex method used where floating-point drift is unacceptable: optimal
 values feed equality assertions and the row multipliers (duals) are turned
 into inequality derivations, so both must be exact.
 
 Every solve is a maximization of c*x over variables constrained to be
 nonnegative.  Constraints are rows (coefficients, sense, rhs) with senses
-"<=", ">=", "==", where the coefficients are sparse (column, value) pairs:
+"<=" and ">=", where the coefficients are sparse (column, value) pairs:
 columns are indices into c, each at most once, and absent columns are zero.
 The solver returns the optimal value, a primal point, and one dual
 multiplier per input row, normalized so that  value == sum(dual_i * rhs_i).
@@ -25,50 +25,51 @@ divisor, to nonzeros only.  The divisions are exact (tableau entries stay
 subdeterminants of the integer input), Python's big integers absorb the
 growth, and ratio tests compare cross products, so no Fraction arithmetic
 happens in the inner loops.  The Shannon programs stay sparse while solved:
-over one pass of each of the benchmark's LP workloads, 4.7% of the live
-rows' cells were nonzero at a pivot, 20% of the live rows had a nonzero in
-the entering column, and 93% of the pivots had p == d, which leaves every
-row without such a nonzero as it is.
+over one pass of each of the benchmark's LP workloads, 4.7% of the rows'
+cells were nonzero at a pivot, 20% of the rows had a nonzero in the entering
+column, and 93% of the pivots had p == d, which leaves every row without
+such a nonzero as it is.
 
-Entering variable: largest reduced-cost improvement, switching to Bland's
-smallest-index rule after a stretch of degenerate pivots so cycling cannot
-occur.  Leaving variable: minimum ratio with smallest-basis-index tie-break.
-A solve may take PIVOT_LIMIT pivots, all phases together; one that needs
-more raises PivotLimitError with the phase it stopped in, its pivot count
-and the program's size, instead of running on for minutes.
-
-Each row is scaled so that its right side is nonnegative, flipping its sense
-where the scale is negative.  A row that ends up as "<=" starts with its slack
-basic; every other row gets an artificial column that phase 1 drives out.  A
-">=" row with right side 0 could go either way, so it takes a negative scale:
-a*x >= 0 becomes the equivalent -a*x <= 0, whose slack starts basic at value
-0, a feasible start with no artificial.  The scale is kept signed, so each
-dual is mapped back to the original row and certified against it.  The
-elemental submodularity and monotonicity rows of the Shannon programs are
-all of this kind, which leaves phase 1 only the data and budget rows.
+The slack basis.  Each row is scaled into a "<=" row, a ">=" row by a
+negative scale, and row i's slack sits at column nvars + i, basic at the
+start.  The scale is kept signed, so each dual is mapped back to the
+original row and certified against it.  A cold solve starts from that basis,
+which must be primal feasible (every scaled right side >= 0) or dual
+feasible (every cost <= 0); any other program raises ValueError.  Every
+program the analysis poses cold is of one of the two kinds: its bounds are
+N^a with a >= 0 and its storage rows read logS = 0, or its costs are all -1.
+A program that is neither is solved at right sides that make it feasible
+and warm-started from there.
 
 Warm start: an optimal result carries its final tableau, and `solve_lp` can
 start from it to solve the same program (same c, coefficients and senses) at
 other right sides.  The reduced costs do not depend on the right sides, so
-the start's basis stays dual feasible and no phase 1 is needed.  The new
-right sides go through the start's signed row scales, times one positive
-integer that clears their denominators.  Whatever the pivots since, each
-row's starting unit column holds the tableau's multiple of that row, so the
-new right-side column is the sum of those columns weighted by the new right
-sides.  Dual simplex pivots (Lemke, 1954) then restore primal feasibility: a
-row with a negative right side leaves, negated so that the pivot element is
-positive as in `_expel_artificials`, and the entering column keeps every
-reduced cost nonnegative.  The leaving row is priced by dual steepest edge
-(Forrest & Goldfarb, 1992): of the rows with a negative right side, the one
-with the largest rhs^2 / |row|^2, the norm taken over the row's stored
-coefficients.  On the benchmark's degenerate programs the most negative
-right side picks long, dense rows: reach_tradeoffs took 652 pivots a pass
-with it and 568 with steepest edge, and the work inside the pivots (rows
-touched times pivot-row length) fell from 321k to 177k.  Artificial columns
-never enter, and Bland's rule takes over after STALL_LIMIT degenerate
-pivots.  The program is infeasible when a retired row gets a nonzero right
-side or a leaving row has no negative entry.  The dual reading and the
-exact check are a cold solve's.
+the start's basis stays dual feasible.  The new right sides go through the
+start's signed row scales, times one positive integer that clears their
+denominators.  Whatever the pivots since, each row's slack column holds the
+tableau's multiple of that row, so the new right-side column is the sum of
+the slack columns weighted by the new right sides.
+
+Cold and warm solves share one finish.  First the dual phase: dual simplex
+pivots (Lemke, 1954) restore primal feasibility.  A row with a negative
+right side leaves, negated so that the pivot element is positive, and the
+entering column keeps every reduced cost nonnegative.  The leaving row is
+priced by dual steepest edge (Forrest & Goldfarb, 1992): of the rows with a
+negative right side, the one with the largest rhs^2 / |row|^2, the norm
+taken over the row's stored coefficients.  On the benchmark's degenerate
+programs the most negative right side picks long, dense rows:
+reach_tradeoffs took 652 pivots a pass with it and 568 with steepest edge,
+and the work inside the pivots (rows touched times pivot-row length) fell
+from 321k to 177k.  The program is infeasible when a leaving row has no
+negative entry.  Then phase 2, primal simplex from the feasible basis to the
+optimum or to "unbounded": a cold start that was primal feasible does its
+pivots here, and a dual feasible basis leaves it nothing to pivot on.
+Entering variable: largest reduced-cost improvement.  Leaving variable:
+minimum ratio with smallest-basis-index tie-break.  Both phases switch to
+Bland's smallest-index rule after STALL_LIMIT degenerate pivots, so cycling
+cannot occur.  A solve may take PIVOT_LIMIT pivots, both phases together;
+one that needs more raises PivotLimitError with the phase it stopped in, its
+pivot count and the program's size, instead of running on for minutes.
 """
 
 from __future__ import annotations
@@ -125,9 +126,12 @@ def solve_lp(
 ) -> LpResult:
     """Maximize c*x over x >= 0 subject to the given sparse rows.
 
-    `start` is an earlier optimal result of the same program, which may
-    differ only in its right sides; the solve then continues from its final
-    tableau by dual simplex.  A start from another program raises ValueError.
+    Without `start` the solve begins at the slack basis, which must be
+    primal or dual feasible (see the module docstring); a program that is
+    neither raises ValueError.  `start` is an earlier optimal result of the
+    same program, which may differ only in its right sides; the solve then
+    continues from its final tableau by dual simplex.  A start from another
+    program raises ValueError.
     """
     c = [_rational(v) for v in c]
     if start is None:
@@ -143,7 +147,7 @@ def _rational(v):
 
 
 def _check_sense(sense: str):
-    if sense not in ("<=", ">=", "=="):
+    if sense not in ("<=", ">="):
         raise ValueError(f"unknown sense {sense!r}")
 
 
@@ -162,6 +166,7 @@ def _parse_coeffs(i: int, coeffs: tuple, nvars: int) -> list[tuple[int, Fraction
 
 class _Simplex:
     def __init__(self, c: list[Fraction], rows: Sequence[Row]):
+        """The slack basis of the program: scaled rows, slack i basic in row i."""
         self.nvars = len(c)
         self.c = c
         self.cscale = lcm(*(v.denominator for v in c), 1)
@@ -178,74 +183,25 @@ class _Simplex:
             nonzero = _parse_coeffs(i, coeffs, self.nvars)
             rhs = _rational(rhs)
             s = lcm(*(v.denominator for _, v in nonzero), rhs.denominator)
-            # a negative scale flips the sense: a >= row with rhs 0 starts on its slack
-            if rhs < 0 or (rhs == 0 and sense == ">="):
-                s = -s
+            if sense == ">=":
+                s = -s  # every scaled row reads <=
             scaled = {j: v.numerator * s // v.denominator for j, v in nonzero}
             self.rows_in.append((scaled, sense, rhs.numerator * s // rhs.denominator))
             self.rscale.append(s)
             self.coeffs_in.append(coeffs)
-
-    # ── tableau construction ────────────────────────────────────────────
-
-    def _build(self):
-        m = len(self.rows_in)
-        self.slack_col: list[int | None] = [None] * m
-        self.slack_sign = [0] * m
-        self.art_col: list[int | None] = [None] * m
-        ncols = self.nvars
-        # the scaled sense flips wherever the row scale is negative
-        eff_le: list[bool | None] = []
-        for i, (_, sense, _) in enumerate(self.rows_in):
-            if sense == "==":
-                eff_le.append(None)
-            else:
-                eff_le.append((sense == "<=") == (self.rscale[i] > 0))
-                self.slack_col[i] = ncols
-                self.slack_sign[i] = 1 if eff_le[i] else -1
-                ncols += 1
-        self.first_art = ncols
-        for i in range(m):
-            if not eff_le[i]:
-                self.art_col[i] = ncols
-                ncols += 1
-        self.ncols = ncols
-        self.basis = [-1] * m
+        self.ncols = self.nvars + len(self.rows_in)
+        self.basis = list(range(self.nvars, self.ncols))
         self.tab = []  # sparse rows {column: int}, right side under key ncols
-        for i, (coeffs, _, b) in enumerate(self.rows_in):
+        for (coeffs, _, b), slack in zip(self.rows_in, self.basis):
             row = dict(coeffs)
-            if self.slack_col[i] is not None:
-                row[self.slack_col[i]] = self.slack_sign[i]
-            if self.art_col[i] is not None:
-                row[self.art_col[i]] = 1
+            row[slack] = 1
             if b:
-                row[ncols] = b
-            self.basis[i] = self.slack_col[i] if eff_le[i] else self.art_col[i]
+                row[self.ncols] = b
             self.tab.append(row)
-        self.live = [True] * m
         self.div = 1  # real tableau value of any cell is entry / div
         self.pivots = 0
 
     # ── pivoting ────────────────────────────────────────────────────────
-
-    def _objective_row(self, cost: list[int]) -> list[int]:
-        """Reduced costs (z_j - c_j) of integer costs, times div, value cell last.
-
-        Relies on every basic column holding div at its own row, the
-        canonical form the pivot rule maintains.
-        """
-        num = cost + [0] * (self.ncols - len(cost))
-        obj = [-self.div * v for v in num] + [0]
-        for i, row in enumerate(self.tab):
-            if not self.live[i]:
-                continue
-            if row.get(self.basis[i]) != self.div:
-                raise LpError("basis column lost canonical form")
-            cb = num[self.basis[i]]
-            if cb:
-                for j, v in row.items():
-                    obj[j] += cb * v
-        return obj
 
     def _pivot(self, obj: list[int], r: int, col: int):
         tab = self.tab
@@ -253,7 +209,7 @@ class _Simplex:
         p = prow[col]
         d = self.div
         for i, row in enumerate(tab):
-            if i == r or not self.live[i]:
+            if i == r:
                 continue
             f = row.get(col)
             if p == d:  # p*a//d is a, so only the pivot row's columns change
@@ -314,13 +270,11 @@ class _Simplex:
                 stall = 0
                 bland = False
 
-    def _primal_step(self, obj: list[int], bland: bool, allow_art: bool):
+    def _primal_step(self, obj: list[int], bland: bool):
         """Largest improving reduced cost enters; minimum ratio leaves."""
         entering = -1
         best = 0
         for j in range(self.ncols):
-            if not allow_art and j >= self.first_art:
-                break
             if obj[j] < 0:
                 if bland:
                     entering = j
@@ -334,7 +288,7 @@ class _Simplex:
         num = den = 0  # best ratio so far as num/den with den > 0
         for i, row in enumerate(self.tab):
             rd = row.get(entering, 0)
-            if rd <= 0 or not self.live[i]:
+            if rd <= 0:
                 continue
             rn = row.get(self.ncols, 0)
             if (
@@ -351,12 +305,12 @@ class _Simplex:
     def _dual_step(self, obj: list[int], bland: bool):
         """Dual steepest edge: the leaving row has the largest rhs^2 / |row|^2.
 
-        The candidates are the live rows with a negative right side,
-        compared by cross-multiplication, the smaller row index on ties;
-        under Bland the smallest basis index leaves.  A candidate's squared
-        norm (right side left out) is summed at C speed when it is needed:
-        keeping every norm current in `_pivot` would redo each row a pivot
-        touches, five times as many sums on the benchmark's reach programs.
+        The candidates are the rows with a negative right side, compared by
+        cross-multiplication, the smaller row index on ties; under Bland the
+        smallest basis index leaves.  A candidate's squared norm (right side
+        left out) is summed at C speed when it is needed: keeping every norm
+        current in `_pivot` would redo each row a pivot touches, five times
+        as many sums on the benchmark's reach programs.
 
         The entering column has a negative entry in the leaving row and the
         least ratio obj[j] / -entry, smallest index on ties, so every reduced
@@ -368,7 +322,7 @@ class _Simplex:
         top = bottom = 0  # best rhs^2 / norm so far as top/bottom
         for i, row in enumerate(self.tab):
             v = row.get(rhs, 0)
-            if v >= 0 or not self.live[i]:
+            if v >= 0:
                 continue
             if bland:
                 if leaving < 0 or self.basis[i] < self.basis[leaving]:
@@ -384,7 +338,7 @@ class _Simplex:
         entering = -1
         num = den = 0  # best ratio so far as num/den with den > 0
         for j, a in row.items():
-            if a >= 0 or j >= self.first_art:
+            if a >= 0 or j == rhs:
                 continue
             if (
                 entering < 0
@@ -398,27 +352,38 @@ class _Simplex:
         self.tab[leaving] = {j: -a for j, a in row.items()}
         return leaving, entering
 
-    # ── the two phases ──────────────────────────────────────────────────
+    # ── solving ─────────────────────────────────────────────────────────
 
     def solve(self) -> LpResult:
-        self._build()
-        if self.first_art < self.ncols:
-            phase1 = [0] * self.first_art + [-1] * (self.ncols - self.first_art)
-            obj = self._objective_row(phase1)
-            status = self._iterate(obj, lambda o, b: self._primal_step(o, b, True), "phase 1")
-            if status != "optimal":  # pragma: no cover - phase 1 is bounded
-                raise LpError("phase 1 terminated abnormally")
-            if obj[self.ncols] != 0:
-                return LpResult("infeasible", None, [], [])
-            self._expel_artificials()
-        obj = self._objective_row(self.cost)
-        phase1 = self.pivots
-        status = self._iterate(obj, lambda o, b: self._primal_step(o, b, False), "phase 2")
+        """Solve from the slack basis, which must be primal or dual feasible."""
+        rhs = self.ncols
+        low = next((i for i, row in enumerate(self.tab) if row.get(rhs, 0) < 0), None)
+        if low is not None:
+            pos = next((j for j, v in enumerate(self.cost) if v > 0), None)
+            if pos is not None:
+                _, sense, b = self.rows_in[low]
+                raise ValueError(
+                    "a cold solve needs a primal feasible slack basis (every right side "
+                    "on the feasible side of its row) or a dual feasible one (every cost "
+                    f"<= 0): row {low} has {sense} {Fraction(b, self.rscale[low])} "
+                    f"and c[{pos}] = {self.c[pos]}"
+                )
+        # every basic slack costs 0, so the reduced costs are the negated costs
+        obj = [-v for v in self.cost] + [0] * (rhs + 1 - self.nvars)
+        return self._finish(obj, "optimal")
+
+    def _finish(self, obj: list[int], label: str) -> LpResult:
+        """The dual phase to primal feasibility, then phase 2 to the optimum."""
+        status = self._iterate(obj, self._dual_step, "the dual phase")
+        if status == "infeasible":
+            return LpResult("infeasible", None, [], [])
+        dual = self.pivots
+        status = self._iterate(obj, self._primal_step, "phase 2")
         if status == "unbounded":
             return LpResult("unbounded", None, [], [])
         res = self._optimal(obj)
-        log.debug("optimal: %d rows, %d columns, %d + %d pivots, %d rows retired",
-                  len(self.tab), self.nvars, phase1, self.pivots - phase1, self.live.count(False))
+        log.debug("%s: %d rows, %d columns, %d dual + %d primal pivots",
+                  label, len(self.tab), self.nvars, dual, self.pivots - dual)
         return res
 
     def _optimal(self, obj: list[int]) -> LpResult:
@@ -426,7 +391,7 @@ class _Simplex:
         den = self.div * self.bscale
         x = [ZERO] * self.nvars
         for i, b in enumerate(self.basis):
-            if self.live[i] and b < self.nvars:
+            if b < self.nvars:
                 x[b] = Fraction(self.tab[i].get(self.ncols, 0), den)
         duals = self._read_duals(obj)
         value = Fraction(obj[self.ncols], den * self.cscale)
@@ -484,21 +449,16 @@ class _Simplex:
         ]
         warm.tab = [dict(row) for row in self.tab]
         warm.basis = list(self.basis)
-        warm.live = list(self.live)
         warm.obj = list(self.obj)
         warm.pivots = 0
         return warm
 
     def resolve(self) -> LpResult:
-        """Rebuild the right-side column, then pivot back to feasibility."""
+        """Rebuild the right-side column, then finish as a cold solve does."""
         rhs = self.ncols
-        # row i's unit column started as sign * e_i, so the tableau holds
-        # div * sign * (the inverse basis times e_i) there
-        weight = {}
-        for i, (_, _, b) in enumerate(self.rows_in):
-            if b:
-                col, sign = self._unit(i)
-                weight[col] = sign * b
+        # row i's slack column started as e_i, so the tableau holds
+        # div * (the inverse basis times e_i) there
+        weight = {self.nvars + i: b for i, (_, _, b) in enumerate(self.rows_in) if b}
         obj = self.obj
         cost = self.cost
         obj[rhs] = 0
@@ -508,74 +468,25 @@ class _Simplex:
                 row[rhs] = v
             else:
                 row.pop(rhs, None)
-            if not self.live[i]:
-                if v:  # the rows it combines ask 0 == v
-                    return LpResult("infeasible", None, [], [])
-            elif self.basis[i] < self.nvars:
+            if self.basis[i] < self.nvars:
                 obj[rhs] += cost[self.basis[i]] * v
-        status = self._iterate(obj, self._dual_step, "the dual phase")
-        if status == "infeasible":
-            return LpResult("infeasible", None, [], [])
-        dual = self.pivots
-        # a primal pass confirms the optimum; the dual ratio test keeps every
-        # reduced cost nonnegative, so it finds nothing to pivot on
-        status = self._iterate(obj, lambda o, b: self._primal_step(o, b, False), "phase 2")
-        if status != "optimal":  # pragma: no cover - a dual feasible basis bounds it
-            raise LpError(f"warm start ended {status}")
-        res = self._optimal(obj)
-        log.debug("warm optimal: %d rows, %d columns, %d dual + %d primal pivots, %d rows retired",
-                  len(self.tab), self.nvars, dual, self.pivots - dual, self.live.count(False))
-        return res
-
-    def _expel_artificials(self):
-        """Pivot basic artificials out, or retire their (redundant) rows.
-
-        An artificial still basic after phase 1 sits at value zero, so its
-        row may be negated freely to keep the pivot element positive; with no
-        structural pivot available the row is a dependent combination of the
-        others and is dropped instead.
-        """
-        dummy = [0] * (self.ncols + 1)
-        for i in range(len(self.tab)):
-            if not self.live[i] or self.basis[i] < self.first_art:
-                continue
-            row = self.tab[i]
-            col = min((j for j in row if j < self.first_art), default=None)
-            if col is None:
-                self.live[i] = False
-                log.debug("retiring dependent tableau row %d", i)
-                continue
-            if row[col] < 0:
-                for j, a in row.items():
-                    row[j] = -a
-            self._pivot(dummy, i, col)
+        return self._finish(obj, "warm optimal")
 
     # ── duals and self-checks ───────────────────────────────────────────
 
     def _read_duals(self, obj: list[int]) -> list[Fraction]:
-        """Multipliers for the original rows, via the unit starting columns.
+        """Multipliers for the original rows, via the slack columns.
 
-        The reduced cost at a column whose input vector was ±e_i equals
-        ±y_i whatever pivots happened since, so the artificial (or slack)
-        column of each row yields the scaled-system dual; multiplying by the
-        signed row scale converts it to a multiplier for the original row.
-        That holds for every row, retired or not: a retired tableau row
-        keeps an artificial basic (reduced cost 0), but not necessarily the
-        artificial of the input row at its own index.
+        The reduced cost at a column whose input vector was e_i equals y_i
+        whatever pivots happened since, so row i's slack column yields the
+        scaled-system dual; multiplying by the signed row scale converts it
+        to a multiplier for the original row.
         """
-        duals = []
         den = self.div * self.cscale
-        for i in range(len(self.rows_in)):
-            col, sign = self._unit(i)
-            y = obj[col]
-            duals.append(Fraction(y * sign * self.rscale[i], den) if y else ZERO)
-        return duals
-
-    def _unit(self, i: int) -> tuple[int, int]:
-        """Row i's starting unit column, and the sign of its entry there."""
-        if self.art_col[i] is not None:
-            return self.art_col[i], 1
-        return self.slack_col[i], self.slack_sign[i]
+        return [
+            Fraction(y * s, den) if y else ZERO
+            for y, s in zip(obj[self.nvars : self.ncols], self.rscale)
+        ]
 
     def _check(self, x, duals, value):
         """Check the reported optimum exactly, on scaled integers.
@@ -601,7 +512,7 @@ class _Simplex:
             gap = sum(map(mul, coeffs.values(), map(xs.__getitem__, coeffs))) - b * rhs_scale
             if s < 0:
                 gap = -gap  # the sign of the original lhs - rhs
-            ok = gap <= 0 if sense == "<=" else gap >= 0 if sense == ">=" else gap == 0
+            ok = gap <= 0 if sense == "<=" else gap >= 0
             if not ok:
                 raise LpError(f"optimal point violates a {sense} row")
             y = duals[i].numerator

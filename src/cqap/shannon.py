@@ -32,9 +32,10 @@ row's side, as g_s or g_t; X+i is X with variable i added):
 The data rows (dc, ac, gp, gm) are built from their terms h_side(y | x), so a
 row's coefficients and its certificate coordinates come from the same terms.
 
-The analysis runs at logN = 1.  `solve_joint_lp` is one plain solve that
-returns the optimum or raises `LpError`; `tradeoffs.rule_tradeoff` owns the
-budget range [0, cap] and probes nowhere else.
+The analysis runs at logN = 1.  `solve_joint_lp` solves the rule's program
+at one point, without probing or retrying, and returns the optimum or raises
+`LpError`; `tradeoffs.rule_tradeoff` owns the budget range [0, cap] and
+probes nowhere else.
 """
 
 from __future__ import annotations
@@ -300,16 +301,23 @@ def solve_joint_lp(
     cap and unbounded without T-targets; `tradeoffs.rule_tradeoff` owns the
     budget range.  `start` is an earlier optimal solution of the same rule;
     only right sides differ, so the solve warm-starts from its final tableau.
+    Without `start` the solve begins at the slack basis, where a theta row
+    h_S(B') >= logS with logS > 0 is violated, so a call at logS != 0 first
+    solves at logS = 0 (same logQ) and warm-starts from that solve.
     """
     log_s, log_q = Fraction(log_s), Fraction(log_q)
     rows = system.rule_rows(rule)
     c_obj = [ZERO] * system.ncols
     c_obj[system.col_obj] = ONE
-    res = solve_lp_guided(
-        c_obj,
-        [(r.coeffs, r.sense, _rhs(r, log_q, log_s)) for r in rows],
-        start=None if start is None else start.lp,
-    )
+
+    def at(s):
+        return [(r.coeffs, r.sense, _rhs(r, log_q, s)) for r in rows]
+
+    res = None if start is None else start.lp
+    if res is None and log_s:
+        res = solve_lp_guided(c_obj, at(ZERO))
+    if res is None or res.status == "optimal":
+        res = solve_lp_guided(c_obj, at(log_s), start=res)
     if res.status != "optimal":
         raise LpError(
             f"joint program for {rule.pretty()} at (logN, logQ, logS) = "

@@ -12,7 +12,7 @@ import pytest
 
 from cqap import shannon
 from cqap.decompose import enumerate_pmtds, pmtds_from_json
-from cqap.exactlp import LpError, solve_lp
+from cqap.exactlp import LpError, _Simplex, solve_lp
 from cqap.polymatroids import check_polymatroid
 from cqap.queries import LogBound, load_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
@@ -280,34 +280,40 @@ def full_polymatroid_rows(system, side):
     return rows
 
 
+def solve_at(system, rule, s, extra=()):
+    """The rule's program (plus `extra` rows) at logS = s, straight through solve_lp.
+
+    A cold solve starts on the slack basis, where a theta row h_S(B') >= s
+    with s > 0 is violated, so the program is solved at logS = 0 first and
+    warm-started to s.
+    """
+    c = [F(0)] * system.ncols
+    c[system.col_obj] = F(1)
+
+    def rows(log_s):
+        return [
+            (r.coeffs, r.sense, r.bound.at(F(1), F(0)) + r.s_mult * log_s)
+            for r in system.rule_rows(rule)
+        ] + list(extra)
+
+    return solve_lp(c, rows(s), start=solve_lp(c, rows(F(0))))
+
+
 @pytest.mark.parametrize("name,s", [("two_reach", F(1)), ("three_reach", F(1))])
 def test_elemental_basis_equals_full_form(name, s):
     query = q(name)
     system = JointSystem(query)
     rule = sorted(rules_of(query), key=lambda r: r.key())[0]
     base = solve_joint_lp(rule, system, s)
-    rows = [
-        (r.coeffs, r.sense, r.bound.at(F(1), F(0)) + r.s_mult * s)
-        for r in system.rule_rows(rule)
-    ]
-    rows += full_polymatroid_rows(system, "S") + full_polymatroid_rows(system, "T")
-    c = [F(0)] * system.ncols
-    c[system.col_obj] = F(1)
-    res = solve_lp(c, rows)
+    full = full_polymatroid_rows(system, "S") + full_polymatroid_rows(system, "T")
+    res = solve_at(system, rule, s, extra=full)
     assert res.status == "optimal" and res.value == base.value
 
 
 def test_three_reach_rho4_joint_value():
     query, rule = three_reach_rho(4)
     system = JointSystem(query)
-    s = F(9, 8)
-    rows = [
-        (r.coeffs, r.sense, r.bound.at(F(1), F(0)) + r.s_mult * s)
-        for r in system.rule_rows(rule)
-    ]
-    c = [F(0)] * system.ncols
-    c[system.col_obj] = F(1)
-    assert solve_lp(c, rows).value == F(7, 8)
+    assert solve_at(system, rule, F(9, 8)).value == F(7, 8)
 
 
 def test_solve_is_deterministic():
@@ -402,3 +408,49 @@ def test_four_reach_three_target_rule_curve():
     assert solve_joint_lp(rule, system, F(2)).value == 0
     with pytest.raises(LpError, match="came back infeasible$"):
         solve_joint_lp(rule, system, F(5, 2))
+
+
+# ═══════════════════════════════════════════════════════════════════════════
+# every cold program the analysis poses starts on a feasible slack basis
+# ═══════════════════════════════════════════════════════════════════════════
+
+
+class Posed(Exception):
+    """Stops a solve once its program has been recorded."""
+
+
+# the joint programs of the 37 pruned rules of the corpus and their 37 caps
+COLD_PROGRAMS = 74
+
+
+def test_every_cold_program_starts_primal_feasible(monkeypatch):
+    # each rule's joint program at (logS, logQ) = (0, 0) and each storage-cap
+    # program, built as tableaux and never solved; exactlp solves a cold
+    # program only from a primal or dual feasible slack basis, and both kinds
+    # have positive costs, so a row family that gives one of them a right
+    # side on the wrong side of its row must come with a feasible start
+    posed = []
+
+    def pose(c, rows, start=None):
+        assert start is None
+        lp = _Simplex([F(v) for v in c], rows)
+        low = [i for i, row in enumerate(lp.tab) if row.get(lp.ncols, 0) < 0]
+        posed.append((what, low))
+        raise Posed
+
+    monkeypatch.setattr(shannon, "solve_lp_guided", pose)
+    names = sorted(p.stem for p in (ROOT / "queries").glob("*.cqap"))
+    assert len(names) == 9 and "hierarchical" in names
+    for name in names:
+        query = q(name)
+        system = JointSystem(query)
+        for k, rule in enumerate(rules_of(query)):
+            what = (name, k, "joint")
+            with pytest.raises(Posed):
+                solve_joint_lp(rule, system, F(0))
+            if rule.s_targets:
+                what = (name, k, "cap")
+                with pytest.raises(Posed):
+                    system.log_size_bound(rule.s_targets)
+    assert [p for p in posed if p[1]] == []
+    assert len(posed) == COLD_PROGRAMS
