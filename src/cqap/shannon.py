@@ -34,8 +34,9 @@ row's coefficients and its certificate coordinates come from the same terms.
 
 The analysis runs at logN = 1.  `solve_joint_lp` solves the rule's program
 at one point, without probing or retrying, and returns the optimum or raises
-`LpError`; `tradeoffs.rule_tradeoff` owns the budget range [0, cap] and
-probes nowhere else.
+`LpError`; `walk_joint_lp` follows its optimum from logS = 0 up to the
+storage cap, one basis at a time.  `tradeoffs.rule_tradeoff` owns the
+budget range [0, cap].
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .exactlp import LpError, LpResult, solve_lp_guided
+from .exactlp import LpError, LpResult, RhsPiece, solve_lp_guided, walk_rhs
 from .polymatroids import CondVec, JointInequality, SetFunction, check_polymatroid
 from .proofs import normalize
 from .queries import Cqap, LogBound, LogConstraint, SplitConstraint
@@ -207,8 +208,12 @@ class JointSystem:
         S-targets; above it the joint program is infeasible.  The program
         takes the S side's polymatroid and degree rows at logN = 1, with t in
         column m; no S-side row reads logQ, so the bound is cached per target
-        set.  Returns None when the program is unbounded (no target is tied
-        to the data, which well-formed queries never produce).
+        set.  It is solved as its dual, min b*y over y >= 0 with one row
+        per column of the program: every bound is N^a with a >= 0, so every
+        cost -b_i of the dual's maximization is <= 0 and its slack basis is
+        dual feasible.  An infeasible dual means an unbounded program, and
+        the bound is None (no target is tied to the data, which well-formed
+        queries never produce).
         """
         key = tuple(sorted(targets))
         if key in self._caps:
@@ -220,10 +225,20 @@ class JointSystem:
             if r.tag[0] in ("mono", "sub", "dc") and r.tag[1] == "S"
         ]
         rows += [(((b - 1, -ONE), (tcol, ONE)), "<=", ZERO) for b in key]
-        c_obj = [ZERO] * (tcol + 1)
-        c_obj[tcol] = ONE
-        res = solve_lp_guided(c_obj, rows)
-        cap = res.value if res.status == "optimal" else None
+        # row i, read as a <= row, is dual column i; program column j is dual row j
+        cost = []
+        dual_rows: list[list] = [[] for _ in range(tcol + 1)]
+        for i, (coeffs, sense, rhs) in enumerate(rows):
+            sign = ONE if sense == "<=" else -ONE
+            cost.append(-sign * rhs)
+            for j, v in coeffs:
+                dual_rows[j].append((i, sign * v))
+        res = solve_lp_guided(
+            cost, [(pairs, ">=", ONE if j == tcol else ZERO) for j, pairs in enumerate(dual_rows)]
+        )
+        if res.status == "unbounded":  # pragma: no cover - the zero point is feasible
+            raise LpError(f"storage-cap program of targets {key} came back infeasible")
+        cap = -res.value if res.status == "optimal" else None
         self._caps[key] = cap
         return cap
 
@@ -292,18 +307,19 @@ def solve_joint_lp(
     log_s,
     *,
     log_q=ZERO,
-    start: JointSolution | None = None,
+    start: JointSolution | RhsPiece | None = None,
 ) -> JointSolution:
     """Solve the rule's maximin program at (logN, logQ, logS) = (1, q, s).
 
     One plain solve: any outcome but optimal raises `LpError` naming the
     rule, the point and the status, which is infeasible above the storage
     cap and unbounded without T-targets; `tradeoffs.rule_tradeoff` owns the
-    budget range.  `start` is an earlier optimal solution of the same rule;
-    only right sides differ, so the solve warm-starts from its final tableau.
-    Without `start` the solve begins at the slack basis, where a theta row
-    h_S(B') >= logS with logS > 0 is violated, so a call at logS != 0 first
-    solves at logS = 0 (same logQ) and warm-starts from that solve.
+    budget range.  `start` is an earlier optimal solution of the same rule
+    or a piece of its walk; only right sides differ, so the solve
+    warm-starts from that basis.  Without `start` the solve begins at the
+    slack basis, where a theta row h_S(B') >= logS with logS > 0 is
+    violated, so a call at logS != 0 first solves at logS = 0 (same logQ)
+    and warm-starts from that solve.
     """
     log_s, log_q = Fraction(log_s), Fraction(log_q)
     rows = system.rule_rows(rule)
@@ -313,10 +329,10 @@ def solve_joint_lp(
     def at(s):
         return [(r.coeffs, r.sense, _rhs(r, log_q, s)) for r in rows]
 
-    res = None if start is None else start.lp
+    res = start.lp if isinstance(start, JointSolution) else start
     if res is None and log_s:
         res = solve_lp_guided(c_obj, at(ZERO))
-    if res is None or res.status == "optimal":
+    if not isinstance(res, LpResult) or res.status == "optimal":
         res = solve_lp_guided(c_obj, at(log_s), start=res)
     if res.status != "optimal":
         raise LpError(
@@ -326,6 +342,17 @@ def solve_joint_lp(
     sol = _package(rule, system, rows, res)
     log.debug("rule %s at (1, %s, %s): OBJ=%s", rule.pretty(), log_q, log_s, sol.value)
     return sol
+
+
+def walk_joint_lp(rule: TwoPhaseRule, system: JointSystem, low: JointSolution) -> list[RhsPiece]:
+    """The rule's value function from logS = 0 up to where it turns infeasible.
+
+    `low` is the rule's optimal solution at logS = 0 (any logQ); the walk
+    raises logS from its basis along the theta rows' right sides.  Piece k
+    reads OBJ = intercept + slope*logS for lo <= logS <= hi, and can start a
+    `solve_joint_lp` of the same rule.
+    """
+    return walk_rhs(low.lp, [r.s_mult for r in system.rule_rows(rule)])
 
 
 def _rhs(row: LpRow, log_q, log_s) -> Fraction:

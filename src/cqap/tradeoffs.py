@@ -6,27 +6,24 @@ reports with its optimal dual: k is the total weight on online targets
 (normalised to 1), c the total weight on storage targets, and (a, b) the
 priced data and request rows.  The value function of the program over the
 storage budget is concave and piecewise linear, so a rule's whole tradeoff is
-a short list of such terms; `rule_tradeoff` recovers them exactly by probing
-tangents and certifying each piece with its dual line.
+a short list of such terms; `rule_tradeoff` recovers them exactly by walking
+the program's optimal basis, with no value probes, and certifies each piece
+with its dual line.
 
-Every probe is one plain `solve_joint_lp` call; `rule_tradeoff` owns the
-budget range and probes only inside [0, cap], where the program is feasible.
-
-Two kinds of probe do that, all on one program per rule that differs only
-in its right sides, so a rule's first value probe is its only cold solve.
-A value probe (the two ends of the budget range and each refinement point)
-needs only the program's value and some tangent there: the pieces are a
-property of the value function, whichever optimal dual a probe reports.  So
-every value probe after the first warm-starts from the rule's last optimal
-probe by dual simplex.  A term's certificate comes from one request probe
-per piece, in the piece's interior at a small logQ > 0.  It warm-starts from
-the value probe whose tangent is that piece, a short move in (logS, logQ),
-and its request coefficient and certificate are those of the optimal basis
-the dual simplex reaches.  The probe path is fixed by the rule, so the
-certificates do not depend on other rules or on the order they are solved
-in.  One request probe is enough: its dual line is a valid bound everywhere
-and tight at the probe, and when it carries the piece's (a, c) it is also
-tight at logQ = 0, so by concavity it is tight on the whole segment between.
+Everything happens on one program per rule that differs only in its right
+sides, so a rule's solve at logS = 0 is its only cold solve.  From that
+basis `shannon.walk_joint_lp` raises logS through every basis change up to
+the storage cap (right-side ranging: Gass & Saaty, 1955), and each basis it
+passes gives one piece's exact line and the breakpoint where the next takes
+over.  A term's certificate comes from one request probe per piece, in the
+piece's interior at a small logQ > 0.  It warm-starts from the piece's
+first basis on the walk, a short move in logQ, and its request coefficient
+and certificate are those of the optimal basis the dual simplex reaches.
+The walk is fixed by the rule, so the certificates do not depend on other
+rules or on the order they are solved in.  One request probe is enough: its
+dual line is a valid bound everywhere and tight at the probe, and when it
+carries the piece's (a, c) it is also tight at logQ = 0, so by concavity it
+is tight on the whole segment between.
 
 Terms also arise in closed form from fractional edge covers, either of the
 whole query or bag-by-bag along a root-to-node path of a decomposition; those
@@ -50,7 +47,7 @@ from .polymatroids import CondVec
 from .queries import Cqap, LogBound
 from .relalg import VarSet, members
 from .rules import TwoPhaseRule
-from .shannon import ExtractedInequality, JointSolution, JointSystem, solve_joint_lp
+from .shannon import ExtractedInequality, JointSystem, solve_joint_lp, walk_joint_lp
 
 log = logging.getLogger(__name__)
 
@@ -164,61 +161,17 @@ class RuleTradeoff:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _tangent(sol: JointSolution) -> tuple[Fraction, Fraction]:
-    return sol.line[0], sol.line[2]
-
-
-def _refine(rule, probe, lo_s, lo, hi_s, hi, depth=0) -> list:
-    """Pieces covering [lo_s, hi_s] as (a, c, end_s, sol), in order.
-
-    `probe(s)` solves the rule's program at logS = s, and `sol` is the probe
-    whose tangent (a, c) is the piece.  Soundness rests on two facts: each
-    probe's line is a globally valid bound that is tight at the probe, and
-    the value function is concave, so a line tight at two points is tight on
-    the whole interval between them.
-    """
-    where = (
-        f"tangents of {rule.pretty()} at (logN, logQ, logS) = "
-        f"(1, 0, {lo_s}) and (1, 0, {hi_s})"
-    )
-    if depth > 40:  # pragma: no cover - refinement is worst-case linear
-        raise LpError(f"{where}: refinement did not converge")
-    a0, c0 = _tangent(lo)
-    a1, c1 = _tangent(hi)
-    if (a0, c0) == (a1, c1):
-        return [(a0, c0, hi_s, lo)]
-    if c0 == c1:
-        raise LpError(f"{where}: distinct parallel tangents cannot both be tight")
-    s_star = (a0 - a1) / (c0 - c1)
-    if s_star <= lo_s:  # the low probe sat on a degenerate support
-        if a1 - c1 * lo_s != lo.value:
-            raise LpError(f"{where}: tangent geometry left the concave curve")
-        return [(a1, c1, hi_s, hi)]
-    if s_star >= hi_s:
-        if a0 - c0 * hi_s != hi.value:
-            raise LpError(f"{where}: tangent geometry left the concave curve")
-        return [(a0, c0, hi_s, lo)]
-    mid = probe(s_star)
-    if mid.value == a0 - c0 * s_star:
-        return [(a0, c0, s_star, lo), (a1, c1, hi_s, hi)]
-    left = _refine(rule, probe, lo_s, lo, s_star, mid, depth + 1)
-    right = _refine(rule, probe, s_star, mid, hi_s, hi, depth + 1)
-    if left[-1][:2] == right[0][:2]:
-        left[-1] = right.pop(0)
-    return left + right
-
-
 def _pin_request_exponent(system, rule, a, c, m, span, start) -> TradeoffTerm:
     """Fix the Q coefficient of the piece through (m, a - c*m).
 
-    At a budget probe alone the request coefficient is undetermined (any
-    value prices a slack request row), so the piece is solved once more at
-    a small request level q, warm-started from `start`, the value probe
-    whose tangent is (a, c).  Only right sides move between the two, so the
-    dual simplex walks from that probe's basis; b and the term's certificate
-    are read off the optimal basis it reaches.  That dual line
-    a' + b*logQ - c'*logS is a valid bound everywhere (weak duality) and
-    tight at (m, q).  When (a', c') is the piece's (a, c), the line also
+    At logQ = 0 alone the request coefficient is undetermined (any value
+    prices a slack request row), so the piece is solved once more at a small
+    request level q, warm-started from `start`, the piece's first basis (or,
+    without storage targets, the solve at logS = 0).  Only right sides move
+    between the two, so the dual simplex walks from that basis; b and the
+    term's certificate are read off the optimal basis it reaches.  That dual
+    line a' + b*logQ - c'*logS is a valid bound everywhere (weak duality)
+    and tight at (m, q).  When (a', c') is the piece's (a, c), the line also
     meets the value a - c*m at (m, 0); the value function is concave, so the
     line is tight on the whole segment from (m, 0) to (m, q), and b is the
     exact request coefficient.  Solving in the segment's relative interior
@@ -256,48 +209,36 @@ def _pin_request_exponent(system, rule, a, c, m, span, start) -> TradeoffTerm:
 def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
     """Extract the exact piecewise tradeoff of one rule over logN=1, logQ=0.
 
-    It reads the storage cap once and probes only inside [0, cap].  The
-    rule's first value probe is its only cold solve; every other probe
-    warm-starts from an earlier one of the same rule, so the terms and their
-    certificates depend on the rule alone.
+    No value is probed: one cold solve at logS = 0 and one walk from its
+    basis up to the storage cap give every piece and breakpoint, and one
+    request probe per piece, warm-started from the piece's first basis,
+    gives its request coefficient and certificate.  So the terms and their
+    certificates depend on the rule alone.  The walk must end at
+    `log_size_bound`, the cap solved on its own.
     """
     if not rule.t_targets:
         raise ValueError("a rule without online targets has no finite tradeoff")
+    low = solve_joint_lp(rule, system, ZERO)
     if not rule.s_targets:
-        sol = solve_joint_lp(rule, system, ZERO)
-        a, c = _tangent(sol)
+        a, _, c = low.line
         if c:  # pragma: no cover - no storage rows means no storage weight
             raise LpError("storage weight appeared without storage targets")
-        term = _pin_request_exponent(system, rule, a, c, ZERO, (ZERO, None), sol)
+        term = _pin_request_exponent(system, rule, a, c, ZERO, (ZERO, None), low)
         return RuleTradeoff(rule, [term], None)
+    pieces = walk_joint_lp(rule, system, low)
     cap = system.log_size_bound(rule.s_targets)
-    if cap is None or cap <= 0:  # pragma: no cover - targets are data-tied
-        raise LpError("storage targets admit no positive budget cap")
-    last = None
-
-    def probe(s):
-        """A value probe, warm-started from the rule's last optimal one."""
-        nonlocal last
-        last = solve_joint_lp(rule, system, s, start=last)
-        return last
-
-    lo = probe(ZERO)
-    hi = probe(cap)
-    pieces = _refine(rule, probe, ZERO, lo, cap, hi)
-    for (a0, c0, end, _), (a1, c1, _, _) in zip(pieces, pieces[1:]):
-        if (a0 - a1) / (c1 - c0) != -end:  # pragma: no cover - exactness guard
-            raise LpError("recorded breakpoint is not the line crossing")
-    terms = []
-    start = ZERO
-    for a, c, end, sol in pieces:
-        if not start < end:  # pragma: no cover - exactness guard
-            raise LpError("empty tradeoff piece")
-        terms.append(
-            _pin_request_exponent(
-                system, rule, a, c, (start + end) / 2, (start, end), sol
-            )
+    end = pieces[-1].hi if pieces else ZERO
+    if not cap or end != cap:  # pragma: no cover - exactness guard
+        raise LpError(
+            f"the walk of {rule.pretty()} ended at logS = {end}, "
+            f"not at its storage cap {cap}"
         )
-        start = end
+    terms = [
+        _pin_request_exponent(
+            system, rule, p.intercept, -p.slope, (p.lo + p.hi) / 2, (p.lo, p.hi), p
+        )
+        for p in pieces
+    ]
     log.debug(
         "rule %s: %d pieces up to cap %s", rule.pretty(), len(terms), cap
     )

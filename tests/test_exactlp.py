@@ -12,9 +12,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cqap import exactlp
+from cqap import exactlp, shannon
 from cqap.decompose import enumerate_pmtds
-from cqap.exactlp import LpError, PivotLimitError, _Simplex, solve_lp
+from cqap.exactlp import LpError, PivotLimitError, _Simplex, solve_lp, walk_rhs
 from cqap.queries import load_query
 from cqap.rules import generate_rules, prune_rules
 from cqap.shannon import JointSystem
@@ -71,6 +71,49 @@ def test_pivot_budget_names_the_phase_the_count_and_the_size(monkeypatch):
     warm = r"^exact simplex passed its budget of 0 pivots in the dual phase: 0 pivots on 2 rows x 2 columns$"
     with pytest.raises(PivotLimitError, match=warm):
         solve_lp([3, 2], moved, start=start)
+
+
+def test_walk_logs_its_size_pivots_pieces_and_end(caplog):
+    # max x + 2y with x + y <= 4 and y <= 1 + t: y rises with t until x
+    # reaches 0 at t = 3, then x + y <= 4 holds the value at 8 for good
+    rows = sparse([([1, 1], "<=", 4), ([0, 1], "<=", 1)])
+    start = solve_lp([1, 2], rows)
+    with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
+        pieces = walk_rhs(start, [0, 1])
+    assert [(p.lo, p.hi, p.intercept, p.slope) for p in pieces] == [(0, 3, 5, 1), (3, None, 8, 0)]
+    assert caplog.messages == ["walk: 2 rows, 2 columns, 1 pivots (0 at 0), 2 pieces, end None"]
+    # each piece's basis warm-starts the same program at other right sides
+    res = solve_lp([1, 2], sparse([([1, 1], "<=", 4), ([0, 1], "<=", 2)]), start=pieces[0])
+    assert (res.status, res.value, res.x) == ("optimal", 6, [2, 2])
+
+
+def test_walk_ends_where_the_program_turns_infeasible():
+    # max x with x <= 2 and x >= t: x stays 2 up to t = 2, then no x fits
+    start = solve_lp([1], sparse([([1], "<=", 2), ([1], ">=", 0)]))
+    pieces = walk_rhs(start, [0, 1])
+    assert [(p.lo, p.hi, p.intercept, p.slope) for p in pieces] == [(0, 2, 2, 0)]
+    # x <= -t is infeasible beyond t = 0 at once
+    start = solve_lp([1], sparse([([1], "<=", 0)]))
+    assert walk_rhs(start, [-1]) == []
+
+
+def test_walk_needs_an_optimal_start_and_a_direction_per_row():
+    rows = sparse([([1, 1], "<=", 4), ([1, 0], "<=", 2)])
+    with pytest.raises(ValueError, match="^a walk needs an optimal result, not 'unbounded'$"):
+        walk_rhs(solve_lp([1, 1], sparse([([1, -1], "<=", 1)])), [1])
+    with pytest.raises(ValueError, match="^the direction has 1 entries for 2 rows$"):
+        walk_rhs(solve_lp([3, 2], rows), [1])
+
+
+def test_walk_pivot_budget_names_the_walk(monkeypatch):
+    start = solve_lp([1, 2], sparse([([1, 1], "<=", 4), ([0, 1], "<=", 1)]))
+    monkeypatch.setattr(exactlp, "PIVOT_LIMIT", 0)
+    with pytest.raises(PivotLimitError) as exc:
+        walk_rhs(start, [0, 1])
+    assert str(exc.value) == (
+        "exact simplex passed its budget of 0 pivots in the right-side walk: "
+        "0 pivots on 2 rows x 2 columns"
+    )
 
 
 def test_minimization_flips_duals():
@@ -222,14 +265,16 @@ def test_rejects_malformed_rows():
 # ----------------------------------------------------------------------------
 
 # Digest of (status, value, x, duals) of every distinct program the three_reach
-# rule tradeoffs solve, cold or warm, and the pivots they take.
-THREE_REACH_SOLVES = "0250878e34e7fe92d4a0ce529935ad0410b07fc5e351ce0f888e6195ec1bd660"
-THREE_REACH_PIVOTS = 323
+# rule tradeoffs solve, cold or warm, and of the pieces of every walk, and the
+# pivots they all take.
+THREE_REACH_SOLVES = "b83cff87825b71309515fed04fbc554b63b282e7a8fd77f96ba101b0469d8404"
+THREE_REACH_PIVOTS = 261
 
 
 def test_three_reach_solves_are_bit_identical(monkeypatch):
-    # any change to pricing, the ratio test or a tie-break moves a dual or a
-    # pivot count; a program solved again (or served from a cache) counts once
+    # any change to pricing, the ratio test or a tie-break moves a dual, a
+    # piece or a pivot count; a program solved again (or served from a cache)
+    # counts once
     pivots = 0
     real_pivot = _Simplex._pivot
 
@@ -240,6 +285,7 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
 
     solves = {}
     real_solve = exactlp.solve_lp
+    real_walk = shannon.walk_rhs
 
     def recording_solve(c, rows, start=None):
         before = pivots
@@ -259,8 +305,19 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
         solves[key] = (repr((res.status, res.value, res.x, res.duals)), pivots - before)
         return res
 
+    def recording_walk(start, direction):
+        before = pivots
+        pieces = real_walk(start, direction)
+        out = repr([(p.lo, p.hi, p.intercept, p.slope) for p in pieces])
+        # keyed on the start's scaled rows and its point, which name the program
+        program = repr((start._tableau.rows_in, start.x, direction))
+        key = hashlib.sha256(program.encode()).hexdigest()
+        solves[key + " walk"] = (out, pivots - before)
+        return pieces
+
     monkeypatch.setattr(_Simplex, "_pivot", counting_pivot)
     monkeypatch.setattr(exactlp, "solve_lp", recording_solve)
+    monkeypatch.setattr(shannon, "walk_rhs", recording_walk)
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     query = load_query(corpus / "queries" / "three_reach.cqap")
     system = JointSystem(query)
@@ -358,6 +415,44 @@ def test_warm_start_matches_a_cold_solve(problem, new_rhs):
         assert abs(float(warm.value) - value) < 1e-7
         assert sum(d * b for d, (_, _, b) in zip(warm.duals, moved)) == warm.value
         start = warm
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    random_lp(),
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), min_size=5, max_size=5),
+    st.fractions(min_value=0, max_value=6, max_denominator=4),
+)
+def test_walk_matches_a_warm_solve(problem, direction, s):
+    # the walk's value at s is a warm solve's at the moved right sides, from
+    # the start and from the piece's own basis; past its end the program is
+    # infeasible.  A box row keeps most programs bounded, and the start is a
+    # warm solve at halved right sides, so that both right-side columns of
+    # the walk carry a denominator
+    c, rows = problem
+    rows = rows + [([1] * len(c), "<=", 4)]
+    start = solve_lp(c, sparse(rows))
+    assume(start.status == "optimal")
+    rows = [(a, sense, F(b, 2)) for a, sense, b in rows]
+    start = solve_lp(c, sparse(rows), start=start)
+    assume(start.status == "optimal")
+    direction = direction[: len(rows)]
+    pieces = walk_rhs(start, direction)
+    for left, right in zip(pieces, pieces[1:]):
+        assert left.lo < left.hi == right.lo
+        assert (left.intercept, left.slope) != (right.intercept, right.slope)
+    moved = sparse([(a, sense, b + s * d) for (a, sense, b), d in zip(rows, direction)])
+    warm = solve_lp(c, moved, start=start)
+    on = [p for p in pieces if p.lo <= s and (p.hi is None or s <= p.hi)]
+    if on:
+        assert pieces[0].lo == 0
+        assert warm.status == "optimal"
+        assert warm.value == on[0].intercept + on[0].slope * s
+        assert solve_lp(c, moved, start=on[0]).value == warm.value
+    elif s == 0:  # feasible at t = 0 alone
+        assert pieces == [] and warm.value == start.value
+    else:
+        assert warm.status == "infeasible"
 
 
 # ----------------------------------------------------------------------------

@@ -411,6 +411,39 @@ def test_four_reach_three_target_rule_curve():
 
 
 # ═══════════════════════════════════════════════════════════════════════════
+# the walk from logS = 0 to the storage cap
+# ═══════════════════════════════════════════════════════════════════════════
+
+
+def test_walk_pieces_are_fresh_solves_on_every_corpus_rule():
+    # hierarchical's rules take minutes; the CI job checks their piece tables
+    names = sorted(p.stem for p in (ROOT / "queries").glob("*.cqap"))
+    walked = 0
+    for name in names:
+        if name == "hierarchical":
+            continue
+        query = q(name)
+        system = JointSystem(query)
+        for rule in rules_of(query):
+            if not rule.s_targets:
+                continue
+            low = solve_joint_lp(rule, system, F(0))
+            pieces = shannon.walk_joint_lp(rule, system, low)
+            where = (name, rule.pretty())
+            assert pieces[0].lo == 0, where
+            assert pieces[-1].hi == system.log_size_bound(rule.s_targets), where
+            for p in pieces:
+                # a solve of its own, by dual simplex from the optimum at 0
+                a, _, c = solve_joint_lp(rule, system, (p.lo + p.hi) / 2, start=low).line
+                assert (p.intercept, p.slope) == (a, -c), where
+            for left, right in zip(pieces, pieces[1:]):
+                crossing = (right.intercept - left.intercept) / (left.slope - right.slope)
+                assert left.hi == right.lo == crossing, where
+            walked += 1
+    assert walked == 34
+
+
+# ═══════════════════════════════════════════════════════════════════════════
 # every cold program the analysis poses starts on a feasible slack basis
 # ═══════════════════════════════════════════════════════════════════════════
 
@@ -423,19 +456,22 @@ class Posed(Exception):
 COLD_PROGRAMS = 74
 
 
-def test_every_cold_program_starts_primal_feasible(monkeypatch):
+def test_every_cold_program_starts_on_a_feasible_slack_basis(monkeypatch):
     # each rule's joint program at (logS, logQ) = (0, 0) and each storage-cap
-    # program, built as tableaux and never solved; exactlp solves a cold
-    # program only from a primal or dual feasible slack basis, and both kinds
-    # have positive costs, so a row family that gives one of them a right
-    # side on the wrong side of its row must come with a feasible start
+    # program, built as tableaux and never solved.  A joint program has a
+    # positive cost, so it must start primal feasible (no right side on the
+    # wrong side of its row); a cap program is posed as its dual, whose slack
+    # basis must be dual feasible (every cost <= 0)
     posed = []
 
     def pose(c, rows, start=None):
         assert start is None
         lp = _Simplex([F(v) for v in c], rows)
-        low = [i for i, row in enumerate(lp.tab) if row.get(lp.ncols, 0) < 0]
-        posed.append((what, low))
+        if what[2] == "joint":
+            bad = [i for i, row in enumerate(lp.tab) if row.get(lp.ncols, 0) < 0]
+        else:
+            bad = [j for j, v in enumerate(lp.cost) if v > 0]
+        posed.append((what, bad))
         raise Posed
 
     monkeypatch.setattr(shannon, "solve_lp_guided", pose)

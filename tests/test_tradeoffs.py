@@ -201,7 +201,7 @@ def test_extraction_is_deterministic(two_reach):
     query, _, rt = two_reach
     fresh = rule_tradeoff(rt.rule, JointSystem(query))
     assert certificates(fresh) == certificates(rt)
-    # warm request probes follow each rule's own probe path, so neither a
+    # warm request probes start from each rule's own walk, so neither a
     # shared system nor the order of the rules may move a certificate
     query = q("three_reach")
     kept = prune_rules(generate_rules(enumerate_pmtds(query)))
@@ -217,7 +217,7 @@ def test_extraction_is_deterministic(two_reach):
 # eight certificate vectors, each as its sorted items.  Any change to a row,
 # the row order, a pivot rule or the certificate read-out moves a multiplier;
 # re-record only with the reason.
-FIXTURE_CERTIFICATES = "060d37330aa478694c6169721cd040d15f80ef2bea3427b906dfb9dbdedb12cf"
+FIXTURE_CERTIFICATES = "5c2b403da3bfd85de267d1dfcf5f64199bda2ff618a104faf174205f53eeff16"
 
 
 def test_fixture_certificates_are_pinned(two_reach, three_reach, four_reach):
@@ -256,11 +256,12 @@ def test_probe_error_names_the_rule_and_the_point(two_reach):
 
 
 @pytest.mark.parametrize(
-    "name, rules, terms, solves", [("two_reach", 1, 1, 3), ("three_reach", 4, 8, 21)]
+    "name, rules, terms, solves", [("two_reach", 1, 1, 2), ("three_reach", 4, 8, 12)]
 )
 def test_one_cold_probe_per_rule(monkeypatch, name, rules, terms, solves):
-    # a rule's first value probe is its only cold solve: later value probes
-    # start from the last one, each request probe from its piece's tangent probe
+    # a rule's solve at logS = 0 is its only cold solve, and the walk from it
+    # is no solve: the other solves are one request probe per term, each
+    # started from its piece's first basis on the walk
     calls = []
     real = tradeoffs.solve_joint_lp
 
