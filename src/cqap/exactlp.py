@@ -41,14 +41,17 @@ N^a with a >= 0 and its storage rows read logS = 0, or its costs are all -1.
 A program that is neither is solved at right sides that make it feasible
 and warm-started from there.
 
-Warm start: an optimal result carries its final tableau, and `solve_lp` can
-start from it to solve the same program (same c, coefficients and senses) at
-other right sides.  The reduced costs do not depend on the right sides, so
-the start's basis stays dual feasible.  The new right sides go through the
-start's signed row scales, times one positive integer that clears their
-denominators.  Whatever the pivots since, each row's slack column holds the
-tableau's multiple of that row, so the new right-side column is the sum of
-the slack columns weighted by the new right sides.
+Warm start: an optimal result carries its final tableau, and `resolve_lp`
+solves its program again at other right sides, given one per row.  Every
+copy of a tableau shares the program it was built from (the scaled
+coefficients, the senses and the signed row scales); only the right sides,
+the tableau, the basis and the objective row are its own.  The reduced
+costs do not depend on the right sides, so the start's basis stays dual
+feasible.  The new right sides go through the signed row scales, times one
+positive integer that clears their denominators.  Whatever the pivots since,
+each row's slack column holds the tableau's multiple of that row, so the new
+right-side column is the sum of the slack columns weighted by the new right
+sides (`_weigh_slacks`).
 
 Cold and warm solves share one finish.  First the dual phase: dual simplex
 pivots (Lemke, 1954) restore primal feasibility.  A row with a negative
@@ -56,47 +59,48 @@ right side leaves, negated so that the pivot element is positive, and the
 entering column keeps every reduced cost nonnegative.  The leaving row is
 priced by dual steepest edge (Forrest & Goldfarb, 1992): of the rows with a
 negative right side, the one with the largest rhs^2 / |row|^2, the norm
-taken over the row's stored coefficients.  On the benchmark's degenerate
-programs the most negative right side picks long, dense rows:
-reach_tradeoffs took 652 pivots a pass with it and 568 with steepest edge,
-and the work inside the pivots (rows touched times pivot-row length) fell
-from 321k to 177k.  The program is infeasible when a leaving row has no
-negative entry.  Then phase 2, primal simplex from the feasible basis to the
-optimum or to "unbounded": a cold start that was primal feasible does its
-pivots here, and a dual feasible basis leaves it nothing to pivot on.
-Entering variable: largest reduced-cost improvement.  Leaving variable:
-minimum ratio with smallest-basis-index tie-break.  Both phases switch to
-Bland's smallest-index rule after STALL_LIMIT degenerate pivots, so cycling
-cannot occur.  A solve may take PIVOT_LIMIT pivots, both phases together;
-one that needs more raises PivotLimitError with the phase it stopped in, its
-pivot count and the program's size, instead of running on for minutes.
+taken over the row's structural and slack columns (`_steepest`).  On the
+benchmark's degenerate programs the most negative right side picks long,
+dense rows: reach_tradeoffs took 652 pivots a pass with it and 568 with
+steepest edge, and the work inside the pivots (rows touched times pivot-row
+length) fell from 321k to 177k.  The program is infeasible when a leaving
+row has no negative entry.  Then phase 2, primal simplex from the feasible
+basis to the optimum or to "unbounded": a cold start that was primal
+feasible does its pivots here, and a dual feasible basis leaves it nothing
+to pivot on.  Entering variable: largest reduced-cost improvement.  Leaving
+variable: minimum ratio with smallest-basis-index tie-break.  Both phases
+switch to Bland's smallest-index rule after STALL_LIMIT degenerate pivots,
+so cycling cannot occur.  A solve may take PIVOT_LIMIT pivots, both phases
+together; one that needs more raises PivotLimitError with the phase it
+stopped in, its pivot count and the program's size, instead of running on
+for minutes.
 
 The right-side walk.  `walk_rhs` follows an optimal basis while the right
 sides move to b + t*d, from t = 0 up (right-side ranging: Gass & Saaty,
 1955).  A copy of the tableau carries d as a second integer right-side
-column, so each basis gives its exact line, value = intercept + slope*t, off
-the objective row's two right-side entries, and row i's basic value moves
-as rhs_i + t*dir_i (over the scales).  The basis stays optimal up to the
-least ratio rhs_i / -dir_i over the rows with dir_i < 0, an exact
-cross-multiplied ratio test; there such a row leaves by a dual simplex
-pivot, its entering column chosen by `_entering`, the ratio test the dual
-phase uses, so every reduced cost stays nonnegative.  The walk ends where a
-leaving row has no negative entry: beyond it the program is infeasible.
-Tied leaving rows go by dual steepest edge (the largest dir_i^2 / |row|^2)
-while the walk is still at t = 0, and by the smallest basis index at every
-later breakpoint, which is Bland's rule for the pivots at that t, so a
-degenerate breakpoint cannot cycle.  Steepest edge could; the walk keeps
-the bases it meets at 0, and should one come round again it takes the
-smallest index from there.  The tie rule picks the basis each piece starts
-from, and so the certificate each term of a tradeoff gets and the pivots
-its request probe takes.  Measured on the tier-1 fixtures' 17 terms and
-hierarchical's 3 rules: steepest edge at every tie gave proofs of 261 steps
-against 243 for smallest index at every tie and for this mix; steepest
-edge at 0 that yields to smallest index after STALL_LIMIT degenerate pivots
-kept 243 steps, but a request probe of hierarchical rule 1 then took 13 730
-dual pivots from its piece's basis, against 3 with this mix.  A walk may
-take PIVOT_LIMIT pivots and raises PivotLimitError naming "the right-side
-walk".
+column, built from the slack columns as a warm start builds its right sides,
+so each basis gives its exact line, value = intercept + slope*t, off the
+objective row's two right-side entries, and row i's basic value moves as
+rhs_i + t*dir_i (over the scales).  The basis stays optimal up to the least
+ratio rhs_i / -dir_i over the rows with dir_i < 0, an exact cross-multiplied
+ratio test; there such a row leaves by a dual simplex pivot, its entering
+column chosen by `_entering`, the ratio test the dual phase uses, so every
+reduced cost stays nonnegative.  The walk ends where a leaving row has no
+negative entry: beyond it the program is infeasible.  Tied leaving rows go by
+dual steepest edge (the largest dir_i^2 / |row|^2, priced as in the dual
+phase) while the walk is still at t = 0, and by the smallest basis index at
+every later breakpoint, which is Bland's rule for the pivots at that t, so a
+degenerate breakpoint cannot cycle.  Steepest edge could; the walk keeps the
+bases it meets at 0, and should one come round again it takes the smallest
+index from there.  The tie rule picks the basis each piece starts from, and
+so the certificate each term of a tradeoff gets and the pivots its request
+probe takes.  Measured on the tier-1 fixtures' 17 terms and hierarchical's 3
+rules: steepest edge at every tie gave proofs of 261 steps against 243 for
+smallest index at every tie and for this mix; steepest edge at 0 that yields
+to smallest index after STALL_LIMIT degenerate pivots kept 243 steps, but a
+request probe of hierarchical rule 1 then took 13 730 dual pivots from its
+piece's basis, against 3 with this mix.  A walk may take PIVOT_LIMIT pivots
+and raises PivotLimitError naming "the right-side walk".
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -134,7 +138,7 @@ class LpResult:
     value: Fraction | None
     x: list[Fraction]
     duals: list[Fraction]
-    # the final tableau of an optimal solve, for a warm start of the same program
+    # the final tableau of an optimal solve, for `resolve_lp` and `walk_rhs`
     _tableau: _Simplex | None = field(default=None, repr=False, compare=False)
 
 
@@ -143,7 +147,7 @@ class RhsPiece:
     """One piece of a right-side walk: the optimum is intercept + slope*t on [lo, hi].
 
     `hi` is None when the program stays feasible for every larger t.  The
-    piece keeps its first basis, so `solve_lp` can start from it as from an
+    piece keeps its first basis, so `resolve_lp` can start from it as from an
     optimal result.
     """
 
@@ -157,31 +161,35 @@ class RhsPiece:
 Row = tuple[Iterable[tuple[int, object]], str, object]  # ((column, value) pairs, sense, rhs)
 
 
-def solve_lp_guided(
-    c: Sequence, rows: Sequence[Row], start: LpResult | RhsPiece | None = None
-) -> LpResult:
+def solve_lp_guided(c: Sequence, rows: Sequence[Row]) -> LpResult:
     """solve_lp under the name `shannon` calls (and perfbench traces)."""
-    return solve_lp(c, rows, start=start)
+    return solve_lp(c, rows)
 
 
-def solve_lp(
-    c: Sequence, rows: Sequence[Row], start: LpResult | RhsPiece | None = None
-) -> LpResult:
+def solve_lp(c: Sequence, rows: Sequence[Row]) -> LpResult:
     """Maximize c*x over x >= 0 subject to the given sparse rows.
 
-    Without `start` the solve begins at the slack basis, which must be
-    primal or dual feasible (see the module docstring); a program that is
-    neither raises ValueError.  `start` is an earlier optimal result of the
-    same program, or a piece of its walk, which may differ only in its right
-    sides; the solve then continues from that basis by dual simplex.  A
-    start from another program raises ValueError.
+    The solve begins at the slack basis, which must be primal or dual
+    feasible (see the module docstring); a program that is neither raises
+    ValueError.  `resolve_lp` solves it at other right sides.
     """
-    c = [_rational(v) for v in c]
-    if start is None:
-        return _Simplex(c, rows).solve()
+    return _Simplex([_rational(v) for v in c], rows).solve()
+
+
+def resolve_lp(start: LpResult | RhsPiece, rhs: Sequence) -> LpResult:
+    """The start's program with right sides `rhs`, one per row, by dual simplex.
+
+    `start` is an optimal result or a piece of a walk; its program (c, the
+    coefficients and the senses) is solved again with row i's right side
+    rhs[i], continuing from the start's basis.  A start that is not optimal
+    or a right side per row too many or too few raises ValueError.
+    """
     if start._tableau is None:
         raise ValueError(f"a warm start needs an optimal result, not {start.status!r}")
-    return start._tableau.restart(c, rows).resolve()
+    rows = len(start._tableau.rscale)
+    if len(rhs) != rows:
+        raise ValueError(f"the right sides have {len(rhs)} entries for {rows} rows")
+    return start._tableau.resolve(rhs)
 
 
 def walk_rhs(start: LpResult, direction: Sequence) -> list[RhsPiece]:
@@ -191,25 +199,21 @@ def walk_rhs(start: LpResult, direction: Sequence) -> list[RhsPiece]:
     the start's.  The pieces run in order from t = 0 and cover every t at
     which the program is feasible; the last one ends where it turns
     infeasible, or has hi None.  No piece is empty, and two neighbours
-    never share a line.  See "The right-side walk" in the module docstring.
+    never share a line.  Each piece keeps its first basis, from which
+    `resolve_lp` solves the program at other right sides.  See "The
+    right-side walk" in the module docstring.
     """
     if start._tableau is None:
         raise ValueError(f"a walk needs an optimal result, not {start.status!r}")
-    if len(direction) != len(start._tableau.rows_in):
-        raise ValueError(
-            f"the direction has {len(direction)} entries for {len(start._tableau.rows_in)} rows"
-        )
-    return start._tableau.walk([_rational(v) for v in direction])
+    rows = len(start._tableau.rscale)
+    if len(direction) != rows:
+        raise ValueError(f"the direction has {len(direction)} entries for {rows} rows")
+    return start._tableau.walk(direction)
 
 
 def _rational(v):
     """v as an exact rational: ints and Fractions as they are, others via Fraction."""
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
-def _check_sense(sense: str):
-    if sense not in ("<=", ">="):
-        raise ValueError(f"unknown sense {sense!r}")
 
 
 def _parse_coeffs(i: int, coeffs: tuple, nvars: int) -> list[tuple[int, Fraction | int]]:
@@ -227,33 +231,35 @@ def _parse_coeffs(i: int, coeffs: tuple, nvars: int) -> list[tuple[int, Fraction
 
 class _Simplex:
     def __init__(self, c: list[Fraction], rows: Sequence[Row]):
-        """The slack basis of the program: scaled rows, slack i basic in row i."""
+        """The slack basis of the program: scaled rows, slack i basic in row i.
+
+        The program (costs, scaled rows and their scales) is shared by every
+        copy `_fork` makes; the right sides, tableau, basis and objective row
+        are each copy's own.
+        """
         self.nvars = len(c)
-        self.c = c
         self.cscale = lcm(*(v.denominator for v in c), 1)
         self.cost = [v.numerator * (self.cscale // v.denominator) for v in c]
-        # the right sides in rows_in and the right-side column are bscale
-        # times the scaled rows' right sides
-        self.bscale = 1
-        self.rows_in = []  # (scaled nonzero coefficients {column: int}, sense, scaled rhs)
+        self.rows_in = []  # (scaled nonzero coefficients {column: int}, sense)
         self.rscale = []  # signed: scaled row i == rscale[i] * original row i
-        self.coeffs_in = []  # each row's (column, value) pairs as given
+        # b and the right-side column are bscale times the scaled rows' right sides
+        self.b = []
+        self.bscale = 1
         for i, (coeffs, sense, rhs) in enumerate(rows):
-            _check_sense(sense)
-            coeffs = tuple(coeffs)
+            if sense not in ("<=", ">="):
+                raise ValueError(f"unknown sense {sense!r}")
             nonzero = _parse_coeffs(i, coeffs, self.nvars)
             rhs = _rational(rhs)
             s = lcm(*(v.denominator for _, v in nonzero), rhs.denominator)
             if sense == ">=":
                 s = -s  # every scaled row reads <=
-            scaled = {j: v.numerator * s // v.denominator for j, v in nonzero}
-            self.rows_in.append((scaled, sense, rhs.numerator * s // rhs.denominator))
+            self.rows_in.append(({j: v.numerator * s // v.denominator for j, v in nonzero}, sense))
+            self.b.append(rhs.numerator * s // rhs.denominator)
             self.rscale.append(s)
-            self.coeffs_in.append(coeffs)
         self.ncols = self.nvars + len(self.rows_in)
         self.basis = list(range(self.nvars, self.ncols))
         self.tab = []  # sparse rows {column: int}, right side under key ncols
-        for (coeffs, _, b), slack in zip(self.rows_in, self.basis):
+        for (coeffs, _), b, slack in zip(self.rows_in, self.b, self.basis):
             row = dict(coeffs)
             row[slack] = 1
             if b:
@@ -360,40 +366,45 @@ class _Simplex:
         return leaving, entering
 
     def _dual_step(self, obj: list[int], bland: bool):
-        """Dual steepest edge: the leaving row has the largest rhs^2 / |row|^2.
+        """A row with a negative right side leaves, by `_steepest`.
 
-        The candidates are the rows with a negative right side, compared by
-        cross-multiplication, the smaller row index on ties; under Bland the
-        smallest basis index leaves.  A candidate's squared norm (right side
-        left out) is summed at C speed when it is needed: keeping every norm
-        current in `_pivot` would redo each row a pivot touches, five times
-        as many sums on the benchmark's reach programs.
-
-        The entering column is `_entering`'s.  The leaving row is negated
-        before the pivot to make the pivot element positive.
+        Under Bland the smallest basis index leaves instead.  The entering
+        column is `_entering`'s.  The leaving row is negated before the
+        pivot to make the pivot element positive.
         """
         rhs = self.ncols
-        leaving = -1
-        top = bottom = 0  # best rhs^2 / norm so far as top/bottom
-        for i, row in enumerate(self.tab):
-            v = row.get(rhs, 0)
-            if v >= 0:
-                continue
-            if bland:
-                if leaving < 0 or self.basis[i] < self.basis[leaving]:
-                    leaving = i
-                continue
-            vals = row.values()
-            norm = sum(map(mul, vals, vals)) - v * v
-            if leaving < 0 or v * v * bottom > top * norm:
-                top, bottom, leaving = v * v, norm, i
-        if leaving < 0:
+        low = [i for i, row in enumerate(self.tab) if row.get(rhs, 0) < 0]
+        if not low:
             return "optimal"
+        leaving = min(low, key=self.basis.__getitem__) if bland else self._steepest(low, rhs)
         entering = self._entering(obj, self.tab[leaving])
         if entering < 0:
             return "infeasible"
         self._negate(leaving)
         return leaving, entering
+
+    def _steepest(self, rows: list[int], key: int) -> int:
+        """Dual steepest edge: of `rows`, the one with the largest entry^2 / |row|^2.
+
+        The entry is the row's under `key`, a right-side column; the norm
+        runs over the row's structural and slack columns, so right-side
+        columns (keys from ncols on) are left out.  Candidates are compared
+        by cross-multiplication, the first row on ties.  A candidate's norm
+        is summed at C speed when it is needed: keeping every norm current
+        in `_pivot` would redo each row a pivot touches, five times as many
+        sums on the benchmark's reach programs.
+        """
+        other = self.ncols + 1 if key == self.ncols else self.ncols  # the other right side
+        best = -1
+        top = bottom = 0  # best entry^2 / norm so far as top/bottom
+        for i in rows:
+            row = self.tab[i]
+            vals = row.values()
+            v, w = row[key], row.get(other, 0)
+            norm = sum(map(mul, vals, vals)) - v * v - w * w
+            if best < 0 or v * v * bottom > top * norm:
+                top, bottom, best = v * v, norm, i
+        return best
 
     def _entering(self, obj: list[int], row: dict) -> int:
         """The dual ratio test on a leaving row, or -1 when nothing can enter.
@@ -437,12 +448,12 @@ class _Simplex:
         if low is not None:
             pos = next((j for j, v in enumerate(self.cost) if v > 0), None)
             if pos is not None:
-                _, sense, b = self.rows_in[low]
                 raise ValueError(
                     "a cold solve needs a primal feasible slack basis (every right side "
                     "on the feasible side of its row) or a dual feasible one (every cost "
-                    f"<= 0): row {low} has {sense} {Fraction(b, self.rscale[low])} "
-                    f"and c[{pos}] = {self.c[pos]}"
+                    f"<= 0): row {low} has {self.rows_in[low][1]} "
+                    f"{Fraction(self.b[low], self.rscale[low])} "
+                    f"and c[{pos}] = {Fraction(self.cost[pos], self.cscale)}"
                 )
         # every basic slack costs 0, so the reduced costs are the negated costs
         obj = [-v for v in self.cost] + [0] * (rhs + 1 - self.nvars)
@@ -477,110 +488,69 @@ class _Simplex:
 
     # ── warm start ──────────────────────────────────────────────────────
 
-    def restart(self, c: list[Fraction], rows: Sequence[Row]) -> _Simplex:
-        """A copy of this optimal tableau for the same program at new right sides.
+    def _fork(self, obj: list[int]) -> _Simplex:
+        """A copy of this tableau with its own rows, basis and objective row `obj`.
 
-        The program is the same when c, every sense and every row's
-        coefficients match the ones this tableau was built from.  Each row's
-        (column, value) pairs are compared as given first, which is an
-        identity hit when the caller passes the same tuples again; only a row
-        whose pairs differ is parsed and scaled, to compare its nonzeros and
-        name the column that differs.  The new right sides go through the
-        rows' signed scales, times one positive integer bscale that clears
-        their denominators, so they may come out negative; `resolve` deals
-        with that.
+        The program (costs, scaled rows, row scales) stays shared.
         """
-        if c != self.c:
-            raise ValueError("the start solved another program: c differs")
-        if len(rows) != len(self.rows_in):
-            raise ValueError(
-                f"the start solved another program: {len(self.rows_in)} rows, not {len(rows)}"
-            )
-        scaled_rhs = []  # each scaled right side as a reduced (numerator, denominator)
-        for i, (coeffs, sense, rhs) in enumerate(rows):
-            _check_sense(sense)
-            scaled, sense0, _ = self.rows_in[i]
-            if sense != sense0:
-                raise ValueError(
-                    f"the start solved another program: row {i} has sense {sense0!r}, not {sense!r}"
-                )
-            s = self.rscale[i]
-            coeffs = tuple(coeffs)
-            if coeffs != self.coeffs_in[i]:
-                new = {j: v * s for j, v in _parse_coeffs(i, coeffs, self.nvars)}
-                if new != scaled:
-                    j = min(j for j in new.keys() | scaled.keys() if new.get(j) != scaled.get(j))
-                    raise ValueError(
-                        f"the start solved another program: row {i}, column {j} coefficient differs"
-                    )
-            rhs = _rational(rhs)
-            num, den = rhs.numerator * s, rhs.denominator
-            g = gcd(num, den)
-            scaled_rhs.append((num // g, den // g))
-        warm = copy.copy(self)
-        warm.bscale = lcm(*(den for _, den in scaled_rhs), 1)
-        warm.rows_in = [
-            (scaled, sense, num * (warm.bscale // den))
-            for (scaled, sense, _), (num, den) in zip(self.rows_in, scaled_rhs)
-        ]
-        warm.tab = [dict(row) for row in self.tab]
-        warm.basis = list(self.basis)
-        warm.obj = list(self.obj)
-        warm.pivots = 0
-        return warm
+        fork = copy.copy(self)
+        fork.tab = [dict(row) for row in self.tab]
+        fork.basis = list(self.basis)
+        fork.obj = obj
+        fork.pivots = 0
+        return fork
 
-    def resolve(self) -> LpResult:
-        """Rebuild the right-side column, then finish as a cold solve does."""
-        rhs = self.ncols
-        # row i's slack column started as e_i, so the tableau holds
-        # div * (the inverse basis times e_i) there
-        weight = {self.nvars + i: b for i, (_, _, b) in enumerate(self.rows_in) if b}
+    def _weigh_slacks(self, key: int, values: Sequence) -> tuple[list[int], int]:
+        """Put the column that `values`, one per row, become under `key`.
+
+        The values go through the signed row scales, times the least
+        positive integer that clears their denominators; both are returned.
+        Row i's slack column started as e_i, so whatever the pivots since,
+        the tableau holds div * (the inverse basis times e_i) there, and the
+        slack columns weighted by the scaled values are the column they
+        would have become.  Its entry in the objective row is priced by the
+        basic costs.
+        """
+        scaled = {i: _rational(v) * self.rscale[i] for i, v in enumerate(values) if v}
+        scale = lcm(*(v.denominator for v in scaled.values()), 1)
+        ints = [0] * len(self.rscale)
+        for i, v in scaled.items():
+            ints[i] = v.numerator * (scale // v.denominator)
+        weight = {self.nvars + i: ints[i] for i in scaled}
         obj = self.obj
-        cost = self.cost
-        obj[rhs] = 0
+        obj[key] = 0
         for i, row in enumerate(self.tab):
             v = sum(map(mul, map(row.get, weight, repeat(0)), weight.values()))
             if v:
-                row[rhs] = v
+                row[key] = v
             else:
-                row.pop(rhs, None)
+                row.pop(key, None)
             if self.basis[i] < self.nvars:
-                obj[rhs] += cost[self.basis[i]] * v
-        return self._finish(obj, "warm optimal")
+                obj[key] += self.cost[self.basis[i]] * v
+        return ints, scale
+
+    def resolve(self, rhs: Sequence) -> LpResult:
+        """This optimal tableau's program at right sides `rhs`, from its basis.
+
+        The new right sides may come out negative in the start's basis;
+        the dual phase of `_finish` deals with that.
+        """
+        warm = self._fork(list(self.obj))
+        warm.b, warm.bscale = warm._weigh_slacks(self.ncols, rhs)
+        return warm._finish(warm.obj, "warm optimal")
 
     # ── the right-side walk ─────────────────────────────────────────────
 
-    def walk(self, direction: list[Fraction]) -> list[RhsPiece]:
+    def walk(self, direction: Sequence) -> list[RhsPiece]:
         """The pieces of this optimal tableau's program along b + t*direction.
 
         A copy of the tableau gets the direction as a second right-side
-        column, under key ncols + 1 and built from the slack columns as
-        `resolve` builds the first; `_pivot` keeps it current like any other
-        column.  The direction goes through the signed row scales, times one
-        positive integer dscale that clears its denominators.
+        column, under key ncols + 1 and built by `_weigh_slacks` as `resolve`
+        builds the first; `_pivot` keeps it current like any other column.
         """
-        dcol = self.ncols + 1
-        scaled = [v * s for v, s in zip(direction, self.rscale)]
-        dscale = lcm(*(v.denominator for v in scaled), 1)
-        weight = {
-            self.nvars + i: v.numerator * (dscale // v.denominator)
-            for i, v in enumerate(scaled)
-            if v
-        }
-        walk = copy.copy(self)
-        walk.basis = list(self.basis)
-        walk.pivots = 0
-        walk.tab = []
-        obj = self.obj + [0]
-        for i, row in enumerate(self.tab):
-            row = dict(row)
-            v = sum(map(mul, map(row.get, weight, repeat(0)), weight.values()))
-            if v:
-                row[dcol] = v
-                if self.basis[i] < self.nvars:
-                    obj[dcol] += self.cost[self.basis[i]] * v
-            walk.tab.append(row)
-        return walk._walk(obj, dscale)
+        walk = self._fork(self.obj + [0])
+        _, dscale = walk._weigh_slacks(self.ncols + 1, direction)
+        return walk._walk(walk.obj, dscale)
 
     def _walk(self, obj: list[int], dscale: int) -> list[RhsPiece]:
         """Raise t through every basis change until no column can enter.
@@ -632,7 +602,7 @@ class _Simplex:
                 else:
                     seen.add(basis)
             if at == 0 and seen is not None:
-                leaving = max(ties, key=self._edge)
+                leaving = self._steepest(ties, dcol)
             else:
                 leaving = min(ties, key=self.basis.__getitem__)
             entering = self._entering(obj, self.tab[leaving])
@@ -649,22 +619,12 @@ class _Simplex:
         )
         return pieces
 
-    def _edge(self, i: int) -> Fraction:
-        """Row i's dual steepest-edge price at a breakpoint: dir_i^2 / |row|^2."""
-        row = self.tab[i]
-        vals = row.values()
-        dv, bv = row[self.ncols + 1], row.get(self.ncols, 0)
-        return Fraction(dv * dv, sum(map(mul, vals, vals)) - dv * dv - bv * bv)
-
     def _snapshot(self, obj: list[int]) -> _Simplex:
         """This walk's basis without its direction column, for warm starts."""
         dcol = self.ncols + 1
-        snap = copy.copy(self)
-        snap.tab = [dict(row) for row in self.tab]
+        snap = self._fork(obj[:dcol])
         for row in snap.tab:
             row.pop(dcol, None)
-        snap.basis = list(self.basis)
-        snap.obj = obj[:dcol]
         return snap
 
     def _read_duals(self, obj: list[int]) -> list[Fraction]:
@@ -700,7 +660,7 @@ class _Simplex:
         den = self.div * self.cscale
         reduced = [0] * self.nvars
         dual_value = 0
-        for i, (coeffs, sense, b) in enumerate(self.rows_in):
+        for i, ((coeffs, sense), b) in enumerate(zip(self.rows_in, self.b)):
             s = self.rscale[i]
             gap = sum(map(mul, coeffs.values(), map(xs.__getitem__, coeffs))) - b * rhs_scale
             if s < 0:

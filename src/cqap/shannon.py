@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .exactlp import LpError, LpResult, RhsPiece, solve_lp_guided, walk_rhs
-from .polymatroids import CondVec, JointInequality, SetFunction, check_polymatroid
+from .exactlp import LpError, LpResult, RhsPiece, resolve_lp, solve_lp_guided, walk_rhs
+from .polymatroids import CondVec, JointInequality, SetFunction
 from .proofs import normalize
 from .queries import Cqap, LogBound, LogConstraint, SplitConstraint
 from .relalg import VarSet, submasks
@@ -65,7 +65,7 @@ class LpRow:
     """One constraint row: sparse coefficients, sense, symbolic right side.
 
     `coeffs` are (column, value) pairs, each column once, and go to
-    `solve_lp` as they are.  The numeric right side at a probe is
+    a cold `solve_lp` as they are.  The numeric right side at a probe is
     bound.at(1, logQ) + s_mult*logS.  `cert` holds the (part, key)
     certificate coordinates the row's nonnegative multiplier is added to.
     """
@@ -315,25 +315,23 @@ def solve_joint_lp(
     rule, the point and the status, which is infeasible above the storage
     cap and unbounded without T-targets; `tradeoffs.rule_tradeoff` owns the
     budget range.  `start` is an earlier optimal solution of the same rule
-    or a piece of its walk; only right sides differ, so the solve
-    warm-starts from that basis.  Without `start` the solve begins at the
-    slack basis, where a theta row h_S(B') >= logS with logS > 0 is
-    violated, so a call at logS != 0 first solves at logS = 0 (same logQ)
-    and warm-starts from that solve.
+    or a piece of its walk: the program is the same and only its right sides
+    differ, so `resolve_lp` gets those alone, one per row, and warm-starts
+    from that basis.  Without `start` the solve begins at the slack basis,
+    where a theta row h_S(B') >= logS with logS > 0 is violated, so a call
+    at logS != 0 first solves at logS = 0 (same logQ) and warm-starts from
+    that solve.
     """
     log_s, log_q = Fraction(log_s), Fraction(log_q)
     rows = system.rule_rows(rule)
-    c_obj = [ZERO] * system.ncols
-    c_obj[system.col_obj] = ONE
-
-    def at(s):
-        return [(r.coeffs, r.sense, _rhs(r, log_q, s)) for r in rows]
-
-    res = start.lp if isinstance(start, JointSolution) else start
-    if res is None and log_s:
-        res = solve_lp_guided(c_obj, at(ZERO))
-    if not isinstance(res, LpResult) or res.status == "optimal":
-        res = solve_lp_guided(c_obj, at(log_s), start=res)
+    warm = start.lp if isinstance(start, JointSolution) else start
+    if warm is None:
+        c_obj = [ZERO] * system.ncols
+        c_obj[system.col_obj] = ONE
+        res = solve_lp_guided(c_obj, [(r.coeffs, r.sense, _rhs(r, log_q, ZERO)) for r in rows])
+        warm = res if log_s and res.status == "optimal" else None
+    if warm is not None:
+        res = resolve_lp(warm, [_rhs(r, log_q, log_s) for r in rows])
     if res.status != "optimal":
         raise LpError(
             f"joint program for {rule.pretty()} at (logN, logQ, logS) = "
@@ -366,12 +364,8 @@ def _package(rule, system, rows, res: LpResult) -> JointSolution:
     x, raw, value = res.x, res.duals, res.value
     h_s = SetFunction(system.n, [ZERO] + x[: system.m])
     h_t = SetFunction(system.n, [ZERO] + x[system.m : 2 * system.m])
-    for side, h in (("h_S", h_s), ("h_T", h_t)):
-        if not check_polymatroid(h):
-            raise LpError(
-                f"primal solution for {rule.pretty()} is not a polymatroid pair: "
-                f"{side} fails"
-            )
+    # both are polymatroids: the exact LP checked the point against every
+    # row, and each side's mono and sub rows are its elemental inequalities
     vecs: dict[str, CondVec] = {part: {} for part in CERT_PARTS}
     a_part = b_part = c_part = ZERO
     for row, mult in zip(rows, raw):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cqap import exactlp, shannon
 from cqap.decompose import enumerate_pmtds
-from cqap.exactlp import LpError, PivotLimitError, _Simplex, solve_lp, walk_rhs
+from cqap.exactlp import LpError, PivotLimitError, _Simplex, resolve_lp, solve_lp, walk_rhs
 from cqap.queries import load_query
 from cqap.rules import generate_rules, prune_rules
 from cqap.shannon import JointSystem
@@ -48,7 +48,7 @@ def test_optimal_solve_logs_its_size_and_pivots(caplog):
 def test_warm_solve_logs_its_size_and_pivots(caplog):
     with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
         start = solve_lp([3, 2], sparse([([1, 1], "<=", 4), ([1, 0], "<=", 2)]))
-        res = solve_lp([3, 2], sparse([([1, 1], "<=", 4), ([1, 0], "<=", 5)]), start=start)
+        res = resolve_lp(start, [4, 5])
     assert (res.status, res.value, res.x) == ("optimal", 12, [4, 0])
     assert caplog.messages == [
         "optimal: 2 rows, 2 columns, 0 dual + 2 primal pivots",
@@ -57,9 +57,8 @@ def test_warm_solve_logs_its_size_and_pivots(caplog):
 
 
 def test_pivot_budget_names_the_phase_the_count_and_the_size(monkeypatch):
-    # the cold solve takes 2 phase-2 pivots, the warm one 1 dual pivot
+    # the cold solve takes 2 phase-2 pivots, the warm one to [4, 5] 1 dual pivot
     rows = sparse([([1, 1], "<=", 4), ([1, 0], "<=", 2)])
-    moved = sparse([([1, 1], "<=", 4), ([1, 0], "<=", 5)])
     monkeypatch.setattr(exactlp, "PIVOT_LIMIT", 2)
     start = solve_lp([3, 2], rows)
     assert start.value == 10
@@ -70,7 +69,7 @@ def test_pivot_budget_names_the_phase_the_count_and_the_size(monkeypatch):
     monkeypatch.setattr(exactlp, "PIVOT_LIMIT", 0)
     warm = r"^exact simplex passed its budget of 0 pivots in the dual phase: 0 pivots on 2 rows x 2 columns$"
     with pytest.raises(PivotLimitError, match=warm):
-        solve_lp([3, 2], moved, start=start)
+        resolve_lp(start, [4, 5])
 
 
 def test_walk_logs_its_size_pivots_pieces_and_end(caplog):
@@ -83,7 +82,7 @@ def test_walk_logs_its_size_pivots_pieces_and_end(caplog):
     assert [(p.lo, p.hi, p.intercept, p.slope) for p in pieces] == [(0, 3, 5, 1), (3, None, 8, 0)]
     assert caplog.messages == ["walk: 2 rows, 2 columns, 1 pivots (0 at 0), 2 pieces, end None"]
     # each piece's basis warm-starts the same program at other right sides
-    res = solve_lp([1, 2], sparse([([1, 1], "<=", 4), ([0, 1], "<=", 2)]), start=pieces[0])
+    res = resolve_lp(pieces[0], [4, 2])
     assert (res.status, res.value, res.x) == ("optimal", 6, [2, 2])
 
 
@@ -199,7 +198,7 @@ def test_cold_solve_needs_a_feasible_slack_basis():
     assert str(e.value) == message
     # the same program is solved from a feasible start at another right side
     start = solve_lp([0, 2], sparse([([1, 1], "<=", 4), ([1, 0], ">=", 0)]))
-    res = solve_lp([0, 2], rows, start=start)
+    res = resolve_lp(start, [4, F(1, 2)])
     assert (res.status, res.value, res.x) == ("optimal", 7, [F(1, 2), F(7, 2)])
 
 
@@ -208,44 +207,16 @@ def test_equality_sense_is_unknown():
         solve_lp([1, 1], sparse([([1, 1], "==", 3)]))
 
 
-def test_warm_start_rejects_another_program():
-    rows = [([1, 1], "<=", 4), ([1, 0], "<=", 2)]
-    start = solve_lp([3, 2], sparse(rows))
-    cases = [
-        ([3, 1], rows, r"c differs"),
-        ([3, 2], [rows[0], ([1, 1], "<=", 2)], r"row 1, column 1 coefficient differs"),
-        ([3, 2], [([1, 1], ">=", 4), rows[1]], r"row 0 has sense '<=', not '>='"),
-        ([3, 2], rows[:1], r"2 rows, not 1"),
-    ]
-    for c, other, message in cases:
-        with pytest.raises(ValueError, match=rf"^the start solved another program: {message}$"):
-            solve_lp(c, sparse(other), start=start)
+def test_warm_start_needs_an_optimal_start_and_a_right_side_per_row():
     infeasible = solve_lp([-1], sparse([([1], "<=", -1)]))
-    with pytest.raises(ValueError, match=r"needs an optimal result, not 'infeasible'$"):
-        solve_lp([-1], sparse([([1], "<=", 1)]), start=infeasible)
-
-
-def test_warm_start_accepts_the_same_program_rebuilt(caplog):
-    # fresh objects: a new list of pairs per row, ints in place of Fractions
-    # and explicit zero entries, over a row whose scale is negative
-    c = [F(3), F(2), F(0)]
-    rows = [
-        (((0, F(1)), (1, F(1))), "<=", F(4)),
-        (((0, F(1, 2)),), "<=", F(1)),
-        (((1, F(1)), (2, F(-1))), ">=", F(0)),
-    ]
-    start = solve_lp(c, rows)
-    assert (start.status, start.value) == ("optimal", 10)
-    rebuilt = [
-        ([(0, 1), (1, 1), (2, 0)], "<=", 5),
-        ([(0, F(1, 2)), (1, 0)], "<=", F(3, 2)),
-        ([(1, 1), (2, -1), (0, 0)], ">=", 0),
-    ]
-    with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
-        warm = solve_lp([3, 2, 0], rebuilt, start=start)
-    assert caplog.messages[-1].startswith("warm optimal:")
-    cold = solve_lp([3, 2, 0], rebuilt)
-    assert (warm.status, warm.value) == (cold.status, cold.value) == ("optimal", 13)
+    with pytest.raises(ValueError) as e:
+        resolve_lp(infeasible, [1])
+    assert str(e.value) == "a warm start needs an optimal result, not 'infeasible'"
+    start = solve_lp([3, 2], sparse([([1, 1], "<=", 4), ([1, 0], "<=", 2)]))
+    for rhs in ([4], [4, 2, 1]):
+        with pytest.raises(ValueError) as e:
+            resolve_lp(start, rhs)
+        assert str(e.value) == f"the right sides have {len(rhs)} entries for 2 rows"
 
 
 def test_rejects_malformed_rows():
@@ -285,11 +256,10 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
 
     solves = {}
     real_solve = exactlp.solve_lp
+    real_resolve = shannon.resolve_lp
     real_walk = shannon.walk_rhs
 
-    def recording_solve(c, rows, start=None):
-        before = pivots
-        res = real_solve(c, rows, start=start)
+    def record(c, rows, res, before, kind):
         # keyed on the dense program and the maximize flag, as when the pins were
         # first taken; a warm solve is keyed apart, since its duals may differ
         dense = []
@@ -299,10 +269,27 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
                 a[j] += v
             dense.append((a, s, b))
         program = repr((list(c), dense, True))
-        key = hashlib.sha256(program.encode()).hexdigest()
-        if start is not None:
-            key += " warm"
+        key = hashlib.sha256(program.encode()).hexdigest() + kind
         solves[key] = (repr((res.status, res.value, res.x, res.duals)), pivots - before)
+
+    def recording_solve(c, rows):
+        before = pivots
+        res = real_solve(c, rows)
+        record(c, rows, res, before, "")
+        return res
+
+    def recording_resolve(start, rhs):
+        # the start's tableau holds the program: costs over cscale and each
+        # scaled row over its signed scale give back the rows as posed
+        before = pivots
+        res = real_resolve(start, rhs)
+        lp = start._tableau
+        c = [F(v, lp.cscale) for v in lp.cost]
+        rows = [
+            ([(j, F(v, s)) for j, v in coeffs.items()], sense, b)
+            for (coeffs, sense), s, b in zip(lp.rows_in, lp.rscale, rhs)
+        ]
+        record(c, rows, res, before, " warm")
         return res
 
     def recording_walk(start, direction):
@@ -310,13 +297,16 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
         pieces = real_walk(start, direction)
         out = repr([(p.lo, p.hi, p.intercept, p.slope) for p in pieces])
         # keyed on the start's scaled rows and its point, which name the program
-        program = repr((start._tableau.rows_in, start.x, direction))
+        lp = start._tableau
+        rows = [(coeffs, sense, b) for (coeffs, sense), b in zip(lp.rows_in, lp.b)]
+        program = repr((rows, start.x, direction))
         key = hashlib.sha256(program.encode()).hexdigest()
         solves[key + " walk"] = (out, pivots - before)
         return pieces
 
     monkeypatch.setattr(_Simplex, "_pivot", counting_pivot)
     monkeypatch.setattr(exactlp, "solve_lp", recording_solve)
+    monkeypatch.setattr(shannon, "resolve_lp", recording_resolve)
     monkeypatch.setattr(shannon, "walk_rhs", recording_walk)
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     query = load_query(corpus / "queries" / "three_reach.cqap")
@@ -407,7 +397,7 @@ def test_warm_start_matches_a_cold_solve(problem, new_rhs):
     assume(start.status == "optimal")
     for bs in (new_rhs[:5], new_rhs[5:]):
         moved = [(a, sense, b) for (a, sense, _), b in zip(rows, bs)]
-        warm = solve_lp(c, sparse(moved), start=start)
+        warm = resolve_lp(start, [b for _, _, b in moved])
         status, value = highs(c, moved)
         assert warm.status == status
         if warm.status != "optimal":
@@ -434,21 +424,21 @@ def test_walk_matches_a_warm_solve(problem, direction, s):
     start = solve_lp(c, sparse(rows))
     assume(start.status == "optimal")
     rows = [(a, sense, F(b, 2)) for a, sense, b in rows]
-    start = solve_lp(c, sparse(rows), start=start)
+    start = resolve_lp(start, [b for _, _, b in rows])
     assume(start.status == "optimal")
     direction = direction[: len(rows)]
     pieces = walk_rhs(start, direction)
     for left, right in zip(pieces, pieces[1:]):
         assert left.lo < left.hi == right.lo
         assert (left.intercept, left.slope) != (right.intercept, right.slope)
-    moved = sparse([(a, sense, b + s * d) for (a, sense, b), d in zip(rows, direction)])
-    warm = solve_lp(c, moved, start=start)
+    moved = [b + s * d for (_, _, b), d in zip(rows, direction)]
+    warm = resolve_lp(start, moved)
     on = [p for p in pieces if p.lo <= s and (p.hi is None or s <= p.hi)]
     if on:
         assert pieces[0].lo == 0
         assert warm.status == "optimal"
         assert warm.value == on[0].intercept + on[0].slope * s
-        assert solve_lp(c, moved, start=on[0]).value == warm.value
+        assert resolve_lp(on[0], moved).value == warm.value
     elif s == 0:  # feasible at t = 0 alone
         assert pieces == [] and warm.value == start.value
     else:
@@ -559,7 +549,7 @@ def test_check_agrees_with_a_fraction_reference(problem, change, new_rhs):
     assume(res.status == "optimal")
     if new_rhs is not None:
         rows = [(a, sense, b) for (a, sense, _), b in zip(rows, new_rhs)]
-        res = solve_lp(c, sparse(rows), start=res)
+        res = resolve_lp(res, [b for _, _, b in rows])
         assume(res.status == "optimal")
     x, duals, value = perturbed(res, *change)
     verdict = reference_check(c, rows, x, duals, value)

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from cqap import shannon
 from cqap.decompose import enumerate_pmtds, pmtds_from_json
-from cqap.exactlp import LpError, _Simplex, solve_lp
+from cqap.exactlp import LpError, _Simplex, resolve_lp, solve_lp
 from cqap.polymatroids import check_polymatroid
 from cqap.queries import LogBound, load_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
@@ -193,13 +196,40 @@ def test_package_errors_name_the_rule_row_and_residual():
     with pytest.raises(shannon.LpError) as e:
         package(duals=[m / 2 for m in res.duals])
     assert str(e.value) == "target multipliers of T{0,1,2} v S{0,1} sum to 1/2, not 1"
-    bad_t = list(res.x)
-    bad_t[system.col("T", 1)] = F(-1)
-    with pytest.raises(shannon.LpError) as e:
-        package(x=bad_t)
-    assert str(e.value) == (
-        "primal solution for T{0,1,2} v S{0,1} is not a polymatroid pair: h_T fails"
-    )
+
+
+def test_mono_and_sub_rows_are_the_elemental_inequalities():
+    # `_package` takes the solved point for a polymatroid pair because the
+    # exact LP checked it against every row: each side's mono and sub rows
+    # must be exactly its elemental inequalities, each once, as in
+    # `check_polymatroid`
+    names = sorted(p.stem for p in (ROOT / "queries").glob("*.cqap"))
+    assert len(names) == 9
+    for name in names:
+        system = JointSystem(q(name))
+        n, full = system.n, system.full
+        for side in ("S", "T"):
+
+            def ineq(terms):
+                acc = Counter()
+                for z, w in terms:
+                    if z:
+                        acc[system.col(side, z)] += w
+                return frozenset((j, v) for j, v in acc.items() if v)
+
+            want = [ineq([(full, 1), (full & ~(1 << i), -1)]) for i in range(n)]
+            for i, j in combinations(range(n), 2):
+                bi, bj = 1 << i, 1 << j
+                for x in range(full + 1):
+                    if not x & (bi | bj):
+                        want.append(ineq([(x | bi, 1), (x | bj, 1), (x | bi | bj, -1), (x, -1)]))
+            rows = [
+                r for r in system.base_rows()
+                if r.tag[:2] in (("mono", side), ("sub", side))
+            ]
+            assert len(want) == len(set(want)) == n + comb(n, 2) * 2 ** (n - 2), name
+            assert all(r.sense == ">=" and shannon._rhs(r, F(1), F(1)) == 0 for r in rows)
+            assert Counter(frozenset(r.coeffs) for r in rows) == Counter(want), (name, side)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -281,11 +311,11 @@ def full_polymatroid_rows(system, side):
 
 
 def solve_at(system, rule, s, extra=()):
-    """The rule's program (plus `extra` rows) at logS = s, straight through solve_lp.
+    """The rule's program (plus `extra` rows) at logS = s, straight through the exact LP.
 
     A cold solve starts on the slack basis, where a theta row h_S(B') >= s
     with s > 0 is violated, so the program is solved at logS = 0 first and
-    warm-started to s.
+    warm-started to s with the right sides alone.
     """
     c = [F(0)] * system.ncols
     c[system.col_obj] = F(1)
@@ -296,7 +326,7 @@ def solve_at(system, rule, s, extra=()):
             for r in system.rule_rows(rule)
         ] + list(extra)
 
-    return solve_lp(c, rows(s), start=solve_lp(c, rows(F(0))))
+    return resolve_lp(solve_lp(c, rows(F(0))), [b for _, _, b in rows(s)])
 
 
 @pytest.mark.parametrize("name,s", [("two_reach", F(1)), ("three_reach", F(1))])
@@ -464,8 +494,7 @@ def test_every_cold_program_starts_on_a_feasible_slack_basis(monkeypatch):
     # basis must be dual feasible (every cost <= 0)
     posed = []
 
-    def pose(c, rows, start=None):
-        assert start is None
+    def pose(c, rows):
         lp = _Simplex([F(v) for v in c], rows)
         if what[2] == "joint":
             bad = [i for i, row in enumerate(lp.tab) if row.get(lp.ncols, 0) < 0]
