@@ -51,7 +51,9 @@ feasible.  The new right sides go through the signed row scales, times one
 positive integer that clears their denominators.  Whatever the pivots since,
 each row's slack column holds the tableau's multiple of that row, so the new
 right-side column is the sum of the slack columns weighted by the new right
-sides (`_weigh_slacks`).
+sides (`_weigh_slacks`).  A tie direction `toward`, one entry per row, goes
+the same way into a second right-side column (key ncols + 1) for the tie
+phase, and the result's tableau keeps no such column.
 
 Cold and warm solves share one finish.  First the dual phase: dual simplex
 pivots (Lemke, 1954) restore primal feasibility.  A row with a negative
@@ -64,16 +66,21 @@ benchmark's degenerate programs the most negative right side picks long,
 dense rows: reach_tradeoffs took 652 pivots a pass with it and 568 with
 steepest edge, and the work inside the pivots (rows touched times pivot-row
 length) fell from 321k to 177k.  The program is infeasible when a leaving
-row has no negative entry.  Then phase 2, primal simplex from the feasible
+row has no negative entry.  A warm solve then runs the tie phase, the
+lexicographic rule of Dantzig, Orden & Wolfe (1955): a row whose right side
+is 0 and whose `toward` entry is negative leaves, priced by steepest edge on
+that column, until the basis is optimal at rhs + t*toward for all small
+t > 0 too (or no such t is feasible), so its duals give the exact slope of
+the value along `toward`.  Then phase 2, primal simplex from the feasible
 basis to the optimum or to "unbounded": a cold start that was primal
 feasible does its pivots here, and a dual feasible basis leaves it nothing
 to pivot on.  Entering variable: largest reduced-cost improvement.  Leaving
-variable: minimum ratio with smallest-basis-index tie-break.  Both phases
-switch to Bland's smallest-index rule after STALL_LIMIT degenerate pivots,
-so cycling cannot occur.  A solve may take PIVOT_LIMIT pivots, both phases
-together; one that needs more raises PivotLimitError with the phase it
-stopped in, its pivot count and the program's size, instead of running on
-for minutes.
+variable: minimum ratio with smallest-basis-index tie-break.  Every phase
+switches to Bland's smallest-index rule after STALL_LIMIT stalled pivots,
+ones that move neither right-side entry of the objective row, so cycling
+cannot occur.  A solve may take PIVOT_LIMIT pivots, all phases together; one
+that needs more raises PivotLimitError with the phase it stopped in, its
+pivot count and the program's size, instead of running on for minutes.
 
 The right-side walk.  `walk_rhs` follows an optimal basis while the right
 sides move to b + t*d, from t = 0 up (right-side ranging: Gass & Saaty,
@@ -109,6 +116,7 @@ import copy
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from math import lcm
 from operator import mul
@@ -118,7 +126,7 @@ log = logging.getLogger(__name__)
 
 ZERO = Fraction(0)
 
-# pivots without objective progress before falling back to Bland's rule
+# pivots that move no right-side entry of the objective row before Bland's rule
 STALL_LIMIT = 30
 # pivots one solve may take, all phases together, before PivotLimitError
 PIVOT_LIMIT = 20_000
@@ -176,20 +184,27 @@ def solve_lp(c: Sequence, rows: Sequence[Row]) -> LpResult:
     return _Simplex([_rational(v) for v in c], rows).solve()
 
 
-def resolve_lp(start: LpResult | RhsPiece, rhs: Sequence) -> LpResult:
+def resolve_lp(start: LpResult | RhsPiece, rhs: Sequence, toward: Sequence) -> LpResult:
     """The start's program with right sides `rhs`, one per row, by dual simplex.
 
     `start` is an optimal result or a piece of a walk; its program (c, the
     coefficients and the senses) is solved again with row i's right side
-    rhs[i], continuing from the start's basis.  A start that is not optimal
-    or a right side per row too many or too few raises ValueError.
+    rhs[i], continuing from the start's basis, to a basis optimal at rhs
+    and, where feasible, at rhs + t*toward for all small t > 0.  A start
+    that is not optimal, or an entry per row too many or too few in `rhs`
+    or `toward`, raises ValueError.
     """
     if start._tableau is None:
         raise ValueError(f"a warm start needs an optimal result, not {start.status!r}")
     rows = len(start._tableau.rscale)
     if len(rhs) != rows:
         raise ValueError(f"the right sides have {len(rhs)} entries for {rows} rows")
-    return start._tableau.resolve(rhs)
+    if len(toward) != rows:
+        raise ValueError(f"the tie direction has {len(toward)} entries for {rows} rows")
+    # new right sides may come out negative in the start's basis: the dual phase mends them
+    warm, _ = start._tableau._with_direction(toward)
+    warm.b, warm.bscale = warm._weigh_slacks(warm.ncols, rhs)
+    return warm._finish(warm.obj)
 
 
 def walk_rhs(start: LpResult, direction: Sequence) -> list[RhsPiece]:
@@ -208,7 +223,8 @@ def walk_rhs(start: LpResult, direction: Sequence) -> list[RhsPiece]:
     rows = len(start._tableau.rscale)
     if len(direction) != rows:
         raise ValueError(f"the direction has {len(direction)} entries for {rows} rows")
-    return start._tableau.walk(direction)
+    walk, dscale = start._tableau._with_direction(direction)
+    return walk._walk(walk.obj, dscale)
 
 
 def _rational(v):
@@ -312,9 +328,10 @@ class _Simplex:
     def _iterate(self, obj: list[int], choose, phase: str) -> str:
         """Pivot on choose(obj, bland) until it returns a status string.
 
-        After STALL_LIMIT pivots in a row that leave the objective value
-        where it was, `bland` asks for the smallest-index choice.  A pivot
-        past the solve's PIVOT_LIMIT raises PivotLimitError naming `phase`.
+        After STALL_LIMIT pivots in a row that move no right-side entry of
+        the objective row, `bland` asks for the smallest-index choice.  A
+        pivot past the solve's PIVOT_LIMIT raises PivotLimitError naming
+        `phase`.
         """
         stall = 0
         bland = False
@@ -323,9 +340,9 @@ class _Simplex:
             if isinstance(step, str):
                 return step
             self._budget(phase)
-            val, d = obj[self.ncols], self.div
+            vals, d = obj[self.ncols :], self.div
             self._pivot(obj, *step)
-            if obj[self.ncols] * d == val * self.div:
+            if all(a * d == v * self.div for a, v in zip(obj[self.ncols :], vals)):
                 stall += 1
                 if stall > STALL_LIMIT:
                     bland = True
@@ -365,18 +382,20 @@ class _Simplex:
             return "unbounded"
         return leaving, entering
 
-    def _dual_step(self, obj: list[int], bland: bool):
-        """A row with a negative right side leaves, by `_steepest`.
+    def _dual_step(self, obj: list[int], bland: bool, key: int):
+        """A row negative under `key` leaves, by `_steepest` on that column.
 
-        Under Bland the smallest basis index leaves instead.  The entering
-        column is `_entering`'s.  The leaving row is negated before the
-        pivot to make the pivot element positive.
+        `key` is the right side in the dual phase, and `toward` (ncols + 1)
+        on rows whose right side is 0 in the tie phase.  Under Bland the
+        smallest basis index leaves instead.  The entering column is
+        `_entering`'s.  The leaving row is negated to make the pivot positive.
         """
         rhs = self.ncols
-        low = [i for i, row in enumerate(self.tab) if row.get(rhs, 0) < 0]
+        low = [i for i, row in enumerate(self.tab)
+               if row.get(key, 0) < 0 and (key == rhs or rhs not in row)]
         if not low:
             return "optimal"
-        leaving = min(low, key=self.basis.__getitem__) if bland else self._steepest(low, rhs)
+        leaving = min(low, key=self.basis.__getitem__) if bland else self._steepest(low, key)
         entering = self._entering(obj, self.tab[leaving])
         if entering < 0:
             return "infeasible"
@@ -457,20 +476,29 @@ class _Simplex:
                 )
         # every basic slack costs 0, so the reduced costs are the negated costs
         obj = [-v for v in self.cost] + [0] * (rhs + 1 - self.nvars)
-        return self._finish(obj, "optimal")
+        return self._finish(obj)
 
-    def _finish(self, obj: list[int], label: str) -> LpResult:
-        """The dual phase to primal feasibility, then phase 2 to the optimum."""
-        status = self._iterate(obj, self._dual_step, "the dual phase")
+    def _finish(self, obj: list[int]) -> LpResult:
+        """The dual phase, the tie phase if `obj` has a `toward` entry, then phase 2."""
+        rhs, tie = self.ncols, self.ncols + 1
+        status = self._iterate(obj, partial(self._dual_step, key=rhs), "the dual phase")
         if status == "infeasible":
             return LpResult("infeasible", None, [], [])
         dual = self.pivots
+        warm = len(obj) > tie
+        if warm:  # "infeasible" here leaves a basis optimal at rhs alone
+            self._iterate(obj, partial(self._dual_step, key=tie), "the tie phase")
+            del obj[tie]
+            for row in self.tab:
+                row.pop(tie, None)
+        ties = self.pivots - dual
         status = self._iterate(obj, self._primal_step, "phase 2")
         if status == "unbounded":
             return LpResult("unbounded", None, [], [])
         res = self._optimal(obj)
-        log.debug("%s: %d rows, %d columns, %d dual + %d primal pivots",
-                  label, len(self.tab), self.nvars, dual, self.pivots - dual)
+        log.debug("%s: %d rows, %d columns, %d dual + %s%d primal pivots",
+                  "warm optimal" if warm else "optimal", len(self.tab), self.nvars, dual,
+                  f"{ties} tie + " if warm else "", self.pivots - dual - ties)
         return res
 
     def _optimal(self, obj: list[int]) -> LpResult:
@@ -529,28 +557,17 @@ class _Simplex:
                 obj[key] += self.cost[self.basis[i]] * v
         return ints, scale
 
-    def resolve(self, rhs: Sequence) -> LpResult:
-        """This optimal tableau's program at right sides `rhs`, from its basis.
+    def _with_direction(self, direction: Sequence) -> tuple[_Simplex, int]:
+        """A copy of this optimal tableau with `direction` as a second right side.
 
-        The new right sides may come out negative in the start's basis;
-        the dual phase of `_finish` deals with that.
+        The column goes under key ncols + 1, where the tie phase and the walk
+        read it, built by `_weigh_slacks`; `_pivot` keeps it current like any
+        other column.  The copy comes with the direction's integer scale.
         """
-        warm = self._fork(list(self.obj))
-        warm.b, warm.bscale = warm._weigh_slacks(self.ncols, rhs)
-        return warm._finish(warm.obj, "warm optimal")
+        fork = self._fork(self.obj + [0])
+        return fork, fork._weigh_slacks(self.ncols + 1, direction)[1]
 
     # ── the right-side walk ─────────────────────────────────────────────
-
-    def walk(self, direction: Sequence) -> list[RhsPiece]:
-        """The pieces of this optimal tableau's program along b + t*direction.
-
-        A copy of the tableau gets the direction as a second right-side
-        column, under key ncols + 1 and built by `_weigh_slacks` as `resolve`
-        builds the first; `_pivot` keeps it current like any other column.
-        """
-        walk = self._fork(self.obj + [0])
-        _, dscale = walk._weigh_slacks(self.ncols + 1, direction)
-        return walk._walk(walk.obj, dscale)
 
     def _walk(self, obj: list[int], dscale: int) -> list[RhsPiece]:
         """Raise t through every basis change until no column can enter.

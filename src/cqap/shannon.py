@@ -317,10 +317,11 @@ def solve_joint_lp(
     budget range.  `start` is an earlier optimal solution of the same rule
     or a piece of its walk: the program is the same and only its right sides
     differ, so `resolve_lp` gets those alone, one per row, and warm-starts
-    from that basis.  Without `start` the solve begins at the slack basis,
-    where a theta row h_S(B') >= logS with logS > 0 is violated, so a call
-    at logS != 0 first solves at logS = 0 (same logQ) and warm-starts from
-    that solve.
+    from that basis, breaking ties toward larger logQ: line[1] is then the
+    value's exact slope in logQ just above q.  Without `start` the solve
+    begins at the slack basis, where a theta row h_S(B') >= logS with
+    logS > 0 is violated, so a call at logS != 0 first solves at logS = 0
+    (same logQ) and warm-starts from that solve.
     """
     log_s, log_q = Fraction(log_s), Fraction(log_q)
     rows = system.rule_rows(rule)
@@ -331,7 +332,7 @@ def solve_joint_lp(
         res = solve_lp_guided(c_obj, [(r.coeffs, r.sense, _rhs(r, log_q, ZERO)) for r in rows])
         warm = res if log_s and res.status == "optimal" else None
     if warm is not None:
-        res = resolve_lp(warm, [_rhs(r, log_q, log_s) for r in rows])
+        res = resolve_lp(warm, [_rhs(r, log_q, log_s) for r in rows], [r.bound.q for r in rows])
     if res.status != "optimal":
         raise LpError(
             f"joint program for {rule.pretty()} at (logN, logQ, logS) = "

@@ -15,15 +15,14 @@ sides, so a rule's solve at logS = 0 is its only cold solve.  From that
 basis `shannon.walk_joint_lp` raises logS through every basis change up to
 the storage cap (right-side ranging: Gass & Saaty, 1955), and each basis it
 passes gives one piece's exact line and the breakpoint where the next takes
-over.  A term's certificate comes from one request probe per piece, in the
-piece's interior at a small logQ > 0.  It warm-starts from the piece's
-first basis on the walk, a short move in logQ, and its request coefficient
-and certificate are those of the optimal basis the dual simplex reaches.
-The walk is fixed by the rule, so the certificates do not depend on other
-rules or on the order they are solved in.  One request probe is enough: its
-dual line is a valid bound everywhere and tight at the probe, and when it
-carries the piece's (a, c) it is also tight at logQ = 0, so by concavity it
-is tight on the whole segment between.
+over.  A term's request coefficient and certificate come from one request
+probe per piece: a warm solve at the piece's midpoint and logQ = 0, started
+from the piece's first basis on the walk, whose ties go toward larger logQ
+(the lexicographic rule of Dantzig, Orden & Wolfe, 1955).  Its basis is
+optimal at logQ = 0 and just above, so its dual line is tight there and
+its slope in logQ is exact.  The walk is fixed by the rule, so the
+certificates do not depend on other rules or on the order they are solved
+in.
 
 Terms also arise in closed form from fractional edge covers, either of the
 whole query or bag-by-bag along a root-to-node path of a decomposition; those
@@ -165,45 +164,25 @@ def _pin_request_exponent(system, rule, a, c, m, span, start) -> TradeoffTerm:
     """Fix the Q coefficient of the piece through (m, a - c*m).
 
     At logQ = 0 alone the request coefficient is undetermined (any value
-    prices a slack request row), so the piece is solved once more at a small
-    request level q, warm-started from `start`, the piece's first basis (or,
-    without storage targets, the solve at logS = 0).  Only right sides move
-    between the two, so the dual simplex walks from that basis; b and the
-    term's certificate are read off the optimal basis it reaches.  That dual
-    line a' + b*logQ - c'*logS is a valid bound everywhere (weak duality)
-    and tight at (m, q).  When (a', c') is the piece's (a, c), the line also
-    meets the value a - c*m at (m, 0); the value function is concave, so the
-    line is tight on the whole segment from (m, 0) to (m, q), and b is the
-    exact request coefficient.  Solving in the segment's relative interior
-    makes the reported dual line unique.  Only when the line misses (a, c),
-    because q crossed a kink, is the probe retried at a smaller q, again
-    from `start`.
+    prices a slack request row), so the piece is solved once more at
+    (logS, logQ) = (m, 0), warm-started from `start`, the piece's first
+    basis (or, without a piece, the solve at logS = 0).  That solve breaks
+    ties toward larger logQ, so its basis is optimal at (m, 0) and at
+    (m, t) for every small t > 0: its dual line a' + b*logQ - c'*logS is
+    the value there, and b is the exact request coefficient.  The line is
+    a valid bound everywhere (weak duality) and tight at (m, 0), inside the
+    piece a - c*logS, so (a', c') is (a, c); that and b >= 0 are checked.
     """
-    step = Fraction(1, 64)
-    tried = []
-    for _ in range(6):
-        q = step / 2
-        sol = solve_joint_lp(rule, system, m, log_q=q, start=start)
-        a1, b, c1 = sol.line
-        if (a1, c1) == (a, c):
-            if b < 0:
-                raise LpError(
-                    f"request probe of {rule.pretty()} at (logN, logQ, logS) = "
-                    f"(1, {q}, {m}): request coefficient {b} cannot be negative"
-                )
-            return TradeoffTerm(
-                space_exp=c,
-                rhs=LogBound(a, b),
-                span=span,
-                provenance=sol.certificate,
-            )
-        tried.append(str(q))
-        step /= 16
-        log.debug("request probe crossed a kink; retrying at %s", step / 2)
-    raise LpError(
-        f"request coefficient of {rule.pretty()} at logS = {m} did not stabilise: "
-        f"the dual lines at logQ = {', '.join(tried)} all missed (a, c) = ({a}, {c})"
-    )
+    sol = solve_joint_lp(rule, system, m, start=start)
+    a1, b, c1 = sol.line
+    probe = f"request probe of {rule.pretty()} at (logN, logQ, logS) = (1, 0, {m})"
+    if (a1, c1) != (a, c):
+        raise LpError(
+            f"{probe}: the dual line's (a, c) = ({a1}, {c1}) is not the piece's ({a}, {c})"
+        )
+    if b < 0:
+        raise LpError(f"{probe}: request coefficient {b} cannot be negative")
+    return TradeoffTerm(space_exp=c, rhs=LogBound(a, b), span=span, provenance=sol.certificate)
 
 
 def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
@@ -214,34 +193,34 @@ def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
     request probe per piece, warm-started from the piece's first basis,
     gives its request coefficient and certificate.  So the terms and their
     certificates depend on the rule alone.  The walk must end at
-    `log_size_bound`, the cap solved on its own.
+    `log_size_bound`, the cap solved on its own.  A rule without storage
+    targets, or with a cap of 0, has no piece: its one term is pinned at
+    logS = 0 from the solve there, with span (0, cap).
     """
     if not rule.t_targets:
         raise ValueError("a rule without online targets has no finite tradeoff")
     low = solve_joint_lp(rule, system, ZERO)
-    if not rule.s_targets:
+    pieces, cap = [], None
+    if rule.s_targets:
+        pieces = walk_joint_lp(rule, system, low)
+        cap = system.log_size_bound(rule.s_targets)
+        end = pieces[-1].hi if pieces else ZERO
+        if cap is None or end != cap:  # pragma: no cover - exactness guard
+            raise LpError(
+                f"the walk of {rule.pretty()} ended at logS = {end}, "
+                f"not at its storage cap {cap}"
+            )
+    if not pieces:
         a, _, c = low.line
-        if c:  # pragma: no cover - no storage rows means no storage weight
-            raise LpError("storage weight appeared without storage targets")
-        term = _pin_request_exponent(system, rule, a, c, ZERO, (ZERO, None), low)
-        return RuleTradeoff(rule, [term], None)
-    pieces = walk_joint_lp(rule, system, low)
-    cap = system.log_size_bound(rule.s_targets)
-    end = pieces[-1].hi if pieces else ZERO
-    if not cap or end != cap:  # pragma: no cover - exactness guard
-        raise LpError(
-            f"the walk of {rule.pretty()} ended at logS = {end}, "
-            f"not at its storage cap {cap}"
-        )
+        term = _pin_request_exponent(system, rule, a, c, ZERO, (ZERO, cap), low)
+        return RuleTradeoff(rule, [term], cap)
     terms = [
         _pin_request_exponent(
             system, rule, p.intercept, -p.slope, (p.lo + p.hi) / 2, (p.lo, p.hi), p
         )
         for p in pieces
     ]
-    log.debug(
-        "rule %s: %d pieces up to cap %s", rule.pretty(), len(terms), cap
-    )
+    log.debug("rule %s: %d pieces up to cap %s", rule.pretty(), len(terms), cap)
     return RuleTradeoff(rule, terms, cap)
 
 

@@ -48,11 +48,11 @@ def test_optimal_solve_logs_its_size_and_pivots(caplog):
 def test_warm_solve_logs_its_size_and_pivots(caplog):
     with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
         start = solve_lp([3, 2], sparse([([1, 1], "<=", 4), ([1, 0], "<=", 2)]))
-        res = resolve_lp(start, [4, 5])
+        res = resolve_lp(start, [4, 5], [0, 0])
     assert (res.status, res.value, res.x) == ("optimal", 12, [4, 0])
     assert caplog.messages == [
         "optimal: 2 rows, 2 columns, 0 dual + 2 primal pivots",
-        "warm optimal: 2 rows, 2 columns, 1 dual + 0 primal pivots",
+        "warm optimal: 2 rows, 2 columns, 1 dual + 0 tie + 0 primal pivots",
     ]
 
 
@@ -69,7 +69,7 @@ def test_pivot_budget_names_the_phase_the_count_and_the_size(monkeypatch):
     monkeypatch.setattr(exactlp, "PIVOT_LIMIT", 0)
     warm = r"^exact simplex passed its budget of 0 pivots in the dual phase: 0 pivots on 2 rows x 2 columns$"
     with pytest.raises(PivotLimitError, match=warm):
-        resolve_lp(start, [4, 5])
+        resolve_lp(start, [4, 5], [0, 0])
 
 
 def test_walk_logs_its_size_pivots_pieces_and_end(caplog):
@@ -82,7 +82,7 @@ def test_walk_logs_its_size_pivots_pieces_and_end(caplog):
     assert [(p.lo, p.hi, p.intercept, p.slope) for p in pieces] == [(0, 3, 5, 1), (3, None, 8, 0)]
     assert caplog.messages == ["walk: 2 rows, 2 columns, 1 pivots (0 at 0), 2 pieces, end None"]
     # each piece's basis warm-starts the same program at other right sides
-    res = resolve_lp(pieces[0], [4, 2])
+    res = resolve_lp(pieces[0], [4, 2], [0, 0])
     assert (res.status, res.value, res.x) == ("optimal", 6, [2, 2])
 
 
@@ -198,7 +198,7 @@ def test_cold_solve_needs_a_feasible_slack_basis():
     assert str(e.value) == message
     # the same program is solved from a feasible start at another right side
     start = solve_lp([0, 2], sparse([([1, 1], "<=", 4), ([1, 0], ">=", 0)]))
-    res = resolve_lp(start, [4, F(1, 2)])
+    res = resolve_lp(start, [4, F(1, 2)], [0, 0])
     assert (res.status, res.value, res.x) == ("optimal", 7, [F(1, 2), F(7, 2)])
 
 
@@ -210,13 +210,45 @@ def test_equality_sense_is_unknown():
 def test_warm_start_needs_an_optimal_start_and_a_right_side_per_row():
     infeasible = solve_lp([-1], sparse([([1], "<=", -1)]))
     with pytest.raises(ValueError) as e:
-        resolve_lp(infeasible, [1])
+        resolve_lp(infeasible, [1], [0])
     assert str(e.value) == "a warm start needs an optimal result, not 'infeasible'"
     start = solve_lp([3, 2], sparse([([1, 1], "<=", 4), ([1, 0], "<=", 2)]))
     for rhs in ([4], [4, 2, 1]):
         with pytest.raises(ValueError) as e:
-            resolve_lp(start, rhs)
+            resolve_lp(start, rhs, [0, 0])
         assert str(e.value) == f"the right sides have {len(rhs)} entries for 2 rows"
+    for toward in ([1], [0, 1, 0]):
+        with pytest.raises(ValueError) as e:
+            resolve_lp(start, [4, 2], toward)
+        assert str(e.value) == f"the tie direction has {len(toward)} entries for 2 rows"
+
+
+def test_tie_phase_keeps_the_basis_optimal_along_toward(caplog):
+    # max x0 + x1 with x0 <= 2, x1 <= 2 and x0 + x1 <= 3, moved to [1, 1, 2]:
+    # all three rows are tight at (1, 1), and duals [1, 1, 0] and [0, 0, 1]
+    # are both optimal.  Toward a larger third right side only the first
+    # stays optimal, as a plain solve just above 2 shows
+    rows = sparse([([1, 0], "<=", 2), ([0, 1], "<=", 2), ([1, 1], "<=", 3)])
+    start = solve_lp([1, 1], rows)
+    with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
+        tied = resolve_lp(start, [1, 1, 2], [0, 0, 1])
+    assert (tied.status, tied.value, tied.x) == ("optimal", 2, [1, 1])
+    assert tied.duals == [1, 1, 0]
+    assert caplog.messages == ["warm optimal: 3 rows, 2 columns, 0 dual + 1 tie + 0 primal pivots"]
+    assert resolve_lp(start, [1, 1, 2 + F(1, 100)], [0, 0, 0]).duals == [1, 1, 0]
+    # without a direction the start's basis stays, and with it its duals
+    assert resolve_lp(start, [1, 1, 2], [0, 0, 0]).duals == [0, 0, 1]
+    # the returned tableau keeps no toward column: it warm-starts and walks as any other
+    assert walk_rhs(tied, [0, 0, 1])[0].slope == 0
+    assert resolve_lp(tied, [2, 2, 3], [0, 0, 0]).value == 3
+
+
+def test_tie_phase_stops_where_no_larger_step_is_feasible():
+    # max x with x <= -t and x >= 0 has no point for t > 0; the solve at
+    # t = 0 is still optimal
+    start = solve_lp([1], sparse([([1], "<=", 1), ([1], ">=", 0)]))
+    res = resolve_lp(start, [0, 0], [-1, 0])
+    assert (res.status, res.value, res.x) == ("optimal", 0, [0])
 
 
 def test_rejects_malformed_rows():
@@ -238,7 +270,7 @@ def test_rejects_malformed_rows():
 # Digest of (status, value, x, duals) of every distinct program the three_reach
 # rule tradeoffs solve, cold or warm, and of the pieces of every walk, and the
 # pivots they all take.
-THREE_REACH_SOLVES = "b83cff87825b71309515fed04fbc554b63b282e7a8fd77f96ba101b0469d8404"
+THREE_REACH_SOLVES = "7a638dad518d31957cfd5b04dc8e2f70e472c66b63a624b4fb7a82c2906546e6"
 THREE_REACH_PIVOTS = 261
 
 
@@ -278,11 +310,11 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
         record(c, rows, res, before, "")
         return res
 
-    def recording_resolve(start, rhs):
+    def recording_resolve(start, rhs, toward):
         # the start's tableau holds the program: costs over cscale and each
         # scaled row over its signed scale give back the rows as posed
         before = pivots
-        res = real_resolve(start, rhs)
+        res = real_resolve(start, rhs, toward)
         lp = start._tableau
         c = [F(v, lp.cscale) for v in lp.cost]
         rows = [
@@ -397,7 +429,7 @@ def test_warm_start_matches_a_cold_solve(problem, new_rhs):
     assume(start.status == "optimal")
     for bs in (new_rhs[:5], new_rhs[5:]):
         moved = [(a, sense, b) for (a, sense, _), b in zip(rows, bs)]
-        warm = resolve_lp(start, [b for _, _, b in moved])
+        warm = resolve_lp(start, [b for _, _, b in moved], [0] * len(moved))
         status, value = highs(c, moved)
         assert warm.status == status
         if warm.status != "optimal":
@@ -405,6 +437,29 @@ def test_warm_start_matches_a_cold_solve(problem, new_rhs):
         assert abs(float(warm.value) - value) < 1e-7
         assert sum(d * b for d, (_, _, b) in zip(warm.duals, moved)) == warm.value
         start = warm
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_lp(), st.lists(st.integers(min_value=-2, max_value=2), min_size=5, max_size=5))
+def test_tie_phase_duals_price_the_first_step_along_toward(problem, toward):
+    # a warm solve at b toward d returns a basis optimal at b + t*d for small
+    # t > 0 too, so a walk from it along d starts with that basis's line: the
+    # value plus t times the duals' price of d.  Halved right sides give the
+    # right-side column a denominator
+    c, rows = problem
+    rows = rows + [([1] * len(c), "<=", 4)]
+    start = solve_lp(c, sparse(rows))
+    assume(start.status == "optimal")
+    toward = toward[: len(rows)]
+    rhs = [F(b, 2) for _, _, b in rows]
+    warm = resolve_lp(start, rhs, toward)
+    plain = resolve_lp(start, rhs, [0] * len(rows))
+    assert (warm.status, warm.value) == (plain.status, plain.value)
+    assume(warm.status == "optimal")
+    pieces = walk_rhs(warm, toward)
+    if pieces:
+        slope = sum(y * d for y, d in zip(warm.duals, toward))
+        assert (pieces[0].lo, pieces[0].intercept, pieces[0].slope) == (0, warm.value, slope)
 
 
 @settings(max_examples=80, deadline=None)
@@ -424,7 +479,7 @@ def test_walk_matches_a_warm_solve(problem, direction, s):
     start = solve_lp(c, sparse(rows))
     assume(start.status == "optimal")
     rows = [(a, sense, F(b, 2)) for a, sense, b in rows]
-    start = resolve_lp(start, [b for _, _, b in rows])
+    start = resolve_lp(start, [b for _, _, b in rows], [0] * len(rows))
     assume(start.status == "optimal")
     direction = direction[: len(rows)]
     pieces = walk_rhs(start, direction)
@@ -432,13 +487,13 @@ def test_walk_matches_a_warm_solve(problem, direction, s):
         assert left.lo < left.hi == right.lo
         assert (left.intercept, left.slope) != (right.intercept, right.slope)
     moved = [b + s * d for (_, _, b), d in zip(rows, direction)]
-    warm = resolve_lp(start, moved)
+    warm = resolve_lp(start, moved, [0] * len(moved))
     on = [p for p in pieces if p.lo <= s and (p.hi is None or s <= p.hi)]
     if on:
         assert pieces[0].lo == 0
         assert warm.status == "optimal"
         assert warm.value == on[0].intercept + on[0].slope * s
-        assert resolve_lp(on[0], moved).value == warm.value
+        assert resolve_lp(on[0], moved, [0] * len(moved)).value == warm.value
     elif s == 0:  # feasible at t = 0 alone
         assert pieces == [] and warm.value == start.value
     else:
@@ -549,7 +604,7 @@ def test_check_agrees_with_a_fraction_reference(problem, change, new_rhs):
     assume(res.status == "optimal")
     if new_rhs is not None:
         rows = [(a, sense, b) for (a, sense, _), b in zip(rows, new_rhs)]
-        res = resolve_lp(res, [b for _, _, b in rows])
+        res = resolve_lp(res, [b for _, _, b in rows], [0] * len(rows))
         assume(res.status == "optimal")
     x, duals, value = perturbed(res, *change)
     verdict = reference_check(c, rows, x, duals, value)

@@ -326,7 +326,7 @@ def solve_at(system, rule, s, extra=()):
             for r in system.rule_rows(rule)
         ] + list(extra)
 
-    return resolve_lp(solve_lp(c, rows(F(0))), [b for _, _, b in rows(s)])
+    return resolve_lp(solve_lp(c, rows(F(0))), [b for _, _, b in rows(s)], [0] * len(rows(s)))
 
 
 @pytest.mark.parametrize("name,s", [("two_reach", F(1)), ("three_reach", F(1))])
@@ -407,6 +407,8 @@ def test_four_reach_deep_rule_pieces():
 # dual pivots of the deep rule's warm move from logS = 0 to its storage cap;
 # pricing the most negative right side took 97, dual steepest edge takes 52
 FOUR_REACH_DEEP_CAP_PIVOTS = 52
+# tie pivots of the same move, toward larger logQ
+FOUR_REACH_DEEP_CAP_TIE_PIVOTS = 2
 
 
 def test_four_reach_deep_rule_warm_move_to_the_cap(caplog):
@@ -420,8 +422,10 @@ def test_four_reach_deep_rule_warm_move_to_the_cap(caplog):
     assert (cap, high.value) == (F(3, 2), 0)
     warm = [m for m in caplog.messages if m.startswith("warm optimal:")]
     assert len(warm) == 1
-    dual = int(re.search(r"(\d+) dual \+ 0 primal pivots", warm[0]).group(1))
+    counts = re.search(r"(\d+) dual \+ (\d+) tie \+ 0 primal pivots", warm[0]).groups()
+    dual, tie = map(int, counts)
     assert dual == FOUR_REACH_DEEP_CAP_PIVOTS
+    assert tie == FOUR_REACH_DEEP_CAP_TIE_PIVOTS
 
 
 def test_four_reach_three_target_rule_curve():

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqap import tradeoffs
+from cqap import proofs, tradeoffs
 from cqap.decompose import TreeDecomp, enumerate_pmtds
-from cqap.exactlp import LpError
+from cqap.exactlp import LpError, walk_rhs
 from cqap.polymatroids import verify_joint_inequality
 from cqap.queries import LogBound, load_query, parse_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
-from cqap.shannon import JointSystem
+from cqap.shannon import JointSystem, solve_joint_lp
 from cqap.tradeoffs import (
     TradeoffCurve,
     TradeoffTerm,
@@ -284,26 +284,32 @@ def test_one_cold_probe_per_rule(monkeypatch, name, rules, terms, solves):
 @pytest.mark.parametrize(
     "tilt, message",
     [
-        (lambda a, b, c: (a, -b, c), r"\(1, 1/128, 1\): request coefficient -1 cannot be negative$"),
-        (lambda a, b, c: (a + 1, b, c), r"at logS = 1 did not stabilise: the dual lines at logQ = "
-         r"1/128, 1/2048, .*, 1/134217728 all missed \(a, c\) = \(1, 1/2\)$"),
+        (lambda a, b, c: (a, -b, c), "request coefficient -1 cannot be negative"),
+        (
+            lambda a, b, c: (a + 1, b, c),
+            "the dual line's (a, c) = (2, 1/2) is not the piece's (1, 1/2)",
+        ),
     ],
+    ids=["negative_b", "misses_a_c"],
 )
 def test_request_pin_error_names_the_rule_and_the_probe(monkeypatch, two_reach, tilt, message):
-    # the two_reach piece S*T^2 ~ N^2*Q^2 spans [0, 2], so its request probes sit at logS = 1
+    # the two_reach piece S*T^2 ~ N^2*Q^2 spans [0, 2], so its request probe sits at logS = 1;
+    # the probe is the rule's one warm solve
     _, system, rt = two_reach
     real = tradeoffs.solve_joint_lp
 
-    def tilted(rule, system, s, *, log_q=ZERO, **kwargs):
-        sol = real(rule, system, s, log_q=log_q, **kwargs)
-        if log_q:
+    def tilted(rule, system, s, *, start=None, **kwargs):
+        sol = real(rule, system, s, start=start, **kwargs)
+        if start is not None:
             sol.line = tilt(*sol.line)
         return sol
 
     monkeypatch.setattr(tradeoffs, "solve_joint_lp", tilted)
-    with pytest.raises(LpError, match=message) as exc:
+    with pytest.raises(LpError) as exc:
         rule_tradeoff(rt.rule, system)
-    assert rt.rule.pretty() in str(exc.value)
+    assert str(exc.value) == (
+        f"request probe of {rt.rule.pretty()} at (logN, logQ, logS) = (1, 0, 1): {message}"
+    )
 
 
 def test_rule_without_storage_targets_extracts_one_plane(two_reach):
@@ -319,6 +325,57 @@ def test_rule_without_storage_targets_extracts_one_plane(two_reach):
     assert rt.terms == [term(0, 1, F(1, 2))]
     assert rt.terms[0].span == (ZERO, None)
     assert rt.with_scratch() == rt.terms + [scratch_term()]
+
+
+def test_storage_cap_of_zero_gives_one_term_at_zero():
+    # numeric bounds read as N^0, so nothing can be stored above logS = 0 and
+    # the walk yields no piece; the term is pinned at logS = 0 alone
+    query = parse_query(
+        "two_reach(x1, x3 | x1, x3) :- R1(x1, x2), R2(x2, x3).\n"
+        "dc R1: size = 8\n"
+        "dc R2: size = 8"
+    )
+    system = JointSystem(query)
+    rule = TwoPhaseRule(
+        s_targets=frozenset({mask(query, "x1", "x3")}),
+        t_targets=frozenset({mask(query, "x1", "x2", "x3")}),
+    )
+    rt = rule_tradeoff(rule, system)
+    assert rt.s_cap == 0
+    assert [(t.pretty(), t.span) for t in rt.terms] == [("T ~ 1", (ZERO, ZERO))]
+    ext = rt.terms[0].provenance
+    assert not ext.theta
+    steps = proofs.construct(ext.g_t, ext.lam, sigma=ext.sigma_t, mu=ext.mu_t, name="cap 0 T")
+    assert proofs.validate(steps)
+    assert len(steps.steps) == 3
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "two_reach",
+        "three_reach",
+        "square",
+        "set_disjointness_k2",
+        "set_disjointness_k3",
+        "set_disjointness_k4",
+        "bool_two_sd",
+    ],
+)
+def test_request_exponent_is_the_first_slope_of_a_log_q_walk(name):
+    # an independent read of b: from any optimal basis at (logS, logQ) =
+    # (m, 0), walk logQ up along the rows' request coefficients; the first
+    # piece is the value's line just above logQ = 0
+    query = q(name)
+    system = JointSystem(query)
+    for rule in prune_rules(generate_rules(enumerate_pmtds(query))):
+        for t in rule_tradeoff(rule, system).terms:
+            lo, hi = t.span
+            m = lo if hi is None else (lo + hi) / 2
+            a, b, c = t.line()
+            sol = solve_joint_lp(rule, system, m)
+            first = walk_rhs(sol.lp, [r.bound.q for r in system.rule_rows(rule)])[0]
+            assert (first.lo, first.intercept, first.slope) == (0, a - c * m, b), t.pretty()
 
 
 # ═══════════════════════════════════════════════════════════════════════════
