@@ -11,11 +11,8 @@ columns are indices into c, each at most once, and absent columns are zero.
 The solver returns the optimal value, a primal point, and one dual
 multiplier per input row, normalized so that  value == sum(dual_i * rhs_i).
 Every optimal solve checks primal feasibility, dual feasibility and strong
-duality of what it returns, and raises LpError if any fail.  The checks run
-on scaled integers over a few shared denominators: the point over the lcm
-of its denominators (div*bscale for a point read off the tableau), each
-scaled row's multiplier over div*cscale, where it must be an integer, and
-the costs over cscale; the value is compared by cross-multiplication.
+duality of what it returns on scaled integers (`_check`), every walk its
+Farkas certificate (`_check_farkas`), and any failure raises LpError.
 
 The tableau is kept fraction-free and sparse.  Each row is pre-scaled to
 integers and holds only its nonzeros, as {column: int} with the right side
@@ -35,11 +32,9 @@ negative scale, and row i's slack sits at column nvars + i, basic at the
 start.  The scale is kept signed, so each dual is mapped back to the
 original row and certified against it.  A cold solve starts from that basis,
 which must be primal feasible (every scaled right side >= 0) or dual
-feasible (every cost <= 0); any other program raises ValueError.  Every
-program the analysis poses cold is of one of the two kinds: its bounds are
-N^a with a >= 0 and its storage rows read logS = 0, or its costs are all -1.
-A program that is neither is solved at right sides that make it feasible
-and warm-started from there.
+feasible (every cost <= 0); any other program raises ValueError.  The
+analysis solves cold only each rule's joint program at logS = 0, primal
+feasible since its bounds are N^a with a >= 0, and warm-starts the rest.
 
 Warm start: an optimal result carries its final tableau, and `resolve_lp`
 solves its program again at other right sides, given one per row.  Every
@@ -100,14 +95,15 @@ every later breakpoint, which is Bland's rule for the pivots at that t, so a
 degenerate breakpoint cannot cycle.  Steepest edge could; the walk keeps the
 bases it meets at 0, and should one come round again it takes the smallest
 index from there.  The tie rule picks the basis each piece starts from, and
-so the certificate each term of a tradeoff gets and the pivots its request
-probe takes.  Measured on the tier-1 fixtures' 17 terms and hierarchical's 3
-rules: steepest edge at every tie gave proofs of 261 steps against 243 for
-smallest index at every tie and for this mix; steepest edge at 0 that yields
-to smallest index after STALL_LIMIT degenerate pivots kept 243 steps, but a
-request probe of hierarchical rule 1 then took 13 730 dual pivots from its
-piece's basis, against 3 with this mix.  A walk may take PIVOT_LIMIT pivots
-and raises PivotLimitError naming "the right-side walk".
+so each term's certificate and request probe.  On the tier-1 fixtures' 17
+terms and hierarchical's 3 rules, steepest edge at every tie gave proofs of
+261 steps against 243 for this mix, and steepest edge that yields to
+smallest index after STALL_LIMIT degenerate pivots left a request probe of
+hierarchical rule 1 13 730 dual pivots, against 3.  A walk may take
+PIVOT_LIMIT pivots and raises PivotLimitError naming "the right-side walk".
+The last leaving row's slack columns weigh the rows into the dual simplex's
+proof of infeasibility (Lemke, 1954), and the walk returns these Farkas
+multipliers, so a caller can price where its program ends.
 """
 
 from __future__ import annotations
@@ -207,7 +203,7 @@ def resolve_lp(start: LpResult | RhsPiece, rhs: Sequence, toward: Sequence) -> L
     return warm._finish(warm.obj)
 
 
-def walk_rhs(start: LpResult, direction: Sequence) -> list[RhsPiece]:
+def walk_rhs(start: LpResult, direction: Sequence) -> tuple[list[RhsPiece], list | None]:
     """The optimum of `start`'s program as its right sides move along `direction`.
 
     Row i's right side becomes b_i + t * direction[i] for t >= 0, where b is
@@ -215,8 +211,9 @@ def walk_rhs(start: LpResult, direction: Sequence) -> list[RhsPiece]:
     which the program is feasible; the last one ends where it turns
     infeasible, or has hi None.  No piece is empty, and two neighbours
     never share a line.  Each piece keeps its first basis, from which
-    `resolve_lp` solves the program at other right sides.  See "The
-    right-side walk" in the module docstring.
+    `resolve_lp` solves the program at other right sides.  With the pieces
+    come checked Farkas multipliers, one per row and signed like duals, that
+    prove the program infeasible past the end (None if it never ends).
     """
     if start._tableau is None:
         raise ValueError(f"a walk needs an optimal result, not {start.status!r}")
@@ -224,7 +221,10 @@ def walk_rhs(start: LpResult, direction: Sequence) -> list[RhsPiece]:
     if len(direction) != rows:
         raise ValueError(f"the direction has {len(direction)} entries for {rows} rows")
     walk, dscale = start._tableau._with_direction(direction)
-    return walk._walk(walk.obj, dscale)
+    pieces, farkas = walk._walk(walk.obj, dscale)
+    if farkas is not None:
+        walk._check_farkas(farkas, direction, pieces[-1].hi if pieces else ZERO)
+    return pieces, farkas
 
 
 def _rational(v):
@@ -508,7 +508,7 @@ class _Simplex:
         for i, b in enumerate(self.basis):
             if b < self.nvars:
                 x[b] = Fraction(self.tab[i].get(self.ncols, 0), den)
-        duals = self._read_duals(obj)
+        duals = self._read_slacks(obj[self.nvars : self.ncols], self.div * self.cscale)
         value = Fraction(obj[self.ncols], den * self.cscale)
         self._check(x, duals, value)
         self.obj = obj
@@ -569,7 +569,7 @@ class _Simplex:
 
     # ── the right-side walk ─────────────────────────────────────────────
 
-    def _walk(self, obj: list[int], dscale: int) -> list[RhsPiece]:
+    def _walk(self, obj: list[int], dscale: int) -> tuple[list[RhsPiece], list | None]:
         """Raise t through every basis change until no column can enter.
 
         In tableau units u = t * bscale / dscale, row i's basic value is
@@ -577,7 +577,8 @@ class _Simplex:
         to u = rhs_i / -dir_i and the least such ratio is the next breakpoint.
         Every basis is optimal on its stretch of t, and its line is read off
         the objective row's two right-side entries.  Consecutive bases with
-        the same line make one piece, which keeps its first basis.
+        the same line make one piece, which keeps its first basis.  The row
+        that stops the walk comes back too, read by `_read_slacks`.
         """
         rhs, dcol = self.ncols, self.ncols + 1
         t_per_u = Fraction(dscale, self.bscale)
@@ -612,15 +613,11 @@ class _Simplex:
                 if end is None:
                     break
                 at = end
-            if at == 0 and seen is not None:
-                basis = tuple(self.basis)
-                if basis in seen:  # steepest edge would cycle from here
-                    seen = None
-                else:
-                    seen.add(basis)
-            if at == 0 and seen is not None:
+            if at == 0 and seen is not None and tuple(self.basis) not in seen:
+                seen.add(tuple(self.basis))
                 leaving = self._steepest(ties, dcol)
-            else:
+            else:  # past 0, or a basis met at 0 came round: steepest edge would cycle
+                seen = None
                 leaving = min(ties, key=self.basis.__getitem__)
             entering = self._entering(obj, self.tab[leaving])
             if entering < 0:
@@ -634,7 +631,10 @@ class _Simplex:
             len(self.tab), self.nvars, self.pivots, at_zero, len(pieces),
             at * t_per_u if end is not None else None,
         )
-        return pieces
+        if end is None:
+            return pieces, None
+        row = self.tab[leaving]
+        return pieces, self._read_slacks([row.get(j, 0) for j in range(self.nvars, rhs)], self.div)
 
     def _snapshot(self, obj: list[int]) -> _Simplex:
         """This walk's basis without its direction column, for warm starts."""
@@ -644,61 +644,72 @@ class _Simplex:
             row.pop(dcol, None)
         return snap
 
-    def _read_duals(self, obj: list[int]) -> list[Fraction]:
-        """Multipliers for the original rows, via the slack columns.
+    def _read_slacks(self, values: list[int], den: int) -> list[Fraction]:
+        """Multipliers for the original rows from a row's entries under the slack columns.
 
-        The reduced cost at a column whose input vector was e_i equals y_i
-        whatever pivots happened since, so row i's slack column yields the
-        scaled-system dual; multiplying by the signed row scale converts it
-        to a multiplier for the original row.
+        Slack i's input column was e_i, so whatever the pivots since, the
+        objective row holds scaled row i's dual there and a tableau row its
+        weight on scaled row i; times the signed row scale, either is the
+        original row's multiplier.
         """
-        den = self.div * self.cscale
-        return [
-            Fraction(y * s, den) if y else ZERO
-            for y, s in zip(obj[self.nvars : self.ncols], self.rscale)
-        ]
+        return [Fraction(y * s, den) if y else ZERO for y, s in zip(values, self.rscale)]
 
     def _check(self, x, duals, value):
         """Check the reported optimum exactly, on scaled integers.
 
         Primal feasibility: the point is scaled by the lcm L of its
         denominators and bscale (div*bscale for a point read off this
-        tableau), so each scaled row's L * (lhs - rhs) is an integer whose
-        sign, times the row scale's, is the original row's.  The multiplier
-        of scaled row i is duals[i] / rscale[i]; it must be Y_i / (div*cscale)
-        for an integer Y_i, as every dual read off this tableau is.  Dual
-        feasibility then compares sum_i Y_i * a_ij with div * C_j, where
+        tableau), and every scaled row, a <= row whatever the original
+        sense, must hold at it.  The duals are weighed by `_weigh_rows` over
+        div*cscale, the denominator of every dual read off this tableau.
+        Dual feasibility then compares sum_i Y_i * a_ij with div * C_j, where
         c_j = C_j / cscale, and strong duality compares sum_i Y_i * b_i over
         div*cscale*bscale with the value by cross-multiplication.
         """
         big = lcm(self.bscale, *(v.denominator for v in x))
         xs = [v.numerator * (big // v.denominator) for v in x]
         rhs_scale = big // self.bscale
-        den = self.div * self.cscale
-        reduced = [0] * self.nvars
-        dual_value = 0
-        for i, ((coeffs, sense), b) in enumerate(zip(self.rows_in, self.b)):
-            s = self.rscale[i]
-            gap = sum(map(mul, coeffs.values(), map(xs.__getitem__, coeffs))) - b * rhs_scale
-            if s < 0:
-                gap = -gap  # the sign of the original lhs - rhs
-            ok = gap <= 0 if sense == "<=" else gap >= 0
-            if not ok:
+        for (coeffs, sense), b in zip(self.rows_in, self.b):
+            if sum(map(mul, coeffs.values(), map(xs.__getitem__, coeffs))) > b * rhs_scale:
                 raise LpError(f"optimal point violates a {sense} row")
-            y = duals[i].numerator
-            if sense == "<=" and y < 0:
-                raise LpError("negative multiplier on a <= row")
-            if sense == ">=" and y > 0:
-                raise LpError("positive multiplier on a >= row")
-            if y:
-                y, rest = divmod(y * den, duals[i].denominator * s)
-                if rest:
-                    raise LpError("multiplier is not on the tableau's denominator")
-                for j, a in coeffs.items():
-                    reduced[j] += y * a
-                dual_value += y * b
-        div = self.div
-        if any(r < cj * div for r, cj in zip(reduced, self.cost)):
+        den = self.div * self.cscale
+        reduced, dual_value = self._weigh_rows(duals, den)
+        if any(r < cj * self.div for r, cj in zip(reduced, self.cost)):
             raise LpError("dual infeasibility detected")
         if dual_value * value.denominator != value.numerator * den * self.bscale:
             raise LpError("strong duality gap; simplex state is corrupt")
+
+    def _check_farkas(self, farkas: Sequence, direction: Sequence, end) -> None:
+        """Check exactly that `farkas` proves this program infeasible at every t > end.
+
+        Weighed by `_weigh_rows`, the multipliers must price every column
+        >= 0, so for x >= 0 the rows add up to 0 <= sum_i farkas[i] * (b_i +
+        t*direction[i]), whose right side must be 0 at t = end and fall.
+        """
+        den = lcm(*((Fraction(f) / s).denominator for f, s in zip(farkas, self.rscale) if f), 1)
+        priced, at_zero = self._weigh_rows(farkas, den)
+        if min(priced, default=0) < 0:
+            raise LpError("Farkas multipliers price a column below 0")
+        slope = sum(f * d for f, d in zip(farkas, direction) if f)
+        if slope >= 0 or Fraction(at_zero, den * self.bscale) + end * slope:
+            raise LpError(f"Farkas multipliers do not price the right sides to 0 at t = {end}")
+
+    def _weigh_rows(self, mults: Sequence, den: int) -> tuple[list[int], int]:
+        """The structural columns and the right side that `mults` price, on integers.
+
+        mults[i] multiplies original row i, signed like a dual, so scaled
+        row i weighs Y_i = mults[i] * den / rscale[i], which must be an
+        integer >= 0.  Column j is priced sum_i Y_i * a_ij, the right side
+        sum_i Y_i * b_i, both over den (and b's over bscale).
+        """
+        priced, total = [0] * self.nvars, 0
+        for (coeffs, sense), m, s, b in zip(self.rows_in, mults, self.rscale, self.b):
+            y, rest = divmod(m.numerator * den, m.denominator * s)
+            if y < 0:
+                raise LpError(f"{'negative' if s > 0 else 'positive'} multiplier on a {sense} row")
+            if rest:
+                raise LpError("multiplier is not on the tableau's denominator")
+            for j, a in coeffs.items() if y else ():
+                priced[j] += y * a
+            total += y * b
+        return priced, total

@@ -35,8 +35,8 @@ row's coefficients and its certificate coordinates come from the same terms.
 The analysis runs at logN = 1.  `solve_joint_lp` solves the rule's program
 at one point, without probing or retrying, and returns the optimum or raises
 `LpError`; `walk_joint_lp` follows its optimum from logS = 0 up to the
-storage cap, one basis at a time.  `tradeoffs.rule_tradeoff` owns the
-budget range [0, cap].
+storage cap, one basis at a time; `JointSystem.log_size_bound` prices its
+last row into the cap.  `tradeoffs.rule_tradeoff` owns the range [0, cap].
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class JointSystem:
         self.ac: LogConstraint = q.access_constraint()
         self.sc: list[SplitConstraint] = q.split_constraints()
         self._base: list[LpRow] | None = None
-        self._caps: dict[tuple, Fraction | None] = {}
 
     def col(self, side: str, z: VarSet) -> int:
         return z - 1 if side == "S" else self.m + z - 1
@@ -199,48 +198,30 @@ class JointSystem:
             rows.append(LpRow(coeffs, ">=", NO_BOUND, ONE, ("theta", b), cert))
         return rows + self.base_rows()
 
-    # -- one-sided storage cap --------------------------------------------------
+    # -- the storage cap ---------------------------------------------------------
 
-    def log_size_bound(self, targets: frozenset[VarSet] | set[VarSet]) -> Fraction | None:
-        """max over h_S of min_B h_S(B), under the S side's degree rows.
+    def log_size_bound(self, rule: TwoPhaseRule, farkas: list[Fraction]) -> Fraction:
+        """The rule's storage cap, priced from its walk's Farkas multipliers.
 
-        This is the largest log-size any strategy could need for the given
-        S-targets; above it the joint program is infeasible.  The program
-        takes the S side's polymatroid and degree rows at logN = 1, with t in
-        column m; no S-side row reads logQ, so the bound is cached per target
-        set.  It is solved as its dual, min b*y over y >= 0 with one row
-        per column of the program: every bound is N^a with a >= 0, so every
-        cost -b_i of the dual's maximization is <= 0 and its slack basis is
-        dual feasible.  An infeasible dual means an unbounded program, and
-        the bound is None (no target is tied to the data, which well-formed
-        queries never produce).
+        The walk checked that they weigh the rows of `rule_rows(rule)` into
+        0 <= a + c*logS, priced here at logN = 1 and logQ = 0 as `_package`
+        prices a dual; with c < 0 no h_S reaches a budget above -a/c.  Each
+        sign is checked against its row's sense, and c < 0 too.
         """
-        key = tuple(sorted(targets))
-        if key in self._caps:
-            return self._caps[key]
-        tcol = self.m
-        rows = [
-            (r.coeffs, r.sense, _rhs(r, ZERO, ZERO))
-            for r in self.base_rows()
-            if r.tag[0] in ("mono", "sub", "dc") and r.tag[1] == "S"
-        ]
-        rows += [(((b - 1, -ONE), (tcol, ONE)), "<=", ZERO) for b in key]
-        # row i, read as a <= row, is dual column i; program column j is dual row j
-        cost = []
-        dual_rows: list[list] = [[] for _ in range(tcol + 1)]
-        for i, (coeffs, sense, rhs) in enumerate(rows):
-            sign = ONE if sense == "<=" else -ONE
-            cost.append(-sign * rhs)
-            for j, v in coeffs:
-                dual_rows[j].append((i, sign * v))
-        res = solve_lp_guided(
-            cost, [(pairs, ">=", ONE if j == tcol else ZERO) for j, pairs in enumerate(dual_rows)]
-        )
-        if res.status == "unbounded":  # pragma: no cover - the zero point is feasible
-            raise LpError(f"storage-cap program of targets {key} came back infeasible")
-        cap = -res.value if res.status == "optimal" else None
-        self._caps[key] = cap
-        return cap
+        a = c = ZERO
+        for row, y in zip(self.rule_rows(rule), farkas, strict=True):
+            if not y:
+                continue
+            if (y < 0) != (row.sense == ">="):
+                raise LpError(
+                    f"Farkas multiplier {y} on row {row.tag} of {rule.pretty()} has the "
+                    f"wrong sign for its sense {row.sense!r}"
+                )
+            a += y * _rhs(row, ZERO, ZERO)
+            c += y * row.s_mult
+        if c >= 0:
+            raise LpError(f"Farkas multipliers of {rule.pretty()} price logS at {c}, not below 0")
+        return -a / c
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -295,7 +276,11 @@ class JointSolution:
     # (line[0], line[1])
     certificate: ExtractedInequality
     # value == line[0] + line[1]*logQ - line[2]*logS at the solved probe, and
-    # the right side stays a valid bound at every (logQ, logS)
+    # the right side stays a valid bound at every (logQ, logS).  A warm solve
+    # breaks ties toward larger logQ, so line[1] is the slope in logQ just
+    # above the probe; a cold one breaks none, and line[1] may exceed it: at
+    # (0, 0) three_reach's T{0,1,2} v T{0,2,3} v S{0,1} v S{0,3} and
+    # set_disjointness_k2 read 1, where their first terms' slope is 1/2
     line: tuple[Fraction, Fraction, Fraction]
     # the exact LP result, whose final tableau a later probe may start from
     lp: LpResult = field(repr=False, compare=False)
@@ -343,13 +328,16 @@ def solve_joint_lp(
     return sol
 
 
-def walk_joint_lp(rule: TwoPhaseRule, system: JointSystem, low: JointSolution) -> list[RhsPiece]:
+def walk_joint_lp(
+    rule: TwoPhaseRule, system: JointSystem, low: JointSolution
+) -> tuple[list[RhsPiece], list | None]:
     """The rule's value function from logS = 0 up to where it turns infeasible.
 
     `low` is the rule's optimal solution at logS = 0 (any logQ); the walk
     raises logS from its basis along the theta rows' right sides.  Piece k
     reads OBJ = intercept + slope*logS for lo <= logS <= hi, and can start a
-    `solve_joint_lp` of the same rule.
+    `solve_joint_lp` of the same rule.  `walk_rhs`'s Farkas multipliers come
+    with the pieces, one per row of `system.rule_rows(rule)`.
     """
     return walk_rhs(low.lp, [r.s_mult for r in system.rule_rows(rule)])
 

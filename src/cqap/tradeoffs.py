@@ -15,14 +15,14 @@ sides, so a rule's solve at logS = 0 is its only cold solve.  From that
 basis `shannon.walk_joint_lp` raises logS through every basis change up to
 the storage cap (right-side ranging: Gass & Saaty, 1955), and each basis it
 passes gives one piece's exact line and the breakpoint where the next takes
-over.  A term's request coefficient and certificate come from one request
-probe per piece: a warm solve at the piece's midpoint and logQ = 0, started
-from the piece's first basis on the walk, whose ties go toward larger logQ
-(the lexicographic rule of Dantzig, Orden & Wolfe, 1955).  Its basis is
-optimal at logQ = 0 and just above, so its dual line is tight there and
-its slope in logQ is exact.  The walk is fixed by the rule, so the
-certificates do not depend on other rules or on the order they are solved
-in.
+over; the last row it meets proves the cap.  A term's request coefficient
+and certificate come from one request probe per piece: a warm solve at the
+piece's midpoint and logQ = 0, started from the piece's first basis on the
+walk, whose ties go toward larger logQ (the lexicographic rule of Dantzig,
+Orden & Wolfe, 1955).  Its basis is optimal at logQ = 0 and just above, so
+its dual line is tight there and its slope in logQ is exact.  The walk is
+fixed by the rule, so the certificates do not depend on other rules or on
+the order they are solved in.
 
 Terms also arise in closed form from fractional edge covers, either of the
 whole query or bag-by-bag along a root-to-node path of a decomposition; those
@@ -192,23 +192,23 @@ def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
     basis up to the storage cap give every piece and breakpoint, and one
     request probe per piece, warm-started from the piece's first basis,
     gives its request coefficient and certificate.  So the terms and their
-    certificates depend on the rule alone.  The walk must end at
-    `log_size_bound`, the cap solved on its own.  A rule without storage
-    targets, or with a cap of 0, has no piece: its one term is pinned at
-    logS = 0 from the solve there, with span (0, cap).
+    certificates depend on the rule alone.  The walk must end at the cap
+    `log_size_bound` prices from its Farkas multipliers.  A rule without
+    storage targets, or with a cap of 0, has no piece: its one term is
+    pinned at logS = 0 from the solve there, with span (0, cap).
     """
     if not rule.t_targets:
         raise ValueError("a rule without online targets has no finite tradeoff")
     low = solve_joint_lp(rule, system, ZERO)
     pieces, cap = [], None
     if rule.s_targets:
-        pieces = walk_joint_lp(rule, system, low)
-        cap = system.log_size_bound(rule.s_targets)
+        pieces, farkas = walk_joint_lp(rule, system, low)
         end = pieces[-1].hi if pieces else ZERO
+        cap = None if farkas is None else system.log_size_bound(rule, farkas)
         if cap is None or end != cap:  # pragma: no cover - exactness guard
             raise LpError(
                 f"the walk of {rule.pretty()} ended at logS = {end}, "
-                f"not at its storage cap {cap}"
+                f"not at the storage cap {cap} its last row proves"
             )
     if not pieces:
         a, _, c = low.line

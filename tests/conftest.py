@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cqap.decompose import TreeDecomp, enumerate_pmtds, pmtds_from_json
+from cqap.exactlp import solve_lp
 from cqap.queries import load_query, parse_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
 from cqap.shannon import JointSystem
@@ -33,6 +35,36 @@ def rule_with_t(rules, query, *t_groups):
         if r.t_targets == want:
             return r
     raise AssertionError(f"no rule with online targets {t_groups}")
+
+
+def cap_lp(system, targets):
+    """The storage cap as a program of its own: an oracle for the walk's end.
+
+    max over h_S of min_B h_S(B) over the S-targets B, under the S side's
+    polymatroid and degree rows at logN = 1, with t in column m.  It is
+    solved as its dual, min b*y over y >= 0 with one row per column of the
+    program: every bound is N^a with a >= 0, so every cost -b_i of the
+    dual's maximization is <= 0 and its slack basis is dual feasible.  An
+    infeasible dual means an unbounded program, and the cap is None.
+    """
+    tcol = system.m
+    rows = [
+        (r.coeffs, r.sense, r.bound.at(1, 0))
+        for r in system.base_rows()
+        if r.tag[0] in ("mono", "sub", "dc") and r.tag[1] == "S"
+    ]
+    rows += [(((b - 1, -1), (tcol, 1)), "<=", 0) for b in sorted(targets)]
+    # row i, read as a <= row, is dual column i; program column j is dual row j
+    cost = []
+    dual_rows = [[] for _ in range(tcol + 1)]
+    for i, (coeffs, sense, rhs) in enumerate(rows):
+        sign = 1 if sense == "<=" else -1
+        cost.append(-sign * Fraction(rhs))
+        for j, v in coeffs:
+            dual_rows[j].append((i, sign * v))
+    res = solve_lp(cost, [(pairs, ">=", int(j == tcol)) for j, pairs in enumerate(dual_rows)])
+    assert res.status != "unbounded", "the zero point is feasible"
+    return -res.value if res.status == "optimal" else None
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import hashlib
 import logging
 import re
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -78,8 +79,9 @@ def test_walk_logs_its_size_pivots_pieces_and_end(caplog):
     rows = sparse([([1, 1], "<=", 4), ([0, 1], "<=", 1)])
     start = solve_lp([1, 2], rows)
     with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
-        pieces = walk_rhs(start, [0, 1])
+        pieces, farkas = walk_rhs(start, [0, 1])
     assert [(p.lo, p.hi, p.intercept, p.slope) for p in pieces] == [(0, 3, 5, 1), (3, None, 8, 0)]
+    assert farkas is None
     assert caplog.messages == ["walk: 2 rows, 2 columns, 1 pivots (0 at 0), 2 pieces, end None"]
     # each piece's basis warm-starts the same program at other right sides
     res = resolve_lp(pieces[0], [4, 2], [0, 0])
@@ -89,11 +91,37 @@ def test_walk_logs_its_size_pivots_pieces_and_end(caplog):
 def test_walk_ends_where_the_program_turns_infeasible():
     # max x with x <= 2 and x >= t: x stays 2 up to t = 2, then no x fits
     start = solve_lp([1], sparse([([1], "<=", 2), ([1], ">=", 0)]))
-    pieces = walk_rhs(start, [0, 1])
+    pieces, farkas = walk_rhs(start, [0, 1])
     assert [(p.lo, p.hi, p.intercept, p.slope) for p in pieces] == [(0, 2, 2, 0)]
+    # the last leaving row adds (x <= 2) - (x >= t) into 0 <= 2 - t
+    assert farkas == [1, -1]
     # x <= -t is infeasible beyond t = 0 at once
     start = solve_lp([1], sparse([([1], "<=", 0)]))
-    assert walk_rhs(start, [-1]) == []
+    assert walk_rhs(start, [-1]) == ([], [1])
+
+
+@pytest.mark.parametrize(
+    ("farkas", "message"),
+    [
+        ([1, -1], None),
+        ([1, 1], "positive multiplier on a >= row"),
+        ([-1, -1], "negative multiplier on a <= row"),
+        ([1, -2], "Farkas multipliers price a column below 0"),
+        ([0, -1], "Farkas multipliers price a column below 0"),
+        ([2, -1], "Farkas multipliers do not price the right sides to 0 at t = 2"),
+        ([1, 0], "Farkas multipliers do not price the right sides to 0 at t = 2"),
+    ],
+)
+def test_walk_certificate_check_rejects_a_changed_multiplier(farkas, message):
+    # the walk of x <= 2, x >= t ends at t = 2 with certificate [1, -1]; a
+    # certificate with one multiplier changed proves no end at 2
+    start = solve_lp([1], sparse([([1], "<=", 2), ([1], ">=", 0)]))
+    check = partial(start._tableau._check_farkas, farkas, [0, 1], F(2))
+    if message is None:
+        check()
+    else:
+        with pytest.raises(LpError, match=f"^{re.escape(message)}$"):
+            check()
 
 
 def test_walk_needs_an_optimal_start_and_a_direction_per_row():
@@ -239,7 +267,7 @@ def test_tie_phase_keeps_the_basis_optimal_along_toward(caplog):
     # without a direction the start's basis stays, and with it its duals
     assert resolve_lp(start, [1, 1, 2], [0, 0, 0]).duals == [0, 0, 1]
     # the returned tableau keeps no toward column: it warm-starts and walks as any other
-    assert walk_rhs(tied, [0, 0, 1])[0].slope == 0
+    assert walk_rhs(tied, [0, 0, 1])[0][0].slope == 0
     assert resolve_lp(tied, [2, 2, 3], [0, 0, 0]).value == 3
 
 
@@ -270,8 +298,8 @@ def test_rejects_malformed_rows():
 # Digest of (status, value, x, duals) of every distinct program the three_reach
 # rule tradeoffs solve, cold or warm, and of the pieces of every walk, and the
 # pivots they all take.
-THREE_REACH_SOLVES = "7a638dad518d31957cfd5b04dc8e2f70e472c66b63a624b4fb7a82c2906546e6"
-THREE_REACH_PIVOTS = 261
+THREE_REACH_SOLVES = "c18cb9dc3e7c4bfb5cdaad5ac5131eea4c94977e20fedc751298876ea36cc333"
+THREE_REACH_PIVOTS = 192
 
 
 def test_three_reach_solves_are_bit_identical(monkeypatch):
@@ -326,7 +354,7 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
 
     def recording_walk(start, direction):
         before = pivots
-        pieces = real_walk(start, direction)
+        pieces, farkas = real_walk(start, direction)
         out = repr([(p.lo, p.hi, p.intercept, p.slope) for p in pieces])
         # keyed on the start's scaled rows and its point, which name the program
         lp = start._tableau
@@ -334,7 +362,7 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
         program = repr((rows, start.x, direction))
         key = hashlib.sha256(program.encode()).hexdigest()
         solves[key + " walk"] = (out, pivots - before)
-        return pieces
+        return pieces, farkas
 
     monkeypatch.setattr(_Simplex, "_pivot", counting_pivot)
     monkeypatch.setattr(exactlp, "solve_lp", recording_solve)
@@ -456,7 +484,7 @@ def test_tie_phase_duals_price_the_first_step_along_toward(problem, toward):
     plain = resolve_lp(start, rhs, [0] * len(rows))
     assert (warm.status, warm.value) == (plain.status, plain.value)
     assume(warm.status == "optimal")
-    pieces = walk_rhs(warm, toward)
+    pieces, _ = walk_rhs(warm, toward)
     if pieces:
         slope = sum(y * d for y, d in zip(warm.duals, toward))
         assert (pieces[0].lo, pieces[0].intercept, pieces[0].slope) == (0, warm.value, slope)
@@ -482,7 +510,13 @@ def test_walk_matches_a_warm_solve(problem, direction, s):
     start = resolve_lp(start, [b for _, _, b in rows], [0] * len(rows))
     assume(start.status == "optimal")
     direction = direction[: len(rows)]
-    pieces = walk_rhs(start, direction)
+    pieces, farkas = walk_rhs(start, direction)
+    # the certificate prices the right sides to 0 where the last piece ends
+    if farkas is None:
+        assert pieces and pieces[-1].hi is None
+    else:
+        end = pieces[-1].hi if pieces else 0
+        assert sum(y * (b + end * d) for y, (_, _, b), d in zip(farkas, rows, direction)) == 0
     for left, right in zip(pieces, pieces[1:]):
         assert left.lo < left.hi == right.lo
         assert (left.intercept, left.slope) != (right.intercept, right.slope)

@@ -7,6 +7,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -17,9 +18,11 @@ from cqap import shannon
 from cqap.decompose import enumerate_pmtds, pmtds_from_json
 from cqap.exactlp import LpError, _Simplex, resolve_lp, solve_lp
 from cqap.polymatroids import check_polymatroid
-from cqap.queries import LogBound, load_query
+from cqap.queries import LogBound, load_query, parse_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
 from cqap.shannon import JointSystem, solve_joint_lp
+
+from conftest import cap_lp
 
 ROOT = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -56,7 +59,7 @@ def test_two_reach_value_line_and_cap():
     sol = solve_joint_lp(rule, system, F(1))
     assert sol.value == F(1, 2)
     assert sol.line == (F(1), F(1), F(1, 2))
-    assert system.log_size_bound(rule.s_targets) == 2
+    assert cap_lp(system, rule.s_targets) == 2
 
 
 def test_two_reach_certificate_is_the_worked_dual():
@@ -117,7 +120,7 @@ def test_three_reach_rho4_piece_sweep():
         F(4, 3): F(2, 3),
         F(35, 24): F(1, 6),
     }
-    assert system.log_size_bound(rule.s_targets) == F(3, 2)
+    assert cap_lp(system, rule.s_targets) == F(3, 2)
     lines = {}
     for s, want in expected.items():
         sol = solve_joint_lp(rule, system, s)
@@ -145,13 +148,13 @@ def test_three_reach_rho1_single_piece():
     probe = solve_joint_lp(rule, system, F(1), log_q=F(1, 64))
     assert probe.value == 1 + F(1, 64) - F(1, 2)
     assert probe.line == (F(1), F(1), F(1, 2))
-    assert system.log_size_bound(rule.s_targets) == 2
+    assert cap_lp(system, rule.s_targets) == 2
 
 
 def test_obj_non_increasing_in_budget():
     query, rule = three_reach_rho(2)
     system = JointSystem(query)
-    cap = system.log_size_bound(rule.s_targets)
+    cap = cap_lp(system, rule.s_targets)
     last = None
     for k in range(0, int(4 * cap) + 1):
         sol = solve_joint_lp(rule, system, F(k, 4))
@@ -355,29 +358,80 @@ def test_solve_is_deterministic():
     assert a.certificate == b.certificate
 
 
+def priced_cap(rule, system):
+    """The cap `log_size_bound` prices from the Farkas multipliers of the rule's walk."""
+    _, farkas = shannon.walk_joint_lp(rule, system, solve_joint_lp(rule, system, F(0)))
+    return system.log_size_bound(rule, farkas)
+
+
 def test_log_size_bound_values():
     query = q("two_reach")
     system = JointSystem(query)
     pair = frozenset({mask(query, "x1", "x3")})
-    assert system.log_size_bound(pair) == 2
-    # cached: the same key must not re-solve to a different answer
-    assert system.log_size_bound(pair) == 2
+    rule = TwoPhaseRule(s_targets=pair, t_targets=frozenset({mask(query, "x1", "x2", "x3")}))
+    assert priced_cap(rule, system) == cap_lp(system, pair) == 2
 
     query3, rule4 = three_reach_rho(4)
     system3 = JointSystem(query3)
-    assert system3.log_size_bound(rule4.s_targets) == F(3, 2)
+    assert priced_cap(rule4, system3) == cap_lp(system3, rule4.s_targets) == F(3, 2)
 
 
-def test_log_size_bound_solves_once_per_target_set(monkeypatch):
-    # no S-side row reads logQ, so the bound depends on the targets alone
-    query, rule = three_reach_rho(4)
+def test_log_size_bound_rejects_a_changed_multiplier():
+    # numeric bounds read as N^0, so nothing can be stored above logS = 0:
+    # the walk has no piece, and its last row adds theta, a mono, a sub and
+    # both S-side dc rows into 0 <= 0 - logS
+    query = parse_query(
+        "two_reach(x1, x3 | x1, x3) :- R1(x1, x2), R2(x2, x3).\n"
+        "dc R1: size = 8\n"
+        "dc R2: size = 8"
+    )
     system = JointSystem(query)
-    solves = []
-    real = shannon.solve_lp_guided
-    monkeypatch.setattr(shannon, "solve_lp_guided", lambda *a: solves.append(a) or real(*a))
-    for targets in (rule.s_targets, set(rule.s_targets)):
-        assert system.log_size_bound(targets) == F(3, 2)
-    assert len(solves) == 1
+    rule = TwoPhaseRule(
+        s_targets=frozenset({mask(query, "x1", "x3")}),
+        t_targets=frozenset({mask(query, "x1", "x2", "x3")}),
+    )
+    low = solve_joint_lp(rule, system, F(0))
+    pieces, farkas = shannon.walk_joint_lp(rule, system, low)
+    rows = system.rule_rows(rule)
+    used = {rows[i].tag: y for i, y in enumerate(farkas) if y}
+    assert pieces == []
+    assert used == {
+        ("theta", mask(query, "x1", "x3")): -1,
+        ("mono", "S", 2): -1,
+        ("sub", "S", 0, 1, 4): -1,
+        ("dc", "S", 0): 1,
+        ("dc", "S", 1): 1,
+    }
+    check = partial(low.lp._tableau._check_farkas, direction=[r.s_mult for r in rows], end=F(0))
+    check(farkas)
+    assert system.log_size_bound(rule, farkas) == cap_lp(system, rule.s_targets) == 0
+    for i, y in enumerate(farkas):
+        if not y:
+            continue
+        flipped = list(farkas)
+        flipped[i] = -y
+        with pytest.raises(LpError, match="^(negative|positive) multiplier on a [<>]= row$"):
+            check(flipped)
+        with pytest.raises(LpError, match=f"on row {re.escape(str(rows[i].tag))} .* wrong sign"):
+            system.log_size_bound(rule, flipped)
+        dropped = list(farkas)
+        dropped[i] = F(0)
+        with pytest.raises(LpError, match="^Farkas multipliers (price a column|do not price)"):
+            check(dropped)
+    # the dc rows' right sides are 0 here, so a doubled dc multiplier is
+    # another valid certificate of the same cap, not a wrong one
+    tags = [r.tag for r in rows]
+    i = tags.index(("dc", "S", 0))
+    doubled = list(farkas)
+    doubled[i] = 2
+    check(doubled)
+    assert system.log_size_bound(rule, doubled) == 0
+    # a doubled theta multiplier overweighs the S-target's column
+    i = tags.index(("theta", mask(query, "x1", "x3")))
+    doubled = list(farkas)
+    doubled[i] = -2
+    with pytest.raises(LpError, match="^Farkas multipliers price a column below 0$"):
+        check(doubled)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -415,7 +469,7 @@ def test_four_reach_deep_rule_warm_move_to_the_cap(caplog):
     query, rules = four_reach_rules()
     system = JointSystem(query)
     rule = rule_with_t(rules, query, ("x3", "x4", "x5"), ("x2", "x3", "x4"))
-    cap = system.log_size_bound(rule.s_targets)
+    cap = cap_lp(system, rule.s_targets)
     low = solve_joint_lp(rule, system, F(0))
     with caplog.at_level(logging.DEBUG, logger="cqap.exactlp"):
         high = solve_joint_lp(rule, system, cap, start=low)
@@ -462,10 +516,12 @@ def test_walk_pieces_are_fresh_solves_on_every_corpus_rule():
             if not rule.s_targets:
                 continue
             low = solve_joint_lp(rule, system, F(0))
-            pieces = shannon.walk_joint_lp(rule, system, low)
+            pieces, farkas = shannon.walk_joint_lp(rule, system, low)
             where = (name, rule.pretty())
             assert pieces[0].lo == 0, where
-            assert pieces[-1].hi == system.log_size_bound(rule.s_targets), where
+            # the walk's end, its priced certificate and the cap solved as a program agree
+            cap = cap_lp(system, rule.s_targets)
+            assert pieces[-1].hi == system.log_size_bound(rule, farkas) == cap, where
             for p in pieces:
                 # a solve of its own, by dual simplex from the optimum at 0
                 a, _, c = solve_joint_lp(rule, system, (p.lo + p.hi) / 2, start=low).line
@@ -486,24 +542,19 @@ class Posed(Exception):
     """Stops a solve once its program has been recorded."""
 
 
-# the joint programs of the 37 pruned rules of the corpus and their 37 caps
-COLD_PROGRAMS = 74
+# the joint programs of the 37 pruned rules of the corpus
+COLD_PROGRAMS = 37
 
 
 def test_every_cold_program_starts_on_a_feasible_slack_basis(monkeypatch):
-    # each rule's joint program at (logS, logQ) = (0, 0) and each storage-cap
-    # program, built as tableaux and never solved.  A joint program has a
-    # positive cost, so it must start primal feasible (no right side on the
-    # wrong side of its row); a cap program is posed as its dual, whose slack
-    # basis must be dual feasible (every cost <= 0)
+    # each rule's joint program at (logS, logQ) = (0, 0), built as a tableau
+    # and never solved.  It has a positive cost, so it must start primal
+    # feasible: no right side on the wrong side of its row
     posed = []
 
     def pose(c, rows):
         lp = _Simplex([F(v) for v in c], rows)
-        if what[2] == "joint":
-            bad = [i for i, row in enumerate(lp.tab) if row.get(lp.ncols, 0) < 0]
-        else:
-            bad = [j for j, v in enumerate(lp.cost) if v > 0]
+        bad = [i for i, row in enumerate(lp.tab) if row.get(lp.ncols, 0) < 0]
         posed.append((what, bad))
         raise Posed
 
@@ -514,12 +565,8 @@ def test_every_cold_program_starts_on_a_feasible_slack_basis(monkeypatch):
         query = q(name)
         system = JointSystem(query)
         for k, rule in enumerate(rules_of(query)):
-            what = (name, k, "joint")
+            what = (name, k)
             with pytest.raises(Posed):
                 solve_joint_lp(rule, system, F(0))
-            if rule.s_targets:
-                what = (name, k, "cap")
-                with pytest.raises(Posed):
-                    system.log_size_bound(rule.s_targets)
     assert [p for p in posed if p[1]] == []
     assert len(posed) == COLD_PROGRAMS
