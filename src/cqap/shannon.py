@@ -78,6 +78,22 @@ class LpRow:
     cert: tuple[tuple[str, tuple[VarSet, VarSet]], ...]
 
 
+@dataclass(frozen=True)
+class RuleRows:
+    """One rule's rows, their logQ coefficients `q`, and (k, n, q, s) in `live`
+    for each row k whose right side n + q*logQ + s*logS is not 0 throughout."""
+
+    rows: list[LpRow]
+    q: list[Fraction]
+    live: list[tuple[int, Fraction, Fraction, Fraction]]
+
+    def rhs(self, log_q, log_s) -> list[Fraction]:
+        out = [ZERO] * len(self.rows)
+        for k, n, q, s in self.live:
+            out[k] = n + q * log_q + s * log_s
+        return out
+
+
 # ═══════════════════════════════════════════════════════════════════════════
 # Row assembly
 # ═══════════════════════════════════════════════════════════════════════════
@@ -99,6 +115,7 @@ class JointSystem:
         self.ac: LogConstraint = q.access_constraint()
         self.sc: list[SplitConstraint] = q.split_constraints()
         self._base: list[LpRow] | None = None
+        self._rules: dict[TwoPhaseRule, RuleRows] = {}
 
     def col(self, side: str, z: VarSet) -> int:
         return z - 1 if side == "S" else self.m + z - 1
@@ -186,7 +203,10 @@ class JointSystem:
             )
         return self._base
 
-    def rule_rows(self, rule: TwoPhaseRule) -> list[LpRow]:
+    def rule_rows(self, rule: TwoPhaseRule) -> RuleRows:
+        """The rule's lam and theta rows, then the base rows; built once per rule."""
+        if rule in self._rules:
+            return self._rules[rule]
         rows = []
         for b in sorted(rule.t_targets):
             coeffs = ((self.col("T", b), -ONE), (self.col_obj, ONE))
@@ -196,7 +216,11 @@ class JointSystem:
             coeffs = ((self.col("S", b), ONE),)
             cert = (("theta", (0, b)),)
             rows.append(LpRow(coeffs, ">=", NO_BOUND, ONE, ("theta", b), cert))
-        return rows + self.base_rows()
+        rows += self.base_rows()
+        parts = [(k, r.bound.n, r.bound.q, r.s_mult) for k, r in enumerate(rows)]
+        live = [part for part in parts if any(part[1:])]
+        self._rules[rule] = RuleRows(rows, [r.bound.q for r in rows], live)
+        return self._rules[rule]
 
     # -- the storage cap ---------------------------------------------------------
 
@@ -209,7 +233,7 @@ class JointSystem:
         sign is checked against its row's sense, and c < 0 too.
         """
         a = c = ZERO
-        for row, y in zip(self.rule_rows(rule), farkas, strict=True):
+        for row, y in zip(self.rule_rows(rule).rows, farkas, strict=True):
             if not y:
                 continue
             if (y < 0) != (row.sense == ">="):
@@ -217,7 +241,7 @@ class JointSystem:
                     f"Farkas multiplier {y} on row {row.tag} of {rule.pretty()} has the "
                     f"wrong sign for its sense {row.sense!r}"
                 )
-            a += y * _rhs(row, ZERO, ZERO)
+            a += y * row.bound.n
             c += y * row.s_mult
         if c >= 0:
             raise LpError(f"Farkas multipliers of {rule.pretty()} price logS at {c}, not below 0")
@@ -309,21 +333,22 @@ def solve_joint_lp(
     (same logQ) and warm-starts from that solve.
     """
     log_s, log_q = Fraction(log_s), Fraction(log_q)
-    rows = system.rule_rows(rule)
+    rr = system.rule_rows(rule)
     warm = start.lp if isinstance(start, JointSolution) else start
     if warm is None:
         c_obj = [ZERO] * system.ncols
         c_obj[system.col_obj] = ONE
-        res = solve_lp_guided(c_obj, [(r.coeffs, r.sense, _rhs(r, log_q, ZERO)) for r in rows])
+        rows = zip(rr.rows, rr.rhs(log_q, ZERO))
+        res = solve_lp_guided(c_obj, [(r.coeffs, r.sense, b) for r, b in rows])
         warm = res if log_s and res.status == "optimal" else None
     if warm is not None:
-        res = resolve_lp(warm, [_rhs(r, log_q, log_s) for r in rows], [r.bound.q for r in rows])
+        res = resolve_lp(warm, rr.rhs(log_q, log_s), rr.q)
     if res.status != "optimal":
         raise LpError(
             f"joint program for {rule.pretty()} at (logN, logQ, logS) = "
             f"(1, {log_q}, {log_s}) came back {res.status}"
         )
-    sol = _package(rule, system, rows, res)
+    sol = _package(rule, system, rr.rows, res)
     log.debug("rule %s at (1, %s, %s): OBJ=%s", rule.pretty(), log_q, log_s, sol.value)
     return sol
 
@@ -339,14 +364,7 @@ def walk_joint_lp(
     `solve_joint_lp` of the same rule.  `walk_rhs`'s Farkas multipliers come
     with the pieces, one per row of `system.rule_rows(rule)`.
     """
-    return walk_rhs(low.lp, [r.s_mult for r in system.rule_rows(rule)])
-
-
-def _rhs(row: LpRow, log_q, log_s) -> Fraction:
-    """The row's numeric right side at logN = 1; most rows have none."""
-    if row.bound is NO_BOUND and not row.s_mult:
-        return ZERO
-    return row.bound.at(ONE, log_q) + row.s_mult * log_s
+    return walk_rhs(low.lp, [r.s_mult for r in system.rule_rows(rule).rows])
 
 
 def _package(rule, system, rows, res: LpResult) -> JointSolution:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import logging
+import re
+from functools import reduce
 from itertools import product
 from pathlib import Path
 
@@ -10,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqap import rules as rules_module
 from cqap.decompose import (
     Pmtd,
     TreeDecomp,
@@ -19,10 +21,9 @@ from cqap.decompose import (
     pmtds_from_json,
 )
 from cqap.queries import load_query
-from cqap.relalg import proper_subset, vs
+from cqap.relalg import proper_subset, subset, vs
 from cqap.rules import (
     TwoPhaseRule,
-    clean_targets,
     generate_rules,
     plan_choices,
     prune_rules,
@@ -74,7 +75,8 @@ def pick_plans(plans, query, *wanted):
     return [by_key[w] for w in wanted]
 
 
-def side_targets(p: Pmtd) -> frozenset:
+def side_targets(p: Pmtd | TwoPhaseRule) -> frozenset:
+    """The plan's or rule's targets, each tagged with its side."""
     return frozenset(
         [("T", v) for v in p.t_targets] + [("S", v) for v in p.s_targets]
     )
@@ -296,20 +298,30 @@ def test_generate_names_the_missing_views():
         generate_rules([full, full, hollow, full])
 
 
-def test_each_clean_insert_is_computed_once(monkeypatch):
+# Partial states after each four_reach plan, one per distinct cleaned
+# partial (S targets, T targets) pair: the invariant that makes the fold exact.
+FOUR_REACH_STATES = {
+    "enumerated": [1, 2, 6, 15, 44, 105, 275, 636, 764, 765, 1962, 3495, 7649, 8774, 8654],
+    "reversed": [3, 9, 23, 44, 105, 275, 399, 764, 765, 1990, 2791, 5211, 5090, 8654, 8654],
+}
+
+
+def test_fold_keeps_one_state_per_cleaned_partial_pair(caplog):
     plans = enumerate_pmtds(q("four_reach"))
-    calls = []
-    add_target = rules_module._add_target
-
-    def recorded(side, v):
-        calls.append((side, v))
-        return add_target(side, v)
-
-    monkeypatch.setattr(rules_module, "_add_target", recorded)
-    generated = generate_rules(plans)
-    assert calls
-    assert len(set(calls)) == len(calls)
-    assert rules_digest(generated) == FOUR_REACH_DIGESTS["enumerated"][0]
+    for order, ps in (("enumerated", plans), ("reversed", plans[::-1])):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cqap.rules"):
+            generated = generate_rules(ps)
+        counts = [
+            int(m[2])
+            for m in (
+                re.fullmatch(r"folded plan (\d+): (\d+) partial rules", r.getMessage())
+                for r in caplog.records
+            )
+            if m
+        ]
+        assert counts == FOUR_REACH_STATES[order]
+        assert rules_digest(generated) == FOUR_REACH_DIGESTS[order][0]
 
 
 # ----------------------------------------------------------------------------
@@ -320,6 +332,18 @@ def test_each_clean_insert_is_computed_once(monkeypatch):
 def minimal(ts):
     ts = set(ts)
     return frozenset(a for a in ts if not any(proper_subset(b, a) for b in ts))
+
+
+def _add_target(side, v):
+    """clean_targets(side | {v}) for a side that is already clean."""
+    if any(subset(b, v) for b in side):
+        return side
+    return frozenset([b for b in side if not subset(v, b)] + [v])
+
+
+def clean_targets(targets):
+    """Drop every target that properly contains another one, one insert at a time."""
+    return reduce(_add_target, targets, frozenset())
 
 
 def product_rules(plans):
@@ -378,6 +402,31 @@ def test_fold_and_frontier_match_their_definitions(plans, data):
     assert as_pairs(prune_rules(data.draw(st.permutations(rules)))) == as_pairs(kept)
 
 
+def fresh(r: TwoPhaseRule) -> TwoPhaseRule:
+    """An equal rule whose sides are new frozenset objects."""
+    return TwoPhaseRule(frozenset(list(r.s_targets)), frozenset(list(r.t_targets)), r.picks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan_lists(), st.data())
+def test_prune_compares_sides_by_value(plans, data):
+    rules = generate_rules(plans)
+    extra = data.draw(st.lists(st.sampled_from(rules).map(fresh) | st.sampled_from(rules)))
+    mixed = data.draw(st.permutations(rules + extra))
+    assert as_pairs(prune_rules(mixed)) == as_pairs(quadratic_prune(mixed))
+
+
+def test_prune_compares_round_tripped_sides_by_value():
+    query = q("three_reach")
+    rules = generate_rules(enumerate_pmtds(query))
+    back = rules_from_json(rules_to_json(rules, query), query)
+    assert all(a.s_targets is not b.s_targets for a, b in zip(rules, back) if a.s_targets)
+    mixed = rules + back
+    kept = prune_rules(mixed)
+    assert len(kept) == 8
+    assert as_pairs(kept) == as_pairs(quadratic_prune(mixed))
+
+
 # ----------------------------------------------------------------------------
 # Every full choice of targets covers some plan
 # ----------------------------------------------------------------------------
@@ -392,10 +441,10 @@ def test_full_choices_cover_a_plan_three_reach():
     # contains a whole rule for no rule at all
     for banned in product(*[sorted(side_targets(p)) for p in plans]):
         bset = frozenset(banned)
-        assert any(r.targets() <= bset for r in rules)
+        assert any(side_targets(r) <= bset for r in rules)
     # and directly on the pruned set, whose choice space is small
     pruned = prune_rules(rules)
-    for choice in product(*[sorted(r.targets()) for r in pruned]):
+    for choice in product(*[sorted(side_targets(r)) for r in pruned]):
         cset = frozenset(choice)
         assert any(side_targets(p) <= cset for p in plans)
 
@@ -409,7 +458,7 @@ def test_full_choices_cover_a_plan_corpus(name):
     rules = generate_rules(plans)
     for banned in product(*[sorted(side_targets(p)) for p in plans]):
         bset = frozenset(banned)
-        assert any(r.targets() <= bset for r in rules)
+        assert any(side_targets(r) <= bset for r in rules)
 
 
 # ----------------------------------------------------------------------------

@@ -374,7 +374,7 @@ def test_request_exponent_is_the_first_slope_of_a_log_q_walk(name):
             m = lo if hi is None else (lo + hi) / 2
             a, b, c = t.line()
             sol = solve_joint_lp(rule, system, m)
-            pieces, _ = walk_rhs(sol.lp, [r.bound.q for r in system.rule_rows(rule)])
+            pieces, _ = walk_rhs(sol.lp, system.rule_rows(rule).q)
             first = pieces[0]
             assert (first.lo, first.intercept, first.slope) == (0, a - c * m, b), t.pretty()
 
