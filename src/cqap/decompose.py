@@ -192,10 +192,6 @@ class Pmtd:
     def key(self) -> tuple[tuple[VarSet, ...], tuple[VarSet, ...]]:
         return (tuple(sorted(self.t_targets)), tuple(sorted(self.s_targets)))
 
-    def pretty(self, names: list[str] | None = None) -> str:
-        ts = [f"T{vs_str(v, names)}" for v in sorted(self.t_targets)]
-        ss = [f"S{vs_str(v, names)}" for v in sorted(self.s_targets)]
-        return "(" + ", ".join(ts + ss) + ")"
 
 
 def compute_nu(td: TreeDecomp, in_m: tuple[bool, ...], head: VarSet) -> tuple[VarSet, ...]:

@@ -13,11 +13,12 @@ value under a polymatroid:
 A proof sequence applies such steps to an initial vector delta so that every
 intermediate vector stays nonnegative and the final vector dominates a target
 lambda; replaying it shows <delta, h> >= <lambda, h> for every polymatroid h.
-`validate` replays a sequence exactly.  `construct` builds one from a witness:
-the submodularity and monotonicity multipliers of the linear program that
-certified the inequality (solved for exactly when none is given).  It spends
-the witness step by step as in PANDA's proof-sequence theorem (Abo Khamis,
-Ngo & Suciu, PODS 2017), with no search.
+`validate` replays a sequence exactly.  `construct` builds one from a given
+witness: the submodularity and monotonicity multipliers of the linear program
+that certified the inequality, read off its optimal dual with the tradeoff
+term (`shannon.ExtractedInequality`).  It spends the witness step by step as
+in PANDA's proof-sequence theorem (Abo Khamis, Ngo & Suciu, PODS 2017), with
+no search and no solve of its own.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlp import solve_lp
-from .polymatroids import CondVec, SetFunction, eval_cond_vec
-from .relalg import VarSet, members, size, submasks, vs_str
+from .relalg import VarSet, members, size, vs_str
 
 log = logging.getLogger(__name__)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 SUBMODULARITY = "submodularity"
 MONOTONICITY = "monotonicity"
@@ -43,6 +41,9 @@ DECOMPOSITION = "decomposition"
 KINDS = (SUBMODULARITY, MONOTONICITY, COMPOSITION, DECOMPOSITION)
 
 Coord = tuple[VarSet, VarSet]
+# rational weights on pairs of variable sets: (X, Y) with X ⊂ Y for the term
+# h(Y|X), or an incomparable (I, J) for a submodularity multiplier
+CondVec = dict[Coord, Fraction]
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -126,24 +127,6 @@ class ProofSequence:
     steps: list[ProofStep] = field(default_factory=list)
     name: str = ""
 
-    def states(self):
-        """Yield the vector after 0, 1, ... steps (fresh dicts)."""
-        cur = {k: Fraction(v) for k, v in self.initial.items() if v}
-        yield dict(cur)
-        for st in self.steps:
-            for c, dv in st.delta().items():
-                nv = cur.get(c, ZERO) + dv
-                if nv:
-                    cur[c] = nv
-                else:
-                    cur.pop(c, None)
-            yield dict(cur)
-
-    def final(self) -> CondVec:
-        for cur in self.states():
-            pass
-        return cur
-
     def pretty(self, names: list[str] | None = None) -> str:
         head = self.name or "proof sequence"
         lines = [f"{head}: {len(self.steps)} step(s)"]
@@ -207,11 +190,6 @@ def validate(ps: ProofSequence, names: list[str] | None = None) -> ValidationRep
     return ValidationReport(True)
 
 
-def replay_values(ps: ProofSequence, h: SetFunction) -> list[Fraction]:
-    """<delta_i, h> after each prefix; non-increasing when h is a polymatroid."""
-    return [eval_cond_vec(state, h) for state in ps.states()]
-
-
 # ═══════════════════════════════════════════════════════════════════════════
 # Normalisation
 # ═══════════════════════════════════════════════════════════════════════════
@@ -241,7 +219,7 @@ def normalize(vec: CondVec, target: CondVec, sigma=None, mu=None):
 
 
 class ConstructionError(RuntimeError):
-    """The witness breaks its identity, or no witness exists.
+    """The witness breaks its identity.
 
     `residual` holds the target weight the initial vector does not cover.
     """
@@ -270,35 +248,6 @@ def _excess(initial: CondVec, target: CondVec, sigma, mu) -> dict[VarSet, Fracti
         add(y, -w)
         add(x, w)
     return e
-
-
-def _derive_witness(initial: CondVec, target: CondVec):
-    """The least-weight witness over the elemental inequalities, or None."""
-    vmask = 0
-    for _, y in (*initial, *target):
-        vmask |= y
-    bits = [1 << i for i in members(vmask)]
-    subs = [
-        (x | bi, x | bj)
-        for a, bi in enumerate(bits)
-        for bj in bits[a + 1:]
-        for x in submasks(vmask & ~(bi | bj))
-    ]
-    monos = [(vmask & ~b, vmask) for b in bits if vmask & ~b]
-    cols = [_excess({}, {}, {p: ONE}, {}) for p in subs]
-    cols += [_excess({}, {}, {}, {p: ONE}) for p in monos]
-    # every excess, base plus the multipliers' share, must stay >= 0
-    base = _excess(initial, target, {}, {})
-    share: dict[VarSet, list] = {z: [] for z in submasks(vmask)[1:]}
-    for k, col in enumerate(cols):
-        for z, v in col.items():
-            share[z].append((k, -v))
-    rows = [(pairs, "<=", base.get(z, ZERO)) for z, pairs in share.items()]
-    res = solve_lp([-ONE] * len(cols), rows)
-    if res.status != "optimal":
-        return None
-    sigma = {p: v for p, v in zip(subs, res.x) if v}
-    return sigma, {p: v for p, v in zip(monos, res.x[len(subs):]) if v}
 
 
 def _take(pool: dict, key, w: Fraction):
@@ -448,8 +397,8 @@ def construct(
     initial: CondVec,
     target: CondVec,
     *,
-    sigma: dict | None = None,
-    mu: dict | None = None,
+    sigma: CondVec,
+    mu: CondVec,
     name: str = "",
 ) -> ProofSequence:
     """Build a proof sequence from `initial` to the unconditional `target`.
@@ -458,38 +407,32 @@ def construct(
     the submodularity and monotonicity multipliers of the certifying linear
     program.  They must satisfy the witness identity exactly:
     <initial - target, h> = sum sigma*sub + sum mu*mono + a nonnegative
-    multiple of each h(Z).  When both are None, the least-weight witness
-    over the elemental inequalities of the variables in play is solved for.
+    multiple of each h(Z).
 
     Every multiplier is spent by a step of its own kind, reached by
     composing and decomposing held terms, then the held terms are composed
     into the targets (see `_Prover`).  This cannot fail, so ConstructionError
-    means only that the given witness breaks the identity (the message names
-    the coordinate) or that no witness exists.
+    means only that the witness breaks the identity (the message names the
+    coordinate).
     """
     initial = {k: Fraction(v) for k, v in initial.items() if v}
     target = {k: Fraction(v) for k, v in target.items() if v}
     if any(x for x, _ in target):
         raise ValueError("construct needs unconditional targets")
-    if any(v < 0 for vec in (initial, target, sigma or {}, mu or {}) for v in vec.values()):
+    if any(v < 0 for vec in (initial, target, sigma, mu) for v in vec.values()):
         raise ValueError("construct needs nonnegative weights and multipliers")
-    if any(not (i & ~j and j & ~i) for i, j in sigma or {}):
+    if any(not (i & ~j and j & ~i) for i, j in sigma):
         raise ValueError("sigma needs incomparable pairs")
-    if any(x & ~y or x == y for x, y in mu or {}):
+    if any(x & ~y or x == y for x, y in mu):
         raise ValueError("mu needs pairs (X, Y) with X a proper subset of Y")
     residual = {c: v - initial.get(c, ZERO) for c, v in target.items() if v > initial.get(c, ZERO)}
-    if sigma is None and mu is None:
-        witness = _derive_witness(initial, target)
-        if witness is None:
-            raise ConstructionError("no witness exists: the inequality is not Shannon-provable", residual)
-        sigma, mu = witness
     pairs: dict[tuple[VarSet, VarSet], Fraction] = {}
-    for (i, j), w in (sigma or {}).items():
+    for (i, j), w in sigma.items():
         if w:
             key = (min(i, j), max(i, j))
             pairs[key] = pairs.get(key, ZERO) + Fraction(w)
     # h(Y) >= h(∅) is covered by the nonnegative slack, so it needs no step
-    monos = {(x, y): Fraction(w) for (x, y), w in (mu or {}).items() if w and x}
+    monos = {(x, y): Fraction(w) for (x, y), w in mu.items() if w and x}
     for z, slack in sorted(_excess(initial, target, pairs, monos).items()):
         if slack < 0:
             raise ConstructionError(

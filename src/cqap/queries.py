@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .relalg import MAX_VARS, VarSet, members, submasks, subset, vs, vs_str
+from .relalg import MAX_VARS, VarSet, members, submasks, subset, vs
 
 
 class QueryError(ValueError):
@@ -50,17 +50,6 @@ class LogBound:
     n: Fraction = Fraction(0)
     q: Fraction = Fraction(0)
 
-    def at(self, log_n: Fraction, log_q: Fraction) -> Fraction:
-        return self.n * log_n + self.q * log_q
-
-    def __str__(self) -> str:
-        parts = []
-        if self.n:
-            parts.append(f"{self.n}*logN")
-        if self.q:
-            parts.append(f"{self.q}*logQ")
-        return " + ".join(parts) if parts else "0"
-
 
 @dataclass(frozen=True, order=True)
 class LogConstraint:
@@ -70,14 +59,6 @@ class LogConstraint:
     y: VarSet
     log: LogBound
     guard: str
-
-    def pretty(self, names: list[str] | None = None) -> str:
-        if self.x == 0:
-            return f"h({vs_str(self.y, names)}) <= {self.log}  [{self.guard}]"
-        return (
-            f"h({vs_str(self.y, names)} | {vs_str(self.x, names)})"
-            f" <= {self.log}  [{self.guard}]"
-        )
 
 
 @dataclass(frozen=True, order=True)

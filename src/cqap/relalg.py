@@ -1,8 +1,8 @@
 """Variable sets as int bitmasks over variable indices 0..n-1 (n <= 16).
 
 Bit i of a `VarSet` is set when variable i is a member.  Every layer of the
-analysis -- decompositions, rules, set functions, LP columns and proofs --
-names its variable sets this way.
+analysis -- decompositions, rules, LP columns and proofs -- names its
+variable sets this way.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ def submasks(s: VarSet) -> list[VarSet]:
 
 def subset(a: VarSet, b: VarSet) -> bool:
     return a & ~b == 0
-
-
-def proper_subset(a: VarSet, b: VarSet) -> bool:
-    return a != b and a & ~b == 0
 
 
 def vs_str(s: VarSet, names: list[str] | None = None) -> str:

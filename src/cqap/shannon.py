@@ -47,8 +47,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactlp import LpError, LpResult, RhsPiece, resolve_lp, solve_lp_guided, walk_rhs
-from .polymatroids import CondVec, JointInequality, SetFunction
-from .proofs import normalize
+from .proofs import CondVec, normalize
 from .queries import Cqap, LogBound, LogConstraint, SplitConstraint
 from .relalg import VarSet, submasks
 from .rules import TwoPhaseRule
@@ -66,7 +65,7 @@ class LpRow:
 
     `coeffs` are (column, value) pairs, each column once, and go to
     a cold `solve_lp` as they are.  The numeric right side at a probe is
-    bound.at(1, logQ) + s_mult*logS.  `cert` holds the (part, key)
+    bound.n + bound.q*logQ + s_mult*logS.  `cert` holds the (part, key)
     certificate coordinates the row's nonnegative multiplier is added to.
     """
 
@@ -228,21 +227,11 @@ class JointSystem:
         """The rule's storage cap, priced from its walk's Farkas multipliers.
 
         The walk checked that they weigh the rows of `rule_rows(rule)` into
-        0 <= a + c*logS, priced here at logN = 1 and logQ = 0 as `_package`
-        prices a dual; with c < 0 no h_S reaches a budget above -a/c.  Each
+        0 <= a + c*logS, priced here at logN = 1 and logQ = 0 by `_price`,
+        as a dual is; with c < 0 no h_S reaches a budget above -a/c.  Each
         sign is checked against its row's sense, and c < 0 too.
         """
-        a = c = ZERO
-        for row, y in zip(self.rule_rows(rule).rows, farkas, strict=True):
-            if not y:
-                continue
-            if (y < 0) != (row.sense == ">="):
-                raise LpError(
-                    f"Farkas multiplier {y} on row {row.tag} of {rule.pretty()} has the "
-                    f"wrong sign for its sense {row.sense!r}"
-                )
-            a += y * row.bound.n
-            c += y * row.s_mult
+        a, _, c, _ = _price(rule, self.rule_rows(rule).rows, farkas, "Farkas multiplier")
         if c >= 0:
             raise LpError(f"Farkas multipliers of {rule.pretty()} price logS at {c}, not below 0")
         return -a / c
@@ -258,11 +247,10 @@ class ExtractedInequality:
     """A joint inequality <g_S, hS> + <g_T, hT> >= <theta, hS> + <lam, hT>.
 
     `bound` prices the left side against the declared rows, so the inequality
-    certifies  <theta, hS> + <lam, hT> <= bound  on every instance.  When the
-    coefficients came from an optimal dual, sigma/mu carry the polymatroid
-    row multipliers (the witness `proofs.construct` spends to build a
-    stepwise proof).  Closed-form constructions leave them as None, and
-    `proofs.construct` then solves for a witness itself.
+    certifies  <theta, hS> + <lam, hT> <= bound  on every instance.  All of
+    it is read off one optimal dual; sigma/mu carry each side's polymatroid
+    row multipliers, the witness `proofs.construct` spends to build that
+    side's stepwise proof.
     """
 
     g_s: CondVec
@@ -270,18 +258,10 @@ class ExtractedInequality:
     theta: CondVec
     lam: CondVec
     bound: LogBound
-    sigma_s: CondVec | None = None
-    mu_s: CondVec | None = None
-    sigma_t: CondVec | None = None
-    mu_t: CondVec | None = None
-
-    @property
-    def ineq(self) -> JointInequality:
-        return JointInequality(self.g_s, self.g_t, self.theta, self.lam)
-
-    @property
-    def space_weight(self) -> Fraction:
-        return sum(self.theta.values(), ZERO)
+    sigma_s: CondVec
+    mu_s: CondVec
+    sigma_t: CondVec
+    mu_t: CondVec
 
     def scaled_s_side(self):
         """The storage-side inequality divided by its target weight."""
@@ -294,8 +274,6 @@ CERT_PARTS = ("g_s", "g_t", "theta", "lam", "sigma_s", "sigma_t", "mu_s", "mu_t"
 @dataclass
 class JointSolution:
     value: Fraction
-    h_s: SetFunction
-    h_t: SetFunction
     # the certifying inequality read off the optimal dual; its bound is
     # (line[0], line[1])
     certificate: ExtractedInequality
@@ -328,28 +306,27 @@ def solve_joint_lp(
     differ, so `resolve_lp` gets those alone, one per row, and warm-starts
     from that basis, breaking ties toward larger logQ: line[1] is then the
     value's exact slope in logQ just above q.  Without `start` the solve
-    begins at the slack basis, where a theta row h_S(B') >= logS with
-    logS > 0 is violated, so a call at logS != 0 first solves at logS = 0
-    (same logQ) and warm-starts from that solve.
+    begins at the slack basis, which violates a theta row h_S(B') >= logS
+    with logS > 0, so a cold solve runs at logS = 0 (`solve_lp` raises
+    ValueError at any other logS).
     """
     log_s, log_q = Fraction(log_s), Fraction(log_q)
     rr = system.rule_rows(rule)
-    warm = start.lp if isinstance(start, JointSolution) else start
-    if warm is None:
+    rhs = rr.rhs(log_q, log_s)
+    if start is None:
         c_obj = [ZERO] * system.ncols
         c_obj[system.col_obj] = ONE
-        rows = zip(rr.rows, rr.rhs(log_q, ZERO))
-        res = solve_lp_guided(c_obj, [(r.coeffs, r.sense, b) for r, b in rows])
-        warm = res if log_s and res.status == "optimal" else None
-    if warm is not None:
-        res = resolve_lp(warm, rr.rhs(log_q, log_s), rr.q)
+        res = solve_lp_guided(c_obj, [(r.coeffs, r.sense, b) for r, b in zip(rr.rows, rhs)])
+    else:
+        res = resolve_lp(start.lp if isinstance(start, JointSolution) else start, rhs, rr.q)
     if res.status != "optimal":
         raise LpError(
             f"joint program for {rule.pretty()} at (logN, logQ, logS) = "
             f"(1, {log_q}, {log_s}) came back {res.status}"
         )
     sol = _package(rule, system, rr.rows, res)
-    log.debug("rule %s at (1, %s, %s): OBJ=%s", rule.pretty(), log_q, log_s, sol.value)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("rule %s at (1, %s, %s): OBJ=%s", rule.pretty(), log_q, log_s, sol.value)
     return sol
 
 
@@ -367,33 +344,43 @@ def walk_joint_lp(
     return walk_rhs(low.lp, [r.s_mult for r in system.rule_rows(rule).rows])
 
 
-def _package(rule, system, rows, res: LpResult) -> JointSolution:
-    x, raw, value = res.x, res.duals, res.value
-    h_s = SetFunction(system.n, [ZERO] + x[: system.m])
-    h_t = SetFunction(system.n, [ZERO] + x[system.m : 2 * system.m])
-    # both are polymatroids: the exact LP checked the point against every
-    # row, and each side's mono and sub rows are its elemental inequalities
-    vecs: dict[str, CondVec] = {part: {} for part in CERT_PARTS}
-    a_part = b_part = c_part = ZERO
-    for row, mult in zip(rows, raw):
-        if not mult:
+def _price(rule, rows, mults, what: str):
+    """Price multipliers signed like duals, one per row, at logN = 1.
+
+    Returns (a, b, c, used): the weighted sums of the rows' logN, logQ and
+    logS coefficients, and the nonzero multipliers as (row, weight) pairs,
+    each weight made nonnegative.  A multiplier whose sign does not match
+    its row's sense (<= 0 on a >= row, >= 0 on a <= row) raises `LpError`.
+    """
+    a = b = c = ZERO
+    used = []
+    for row, y in zip(rows, mults, strict=True):
+        if not y:
             continue
-        w = -mult if row.sense == ">=" else mult
+        w = -y if row.sense == ">=" else y
         if w < 0:
             raise LpError(
-                f"multiplier {mult} on row {row.tag} of {rule.pretty()} has the "
+                f"{what} {y} on row {row.tag} of {rule.pretty()} has the "
                 f"wrong sign for its sense {row.sense!r}"
             )
         if row.bound is not NO_BOUND:
-            a_part += mult * row.bound.n
-            b_part += mult * row.bound.q
+            a += y * row.bound.n
+            b += y * row.bound.q
         if row.s_mult:
-            c_part -= mult * row.s_mult
+            c += y * row.s_mult
+        used.append((row, w))
+    return a, b, c, used
+
+
+def _package(rule, system, rows, res: LpResult) -> JointSolution:
+    a, b, c, used = _price(rule, rows, res.duals, "multiplier")
+    vecs: dict[str, CondVec] = {part: {} for part in CERT_PARTS}
+    for row, w in used:
         for part, key in row.cert:
             vec = vecs[part]
             vec[key] = vec[key] + w if key in vec else w
     lam_sum = sum(vecs["lam"].values())
-    if value > 0 and lam_sum != 1:
+    if res.value > 0 and lam_sum != 1:
         raise LpError(f"target multipliers of {rule.pretty()} sum to {lam_sum}, not 1")
-    cert = ExtractedInequality(bound=LogBound(a_part, b_part), **vecs)
-    return JointSolution(value, h_s, h_t, cert, (a_part, b_part, c_part), res)
+    cert = ExtractedInequality(bound=LogBound(a, b), **vecs)
+    return JointSolution(res.value, cert, (a, b, -c), res)

@@ -24,10 +24,6 @@ its dual line is tight there and its slope in logQ is exact.  The walk is
 fixed by the rule, so the certificates do not depend on other rules or on
 the order they are solved in.
 
-Terms also arise in closed form from fractional edge covers, either of the
-whole query or bag-by-bag along a root-to-node path of a decomposition; those
-constructions are `tradeoff_from_edge_cover` and `tradeoff_from_path`.
-
 `envelope` combines per-rule term lists into the answering-time curve: every
 rule must be served, each by its best term (or by running from scratch within
 T <= N*Q), so the curve is the max over rules of the min over term lines.
@@ -40,11 +36,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .decompose import TreeDecomp
 from .exactlp import LpError
-from .polymatroids import CondVec
-from .queries import Cqap, LogBound
-from .relalg import VarSet, members
+from .queries import LogBound
 from .rules import TwoPhaseRule
 from .shannon import ExtractedInequality, JointSystem, solve_joint_lp, walk_joint_lp
 
@@ -80,11 +73,6 @@ class TradeoffTerm:
         """(a, b, c) with  logT <= a*logN + b*logQ - c*logS."""
         k = self.time_exp
         return (self.rhs.n / k, self.rhs.q / k, self.space_exp / k)
-
-    def log_time(self, log_s) -> Fraction:
-        """logT at logN = 1, logQ = 0."""
-        a, _, c = self.line()
-        return a - c * Fraction(log_s)
 
     def __eq__(self, other):
         if not isinstance(other, TradeoffTerm):
@@ -144,9 +132,6 @@ class RuleTradeoff:
     terms: list[TradeoffTerm]
     s_cap: Fraction | None
 
-    def log_time(self, log_s) -> Fraction:
-        return min(t.log_time(log_s) for t in self.terms)
-
     def with_scratch(self) -> list[TradeoffTerm]:
         """Terms plus the from-scratch fallback, deduplicated."""
         terms = list(self.terms)
@@ -175,14 +160,14 @@ def _pin_request_exponent(system, rule, a, c, m, span, start) -> TradeoffTerm:
     """
     sol = solve_joint_lp(rule, system, m, start=start)
     a1, b, c1 = sol.line
-    probe = f"request probe of {rule.pretty()} at (logN, logQ, logS) = (1, 0, {m})"
-    if (a1, c1) != (a, c):
-        raise LpError(
-            f"{probe}: the dual line's (a, c) = ({a1}, {c1}) is not the piece's ({a}, {c})"
-        )
-    if b < 0:
-        raise LpError(f"{probe}: request coefficient {b} cannot be negative")
-    return TradeoffTerm(space_exp=c, rhs=LogBound(a, b), span=span, provenance=sol.certificate)
+    if (a1, c1) == (a, c) and b >= 0:
+        return TradeoffTerm(space_exp=c, rhs=LogBound(a, b), span=span, provenance=sol.certificate)
+    wrong = (
+        f"the dual line's (a, c) = ({a1}, {c1}) is not the piece's ({a}, {c})"
+        if (a1, c1) != (a, c)
+        else f"request coefficient {b} cannot be negative"
+    )
+    raise LpError(f"request probe of {rule.pretty()} at (logN, logQ, logS) = (1, 0, {m}): {wrong}")
 
 
 def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
@@ -220,147 +205,9 @@ def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
         )
         for p in pieces
     ]
-    log.debug("rule %s: %d pieces up to cap %s", rule.pretty(), len(terms), cap)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("rule %s: %d pieces up to cap %s", rule.pretty(), len(terms), cap)
     return RuleTradeoff(rule, terms, cap)
-
-
-# ═══════════════════════════════════════════════════════════════════════════
-# Closed-form generators
-# ═══════════════════════════════════════════════════════════════════════════
-
-
-def _acc(vec: dict, key, w: Fraction) -> None:
-    if w:
-        vec[key] = vec.get(key, ZERO) + w
-
-
-def _atom_cardinalities(q: Cqap) -> dict[VarSet, LogBound]:
-    cards: dict[VarSet, LogBound] = {}
-    for c in q.analysis_constraints():
-        if c.x == 0:
-            cards.setdefault(c.y, c.log)
-    return cards
-
-
-def _check_cover(q: Cqap, u, need: VarSet) -> list[Fraction]:
-    weights = [Fraction(w) for w in u]
-    if len(weights) != len(q.atoms):
-        raise ValueError("need one cover weight per body atom")
-    if any(w < 0 for w in weights):
-        raise ValueError("cover weights must be nonnegative")
-    for i in members(need):
-        if sum(w for a, w in zip(q.atoms, weights) if a.varset >> i & 1) < 1:
-            raise ValueError(
-                f"weights do not cover variable {q.var_names[i]!r}"
-            )
-    return weights
-
-
-def _cover_term(q: Cqap, bags, a_sets, covers) -> TradeoffTerm:
-    """One term from per-bag covers along bags with hand-off sets `a_sets`.
-
-    Each bag contributes its cover, scaled down by its slack (the spare
-    coverage on the bag's non-hand-off variables); the online side pays one
-    full traversal plus the request row.
-    """
-    cards = _atom_cardinalities(q)
-    ac = q.access_constraint()
-    g_s: CondVec = {}
-    g_t: CondVec = {}
-    theta: CondVec = {}
-    n_tot, q_tot = ac.log.n, ac.log.q
-    space = ZERO
-    _acc(g_t, (0, ac.y), ONE)
-    for bag, a_set, u in zip(bags, a_sets, covers):
-        weights = _check_cover(q, u, bag)
-        free = bag & ~a_set
-        if not free:
-            raise ValueError("a path step must introduce at least one variable")
-        alpha = min(
-            sum(w for a, w in zip(q.atoms, weights) if a.varset >> i & 1)
-            for i in members(free)
-        )
-        if alpha < 1:  # pragma: no cover - cover of `free` forces alpha >= 1
-            raise LpError("slack below one on a covered bag")
-        for atom, w in zip(q.atoms, weights):
-            if not w:
-                continue
-            f = atom.varset
-            if f not in cards:
-                raise ValueError(f"no cardinality bound for {atom.rel!r}")
-            scaled = w / alpha
-            stored = a_set & f
-            if stored != f:
-                _acc(g_t, (stored, f), scaled)
-            if stored:
-                _acc(g_s, (0, stored), scaled)
-            n_tot += scaled * cards[f].n
-            q_tot += scaled * cards[f].q
-        _acc(theta, (0, a_set), ONE / alpha)
-        space += ONE / alpha
-    lam = {(0, bags[-1]): ONE}
-    prov = ExtractedInequality(g_s, g_t, theta, lam, LogBound(n_tot, q_tot))
-    return TradeoffTerm(
-        space_exp=space, rhs=LogBound(n_tot, q_tot), provenance=prov
-    )
-
-
-def tradeoff_from_edge_cover(q: Cqap, u) -> TradeoffTerm:
-    """The two-plan tradeoff implied by a fractional edge cover of the query.
-
-    With a lookup-shaped head the bound is closed form: storing answerable
-    requests leaves slack alpha on the remaining variables, and the term is
-    S^(1/alpha) * T ~ Q * prod |R_F|^(u_F/alpha).  When the head keeps
-    witness variables the stored object is the head projection instead, and
-    the steepest piece of that rule's exact tradeoff is returned.
-    """
-    full = q.vars_all
-    weights = _check_cover(q, u, full)
-    if q.access == full:
-        storage = sum(
-            w * _atom_cardinalities(q)[a.varset].n
-            for a, w in zip(q.atoms, weights)
-        )
-        return TradeoffTerm(
-            space_exp=ZERO,
-            rhs=LogBound(q=ONE),
-            note=(
-                "degenerate: the access set covers every variable; storing "
-                f"the requested projection needs at most N^{storage}"
-            ),
-        )
-    if q.head == q.access:
-        return _cover_term(q, [full], [q.access], [weights])
-    system = JointSystem(q)
-    rule = TwoPhaseRule(
-        s_targets=frozenset({q.head}), t_targets=frozenset({full})
-    )
-    return rule_tradeoff(rule, system).terms[-1]
-
-
-def tradeoff_from_path(
-    q: Cqap, d: TreeDecomp, covers, path: list[int]
-) -> TradeoffTerm:
-    """One term from a root-to-node path of a decomposition.
-
-    `covers` gives one per-atom weight sequence per path node; each must
-    cover its bag.  Hand-off sets are the access set at the root and the
-    intersection with the parent bag below it.
-    """
-    if not path or path[0] != 0:
-        raise ValueError("the path must start at the root")
-    for prev, node in zip(path, path[1:]):
-        if not 0 <= node < len(d):
-            raise ValueError(f"node {node} is not in the decomposition")
-        if d.parent[node] != prev:
-            raise ValueError("path nodes must follow parent links")
-    if len(covers) != len(path):
-        raise ValueError("need one cover per path node")
-    bags = [d.bags[t] for t in path]
-    a_sets = [q.access] + [
-        d.bags[t] & d.bags[p] for p, t in zip(path, path[1:])
-    ]
-    return _cover_term(q, bags, a_sets, covers)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -374,16 +221,6 @@ class TradeoffCurve:
     units: exact breakpoints, non-increasing, clamped at zero."""
 
     points: list[tuple[Fraction, Fraction]]
-
-    def at(self, log_s) -> Fraction:
-        s = Fraction(log_s)
-        pts = self.points
-        if s <= pts[0][0]:
-            return pts[0][1]
-        for (s0, t0), (s1, t1) in zip(pts, pts[1:]):
-            if s <= s1:
-                return t0 + (t1 - t0) * (s - s0) / (s1 - s0)
-        return pts[-1][1]
 
     def to_csv(self) -> str:
         lines = ["logS,logT"]

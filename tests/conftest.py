@@ -12,11 +12,9 @@ from cqap.exactlp import solve_lp
 from cqap.queries import load_query, parse_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
 from cqap.shannon import JointSystem
-from cqap.tradeoffs import (
-    rule_tradeoff,
-    tradeoff_from_edge_cover,
-    tradeoff_from_path,
-)
+from cqap.tradeoffs import rule_tradeoff
+
+from support import tradeoff_from_edge_cover, tradeoff_from_path
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -49,7 +47,7 @@ def cap_lp(system, targets):
     """
     tcol = system.m
     rows = [
-        (r.coeffs, r.sense, r.bound.at(1, 0))
+        (r.coeffs, r.sense, r.bound.n)
         for r in system.base_rows()
         if r.tag[0] in ("mono", "sub", "dc") and r.tag[1] == "S"
     ]

@@ -1,4 +1,5 @@
-"""Polymatroid checks, samplers, and pair-inequality verification."""
+"""The reference polymatroid checks, samplers and pair-inequality
+verification in support.py."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqap.polymatroids import (
+from cqap.relalg import size
+
+from support import (
     JointInequality,
     SetFunction,
     check_polymatroid,
@@ -17,7 +20,6 @@ from cqap.polymatroids import (
     sample_entropic,
     verify_joint_inequality,
 )
-from cqap.relalg import size
 
 
 def modular(n):

@@ -2,8 +2,9 @@
 
 The short goldens here mirror the bundles under corpus/proofs/; the
 construction tests build proofs from the multipliers extracted alongside
-each tradeoff term, which is the path the analyzer itself uses, and from
-witnesses `construct` solves for when none is given.
+each tradeoff term, which is the path the analyzer itself uses, and, for
+hand-written and closed-form inequalities, from the least-weight witness
+`support.derive_witness` solves for.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cqap.polymatroids import eval_cond_vec, sample_polymatroid
 from cqap.proofs import (
     ConstructionError,
     ProofSequence,
     ProofStep,
-    _derive_witness,
     bundle_from_json,
     bundle_to_json,
     composition,
@@ -30,13 +29,14 @@ from cqap.proofs import (
     decomposition,
     monotonicity,
     normalize,
-    replay_values,
     sequence_from_json,
     sequence_to_json,
     submodularity,
     validate,
 )
 from cqap.queries import load_query
+
+from support import derive_witness, eval_cond_vec, prove, replay_values, sample_polymatroid
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 BUNDLES = sorted((CORPUS / "proofs").glob("*.json"))
@@ -127,7 +127,7 @@ def test_validation_reports_name_variables():
 
 def test_construct_reproduces_the_two_step_merge():
     ps = construct(
-        {(0, 1): F(1), (0, 2): F(1)}, {(0, 3): F(1)}, sigma={(1, 2): F(1)}
+        {(0, 1): F(1), (0, 2): F(1)}, {(0, 3): F(1)}, sigma={(1, 2): F(1)}, mu={}
     )
     assert [(s.kind, s.x, s.y, s.weight) for s in ps.steps] == [
         ("submodularity", 1, 2, F(1)),
@@ -140,6 +140,7 @@ def test_construct_online_merge_uses_four_steps():
         {(1, 5): F(1), (2, 6): F(1), (0, 3): F(2)},
         {(0, 7): F(2)},
         sigma={(3, 5): F(1), (3, 6): F(1)},
+        mu={},
     )
     assert len(ps.steps) == 4
     assert Counter(s.kind for s in ps.steps) == {
@@ -150,14 +151,20 @@ def test_construct_online_merge_uses_four_steps():
 
 
 def test_construct_without_work_is_empty():
-    ps = construct({(0, 7): F(1)}, {(0, 7): F(1)})
+    ps = construct({(0, 7): F(1)}, {(0, 7): F(1)}, sigma={}, mu={})
     assert ps.steps == []
     assert validate(ps)
 
 
+def test_construct_needs_a_witness():
+    # construct spends a given witness and never solves for one
+    with pytest.raises(TypeError, match="sigma"):
+        construct({(0, 1): F(1), (0, 2): F(1)}, {(0, 3): F(1)})
+
+
 def test_construct_failure_reports_residual():
     with pytest.raises(ConstructionError, match="no witness exists") as exc:
-        construct({(0, 1): F(1)}, {(0, 3): F(1)})
+        prove({(0, 1): F(1)}, {(0, 3): F(1)})
     assert exc.value.residual == {(0, 3): F(1)}
 
 
@@ -175,14 +182,14 @@ def test_construct_names_where_a_broken_witness_fails(two_reach):
 @given(st.integers(1, 15), st.integers(1, 15))
 def test_construct_merges_any_incomparable_pair(a, b):
     assume(a & ~b and b & ~a)
-    ps = construct({(0, a): F(1), (0, b): F(1)}, {(0, a | b): F(1)})
+    ps = prove({(0, a): F(1), (0, b): F(1)}, {(0, a | b): F(1)})
     assert validate(ps)
     assert any(s.kind == "submodularity" for s in ps.steps)
 
 
 def test_construct_respects_pledged_target_mass():
     # Both targets draw on the same pool; neither may cannibalise the other.
-    ps = construct(
+    ps = prove(
         {(0, 1): F(2), (0, 2): F(1), (0, 4): F(1)},
         {(0, 3): F(1), (0, 5): F(1)},
     )
@@ -193,12 +200,12 @@ def test_derived_witness_is_pinned(generator_terms):
     # the least-weight (sigma, mu) recorded from the dense-row program, so the
     # sparse rows built for the LP must reproduce the same vertex
     pool = {(0, 1): F(2), (0, 2): F(1), (0, 4): F(1)}
-    assert _derive_witness(pool, {(0, 3): F(1), (0, 5): F(1)}) == (
+    assert derive_witness(pool, {(0, 3): F(1), (0, 5): F(1)}) == (
         {(1, 2): F(1), (1, 4): F(1)}, {}
     )
     ext = generator_terms["path4"].provenance
     g, th, _, _ = normalize(ext.g_s, ext.theta, ext.sigma_s, ext.mu_s)
-    assert _derive_witness(g, th) == ({(1, 2): F(2, 3), (4, 16): F(1, 3)}, {})
+    assert derive_witness(g, th) == ({(1, 2): F(2, 3), (4, 16): F(1, 3)}, {})
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -230,7 +237,7 @@ def test_normalize_two_entry_target_then_construct(generator_terms):
     assert len(ext.theta) == 2
     g, th, sg, mus = normalize(ext.g_s, ext.theta, ext.sigma_s, ext.mu_s)
     assert sum(th.values()) == 1
-    ps = construct(g, th, sigma=sg, mu=mus)
+    ps = prove(g, th, sigma=sg, mu=mus)
     assert validate(ps)
 
 
@@ -240,14 +247,17 @@ def test_normalize_two_entry_target_then_construct(generator_terms):
 
 
 def _discharge_both_sides(ext, label):
-    """Construct and validate the proof of each side; the total step count."""
-    ps = construct(ext.g_t, ext.lam, sigma=ext.sigma_t, mu=ext.mu_t, name=label)
+    """Construct and validate the proof of each side; the total step count.
+
+    A closed-form term carries no witness, so its sides spend the derived one.
+    """
+    ps = prove(ext.g_t, ext.lam, sigma=ext.sigma_t, mu=ext.mu_t, name=label)
     rep = validate(ps)
     assert rep, (label, "T", rep.reason)
     steps = len(ps.steps)
     if ext.theta:
         g, th, sg, mus = ext.scaled_s_side()
-        ps = construct(g, th, sigma=sg, mu=mus, name=label)
+        ps = prove(g, th, sigma=sg, mu=mus, name=label)
         rep = validate(ps)
         assert rep, (label, "S", rep.reason)
         steps += len(ps.steps)

@@ -21,7 +21,7 @@ from cqap.decompose import (
     pmtds_from_json,
 )
 from cqap.queries import load_query
-from cqap.relalg import proper_subset, subset, vs
+from cqap.relalg import subset, vs
 from cqap.rules import (
     TwoPhaseRule,
     generate_rules,
@@ -73,6 +73,10 @@ def pick_plans(plans, query, *wanted):
         for p in plans
     }
     return [by_key[w] for w in wanted]
+
+
+def proper_subset(a, b) -> bool:
+    return a != b and subset(a, b)
 
 
 def side_targets(p: Pmtd | TwoPhaseRule) -> frozenset:

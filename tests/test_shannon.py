@@ -17,12 +17,12 @@ import pytest
 from cqap import shannon
 from cqap.decompose import enumerate_pmtds, pmtds_from_json
 from cqap.exactlp import LpError, _Simplex, resolve_lp, solve_lp
-from cqap.polymatroids import check_polymatroid
 from cqap.queries import LogBound, load_query, parse_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
 from cqap.shannon import JointSystem, solve_joint_lp
 
 from conftest import cap_lp
+from support import SetFunction, check_polymatroid, joint_solve_at
 
 ROOT = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -56,7 +56,7 @@ def test_two_reach_value_line_and_cap():
     query = q("two_reach")
     system = JointSystem(query)
     (rule,) = rules_of(query)
-    sol = solve_joint_lp(rule, system, F(1))
+    sol = joint_solve_at(rule, system, F(1))
     assert sol.value == F(1, 2)
     assert sol.line == (F(1), F(1), F(1, 2))
     assert cap_lp(system, rule.s_targets) == 2
@@ -67,7 +67,7 @@ def test_two_reach_certificate_is_the_worked_dual():
     x1, x3, x2 = (mask(query, v) for v in ("x1", "x3", "x2"))
     system = JointSystem(query)
     (rule,) = rules_of(query)
-    d = solve_joint_lp(rule, system, F(1)).certificate
+    d = joint_solve_at(rule, system, F(1)).certificate
     assert d.lam == {(0, x1 | x2 | x3): F(1)}
     assert d.theta == {(0, x1 | x3): F(1, 2)}
     # the request row charges the pair once; each relation is charged half
@@ -81,15 +81,24 @@ def test_two_reach_certificate_is_the_worked_dual():
     assert d.mu_s == {} and d.mu_t == {}
 
 
+def test_cold_solve_runs_at_log_s_zero():
+    # the slack basis violates the theta rows at logS > 0: only a warm start gets there
+    query = q("two_reach")
+    system = JointSystem(query)
+    (rule,) = rules_of(query)
+    with pytest.raises(ValueError, match="^a cold solve needs a primal feasible slack basis"):
+        solve_joint_lp(rule, system, F(1))
+
+
 def test_two_reach_budget_cap_region():
     query = q("two_reach")
     system = JointSystem(query)
     (rule,) = rules_of(query)
-    assert solve_joint_lp(rule, system, F(2)).value == 0
+    assert joint_solve_at(rule, system, F(2)).value == 0
     for s in (F(5, 2), F(7)):
         with pytest.raises(LpError, match="came back infeasible$"):
-            solve_joint_lp(rule, system, s)
-    near = solve_joint_lp(rule, system, F(199, 100))
+            joint_solve_at(rule, system, s)
+    near = joint_solve_at(rule, system, F(199, 100))
     assert near.value == F(1, 200)
 
 
@@ -123,7 +132,7 @@ def test_three_reach_rho4_piece_sweep():
     assert cap_lp(system, rule.s_targets) == F(3, 2)
     lines = {}
     for s, want in expected.items():
-        sol = solve_joint_lp(rule, system, s)
+        sol = joint_solve_at(rule, system, s)
         assert sol.value == want, f"logS={s}"
         assert sum(sol.certificate.lam.values()) == 1
         lines[s] = sol.line
@@ -133,19 +142,19 @@ def test_three_reach_rho4_piece_sweep():
             assert want <= a - c * s_at, (s_from, s_at)
     # at the cap the whole S side fits and nothing is left to pay online;
     # above it no stored h_S reaches the budget
-    assert solve_joint_lp(rule, system, F(3, 2)).value == 0
+    assert joint_solve_at(rule, system, F(3, 2)).value == 0
     with pytest.raises(LpError, match="came back infeasible$"):
-        solve_joint_lp(rule, system, F(2))
+        joint_solve_at(rule, system, F(2))
 
 
 def test_three_reach_rho1_single_piece():
     query, rule = three_reach_rho(1)
     system = JointSystem(query)
     for s in (F(0), F(1, 2), F(1), F(3, 2)):
-        sol = solve_joint_lp(rule, system, s)
+        sol = joint_solve_at(rule, system, s)
         assert sol.value == 1 - s / 2
     # a small positive request budget pins the request coefficient too
-    probe = solve_joint_lp(rule, system, F(1), log_q=F(1, 64))
+    probe = joint_solve_at(rule, system, F(1), log_q=F(1, 64))
     assert probe.value == 1 + F(1, 64) - F(1, 2)
     assert probe.line == (F(1), F(1), F(1, 2))
     assert cap_lp(system, rule.s_targets) == 2
@@ -157,7 +166,7 @@ def test_obj_non_increasing_in_budget():
     cap = cap_lp(system, rule.s_targets)
     last = None
     for k in range(0, int(4 * cap) + 1):
-        sol = solve_joint_lp(rule, system, F(k, 4))
+        sol = joint_solve_at(rule, system, F(k, 4))
         if last is not None:
             assert sol.value <= last
         last = sol.value
@@ -166,18 +175,21 @@ def test_obj_non_increasing_in_budget():
 def test_primal_is_certified_polymatroid_pair():
     query, rule = three_reach_rho(4)
     system = JointSystem(query)
-    sol = solve_joint_lp(rule, system, F(9, 8))
-    assert check_polymatroid(sol.h_s) and check_polymatroid(sol.h_t)
+    sol = joint_solve_at(rule, system, F(9, 8))
+    x, m = sol.lp.x, system.m
+    h_s = SetFunction(system.n, [F(0)] + x[:m])
+    h_t = SetFunction(system.n, [F(0)] + x[m : 2 * m])
+    assert check_polymatroid(h_s) and check_polymatroid(h_t)
     # the maximin witness really attains the value on some target
-    assert min(sol.h_t(b) for b in rule.t_targets) == sol.value
-    assert all(sol.h_s(b) >= F(9, 8) for b in rule.s_targets)
+    assert min(h_t(b) for b in rule.t_targets) == sol.value
+    assert all(h_s(b) >= F(9, 8) for b in rule.s_targets)
 
 
 def test_package_errors_name_the_rule_row_and_residual():
     query = q("two_reach")
     system = JointSystem(query)
     (rule,) = rules_of(query)
-    sol = solve_joint_lp(rule, system, F(1))
+    sol = joint_solve_at(rule, system, F(1))
     rows = system.rule_rows(rule).rows
     res = sol.lp
 
@@ -202,10 +214,9 @@ def test_package_errors_name_the_rule_row_and_residual():
 
 
 def test_mono_and_sub_rows_are_the_elemental_inequalities():
-    # `_package` takes the solved point for a polymatroid pair because the
-    # exact LP checked it against every row: each side's mono and sub rows
-    # must be exactly its elemental inequalities, each once, as in
-    # `check_polymatroid`
+    # a solved point is a polymatroid pair because the exact LP checked it
+    # against every row: each side's mono and sub rows must be exactly its
+    # elemental inequalities, each once, as in `support.check_polymatroid`
     names = sorted(p.stem for p in (ROOT / "queries").glob("*.cqap"))
     assert len(names) == 9
     for name in names:
@@ -243,7 +254,7 @@ def test_mono_and_sub_rows_are_the_elemental_inequalities():
 def weighted_bound(system, lam, theta, log_s):
     """max Σλ·h_T(B) + Σθ·h_S(B') under the data rows, minus ‖θ‖₁·logS."""
     rows = [
-        (r.coeffs, r.sense, r.bound.at(F(1), F(0)))
+        (r.coeffs, r.sense, r.bound.n)
         for r in system.base_rows()
     ]
     c = [F(0)] * system.ncols
@@ -260,7 +271,7 @@ def test_weighted_bound_sandwich():
     query, rule = three_reach_rho(4)
     system = JointSystem(query)
     s = F(9, 8)
-    sol = solve_joint_lp(rule, system, s)
+    sol = joint_solve_at(rule, system, s)
     lam = {b: w for (_, b), w in sol.certificate.lam.items()}
     theta = {b: w for (_, b), w in sol.certificate.theta.items()}
     # at the solved multipliers the bound is tight ...
@@ -288,7 +299,7 @@ def test_empty_t_side_reports_unbounded():
     system = JointSystem(query)
     rule = TwoPhaseRule(s_targets=frozenset({mask(query, "x1", "x3")}), t_targets=frozenset())
     with pytest.raises(LpError, match="came back unbounded$"):
-        solve_joint_lp(rule, system, F(1))
+        joint_solve_at(rule, system, F(1))
 
 
 def full_polymatroid_rows(system, side):
@@ -325,7 +336,7 @@ def solve_at(system, rule, s, extra=()):
 
     def rows(log_s):
         return [
-            (r.coeffs, r.sense, r.bound.at(F(1), F(0)) + r.s_mult * log_s)
+            (r.coeffs, r.sense, r.bound.n + r.s_mult * log_s)
             for r in system.rule_rows(rule).rows
         ] + list(extra)
 
@@ -337,7 +348,7 @@ def test_elemental_basis_equals_full_form(name, s):
     query = q(name)
     system = JointSystem(query)
     rule = sorted(rules_of(query), key=lambda r: r.key())[0]
-    base = solve_joint_lp(rule, system, s)
+    base = joint_solve_at(rule, system, s)
     full = full_polymatroid_rows(system, "S") + full_polymatroid_rows(system, "T")
     res = solve_at(system, rule, s, extra=full)
     assert res.status == "optimal" and res.value == base.value
@@ -352,8 +363,8 @@ def test_three_reach_rho4_joint_value():
 def test_solve_is_deterministic():
     query, rule = three_reach_rho(2)
     system = JointSystem(query)
-    a = solve_joint_lp(rule, system, F(5, 4))
-    b = solve_joint_lp(rule, JointSystem(query), F(5, 4))
+    a = joint_solve_at(rule, system, F(5, 4))
+    b = joint_solve_at(rule, JointSystem(query), F(5, 4))
     assert a.value == b.value and a.line == b.line
     assert a.certificate == b.certificate
 
@@ -449,13 +460,13 @@ def test_four_reach_deep_rule_pieces():
     query, rules = four_reach_rules()
     system = JointSystem(query)
     rule = rule_with_t(rules, query, ("x3", "x4", "x5"), ("x2", "x3", "x4"))
-    at_54 = solve_joint_lp(rule, system, F(5, 4))
+    at_54 = joint_solve_at(rule, system, F(5, 4))
     assert at_54.value == F(9, 10)
     assert at_54.line == (F(12, 5), F(1), F(6, 5))
-    assert solve_joint_lp(rule, system, F(7, 5)).value == F(3, 5)
+    assert joint_solve_at(rule, system, F(7, 5)).value == F(3, 5)
     # between the two printed pieces the program is strictly tighter than
     # their crossing: the curve has an intermediate segment there
-    assert solve_joint_lp(rule, system, F(29, 22)).value == F(53, 66)
+    assert joint_solve_at(rule, system, F(29, 22)).value == F(53, 66)
 
 
 # dual pivots of the deep rule's warm move from logS = 0 to its storage cap;
@@ -489,13 +500,13 @@ def test_four_reach_three_target_rule_curve():
         rules, query, ("x1", "x2", "x3", "x5"), ("x1", "x3", "x4", "x5"), ("x2", "x3", "x4")
     )
     # flat until the stored views pay for themselves, then one trade line
-    low = solve_joint_lp(rule, system, F(1, 2))
+    low = joint_solve_at(rule, system, F(1, 2))
     assert low.value == F(1) and low.line == (F(1), F(1), F(0))
-    high = solve_joint_lp(rule, system, F(3, 2), log_q=F(1, 64))
+    high = joint_solve_at(rule, system, F(3, 2), log_q=F(1, 64))
     assert high.value == F(33, 64) and high.line == (F(2), F(1), F(1))
-    assert solve_joint_lp(rule, system, F(2)).value == 0
+    assert joint_solve_at(rule, system, F(2)).value == 0
     with pytest.raises(LpError, match="came back infeasible$"):
-        solve_joint_lp(rule, system, F(5, 2))
+        joint_solve_at(rule, system, F(5, 2))
 
 
 # ═══════════════════════════════════════════════════════════════════════════

@@ -8,6 +8,7 @@ the hand-derivable closed forms and against random polymatroid pairs.
 from __future__ import annotations
 
 import hashlib
+import logging
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -18,18 +19,23 @@ from hypothesis import strategies as st
 from cqap import proofs, tradeoffs
 from cqap.decompose import TreeDecomp, enumerate_pmtds
 from cqap.exactlp import LpError, walk_rhs
-from cqap.polymatroids import verify_joint_inequality
 from cqap.queries import LogBound, load_query, parse_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
-from cqap.shannon import JointSystem, solve_joint_lp
+from cqap.shannon import JointSystem
 from cqap.tradeoffs import (
-    TradeoffCurve,
     TradeoffTerm,
     envelope,
     rule_tradeoff,
     scratch_term,
+)
+
+from support import (
+    curve_at,
+    joint_inequality,
+    joint_solve_at,
     tradeoff_from_edge_cover,
     tradeoff_from_path,
+    verify_joint_inequality,
 )
 
 ROOT = Path(__file__).resolve().parent.parent / "corpus"
@@ -194,7 +200,7 @@ def test_rule_curve_matches_fresh_probes(three_reach):
     _, system, curves = three_reach
     rt = curves[4]
     for budget, want in [(F(9, 8), F(7, 8)), (F(35, 24), F(1, 6))]:
-        assert rt.log_time(budget) == want
+        assert min(a - c * budget for a, _, c in (t.line() for t in rt.terms)) == want
 
 
 def test_extraction_is_deterministic(two_reach):
@@ -250,7 +256,7 @@ def test_probe_error_names_the_rule_and_the_point(two_reach):
     # logS = 5/2 is above the rule's cap of 2, so no stored h_S reaches it
     _, system, rt = two_reach
     with pytest.raises(LpError, match="came back infeasible$") as exc:
-        tradeoffs.solve_joint_lp(rt.rule, system, F(5, 2))
+        joint_solve_at(rt.rule, system, F(5, 2))
     assert rt.rule.pretty() in str(exc.value)
     assert "at (logN, logQ, logS) = (1, 0, 5/2) came back infeasible" in str(exc.value)
 
@@ -310,6 +316,25 @@ def test_request_pin_error_names_the_rule_and_the_probe(monkeypatch, two_reach, 
     assert str(exc.value) == (
         f"request probe of {rt.rule.pretty()} at (logN, logQ, logS) = (1, 0, 1): {message}"
     )
+
+
+def test_rule_is_formatted_only_for_debug_lines_and_errors(monkeypatch, caplog, two_reach):
+    # rule.pretty() walks every target: a passing analysis below DEBUG never builds it
+    _, system, rt = two_reach
+    calls = []
+    real = TwoPhaseRule.pretty
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(TwoPhaseRule, "pretty", counting)
+    caplog.set_level(logging.WARNING, logger="cqap")
+    rule_tradeoff(rt.rule, system)
+    assert calls == []
+    caplog.set_level(logging.DEBUG, logger="cqap.tradeoffs")
+    rule_tradeoff(rt.rule, system)
+    assert calls
 
 
 def test_rule_without_storage_targets_extracts_one_plane(two_reach):
@@ -373,7 +398,7 @@ def test_request_exponent_is_the_first_slope_of_a_log_q_walk(name):
             lo, hi = t.span
             m = lo if hi is None else (lo + hi) / 2
             a, b, c = t.line()
-            sol = solve_joint_lp(rule, system, m)
+            sol = joint_solve_at(rule, system, m)
             pieces, _ = walk_rhs(sol.lp, system.rule_rows(rule).q)
             first = pieces[0]
             assert (first.lo, first.intercept, first.slope) == (0, a - c * m, b), t.pretty()
@@ -412,7 +437,7 @@ def test_path_term_is_the_worked_four_reach_bound(generator_terms):
     prov = t.provenance
     assert sum(prov.lam.values()) == 1
     assert prov.bound == t.rhs
-    assert prov.space_weight == t.space_exp
+    assert sum(prov.theta.values()) == t.space_exp
 
 
 def test_path_inequality_shape(generator_terms):
@@ -462,7 +487,7 @@ def test_five_chain_shell_path():
     )
     assert t.space_exp == F(2)
     assert t.rhs == LogBound(F(4), ONE)
-    assert bool(verify_joint_inequality(t.provenance.ineq, trials=150))
+    assert bool(verify_joint_inequality(joint_inequality(t.provenance), trials=150))
 
 
 def test_degenerate_full_access_cover():
@@ -517,7 +542,7 @@ def test_any_positive_cover_of_disjointness_is_certified(a, b):
     t = tradeoff_from_edge_cover(query, [a, b])
     assert t.space_exp == F(1, a + b)
     assert t.rhs == LogBound(F(a + b, a + b), ONE)
-    assert bool(verify_joint_inequality(t.provenance.ineq, trials=40, seed=a * 7 + b))
+    assert bool(verify_joint_inequality(joint_inequality(t.provenance), trials=40, seed=a * 7 + b))
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -537,7 +562,7 @@ def test_generated_inequalities_verify(
         generator_terms[k] for k in ("bool2", "bool3", "sd2", "path4")
     )
     for i, t in enumerate(batch):
-        res = verify_joint_inequality(t.provenance.ineq, trials=120, seed=i)
+        res = verify_joint_inequality(joint_inequality(t.provenance), trials=120, seed=i)
         assert bool(res), t.pretty()
 
 
@@ -547,7 +572,7 @@ def test_provenance_prices_each_term(three_reach, generator_terms):
     for t in terms:
         prov = t.provenance
         assert prov.bound == t.rhs
-        assert prov.space_weight == t.space_exp
+        assert sum(prov.theta.values()) == t.space_exp
         assert sum(prov.lam.values()) == t.time_exp
 
 
@@ -574,6 +599,50 @@ def test_envelope_four_reach_figure():
         (F(7, 5), F(3, 5)),
         (F(2), ZERO),
     ]
+
+
+def test_four_reach_pipeline_improves_on_the_figure(four_reach):
+    # The figure's deep group (the third above) omits deep's middle piece
+    # S^5*T^3 ~ N^9*Q^3 on [9/7, 4/3].  With that piece the figure's curve is
+    # the pipeline's whole-query envelope, which bends at 9/7 and 4/3 instead
+    # of 29/22 and reads 1/66 lower there.  The piece is certified: both of
+    # its proof sides validate.
+    _, _, curves = four_reach
+    middle = curves["deep"].terms[2]
+    assert (middle.pretty(), middle.span) == ("S^5*T^3 ~ N^9*Q^3", (F(9, 7), F(4, 3)))
+    groups = fig_four_groups()
+    groups[2].append(middle)
+    curve = envelope(groups)
+    assert curve.points == WHOLE_QUERY_ENVELOPES["four_reach"][1]
+    figure = envelope(fig_four_groups()).points
+    assert curve_at(figure, F(29, 22)) - curve_at(curve.points, F(29, 22)) == F(1, 66)
+    ext = middle.provenance
+    for g, target, sigma, mu in ((ext.g_t, ext.lam, ext.sigma_t, ext.mu_t), ext.scaled_s_side()):
+        assert proofs.validate(proofs.construct(g, target, sigma=sigma, mu=mu))
+
+
+# each query's pruned rules (from its enumerated plans) and the envelope of
+# their terms, each rule with the from-scratch term
+WHOLE_QUERY_ENVELOPES = {
+    "two_reach": (1, [(0, 1), (2, 0)]),
+    "three_reach": (4, [(0, 1), (1, 1), (F(4, 3), F(2, 3)), (F(7, 5), F(2, 5)), (2, 0)]),
+    "four_reach": (
+        23,
+        [(0, 1), (F(7, 6), 1), (F(9, 7), F(6, 7)), (F(4, 3), F(7, 9)), (F(7, 5), F(3, 5)), (2, 0)],
+    ),
+    "square": (2, [(0, 1), (2, 0)]),
+    **{f"set_disjointness_k{k}": (1, [(0, 1), (1, 1), (k, 0)]) for k in (2, 3, 4)},
+    "bool_two_sd": (1, [(0, 1), (2, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_QUERY_ENVELOPES))
+def test_whole_query_envelope(name):
+    query = q(name)
+    system = JointSystem(query)
+    rules = prune_rules(generate_rules(enumerate_pmtds(query)))
+    curve = envelope([rule_tradeoff(r, system).with_scratch() for r in rules])
+    assert (len(rules), curve.points) == WHOLE_QUERY_ENVELOPES[name]
 
 
 def test_envelope_three_reach_figure():
@@ -608,10 +677,10 @@ def test_envelope_group_order_does_not_matter():
 
 def test_envelope_interpolation_and_clamping():
     curve = envelope(fig_four_groups())
-    assert curve.at(F(29, 22)) == F(9, 11)
-    assert curve.at(F(5, 4)) == F(12, 5) - F(6, 5) * F(5, 4)
-    assert curve.at(-1) == ONE
-    assert curve.at(10) == ZERO
+    assert curve_at(curve.points, F(29, 22)) == F(9, 11)
+    assert curve_at(curve.points, F(5, 4)) == F(12, 5) - F(6, 5) * F(5, 4)
+    assert curve_at(curve.points, -1) == ONE
+    assert curve_at(curve.points, 10) == ZERO
 
 
 def test_envelope_respects_request_volume():
@@ -640,7 +709,7 @@ def test_envelope_without_terms_rejected():
 def test_envelope_of_only_fallbacks_is_flat():
     curve = envelope([[term(0, 1, 1)], [term(0, 2)]])
     assert curve.points == [(ZERO, ONE)]
-    assert curve.at(3) == ONE
+    assert curve_at(curve.points, 3) == ONE
 
 
 @settings(max_examples=60, deadline=None)
@@ -686,12 +755,11 @@ def test_envelope_is_the_clamped_max_of_mins_at_its_breakpoints(groups, log_q):
         return max(ZERO, worst)
 
     points = envelope(groups, log_q).points
-    curve = TradeoffCurve(points)
     checks = [s for s, _ in points]
     checks += [(s0 + s1) / 2 for (s0, _), (s1, _) in zip(points, points[1:])]
     checks.append(points[-1][0] + 1)
     for s in checks:
-        assert curve.at(s) == want(s), s
+        assert curve_at(points, s) == want(s), s
     for (s0, t0), (s1, t1), (s2, t2) in zip(points, points[1:], points[2:]):
         assert (t1 - t0) * (s2 - s1) != (t2 - t1) * (s1 - s0), (s1, t1)
     assert points[0][0] == 0
