@@ -195,7 +195,7 @@ def validate(ps: ProofSequence, names: list[str] | None = None) -> ValidationRep
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def normalize(vec: CondVec, target: CondVec, sigma=None, mu=None):
+def normalize(vec: CondVec, target: CondVec, sigma: CondVec, mu: CondVec):
     """Divide an inequality and its multipliers by the target's total weight.
 
     Returns (vec, target, sigma, mu) scaled so the target weights sum to 1.
@@ -205,12 +205,7 @@ def normalize(vec: CondVec, target: CondVec, sigma=None, mu=None):
     if w <= 0:
         raise ValueError("cannot normalize: target has no positive weight")
     scale = lambda d: {k: Fraction(v) / w for k, v in d.items() if v}
-    return (
-        scale(vec),
-        scale(target),
-        None if sigma is None else scale(sigma),
-        None if mu is None else scale(mu),
-    )
+    return scale(vec), scale(target), scale(sigma), scale(mu)
 
 
 # ═══════════════════════════════════════════════════════════════════════════

@@ -53,12 +53,11 @@ class LogBound:
 
 @dataclass(frozen=True, order=True)
 class LogConstraint:
-    """h(y | x) <= log, guarded by a named relation (or the request `Q`)."""
+    """h(y | x) <= log."""
 
     x: VarSet
     y: VarSet
     log: LogBound
-    guard: str
 
 
 @dataclass(frozen=True, order=True)
@@ -70,7 +69,6 @@ class SplitConstraint:
     y: VarSet
     z: VarSet
     log: LogBound
-    guard: str
 
 
 def span_split_constraints(cardinality: list[LogConstraint]) -> list[SplitConstraint]:
@@ -91,7 +89,7 @@ def span_split_constraints(cardinality: list[LogConstraint]) -> list[SplitConstr
                 if (x, y, z) in seen:
                     continue
                 seen.add((x, y, z))
-                out.append(SplitConstraint(x, y, z, c.log, c.guard))
+                out.append(SplitConstraint(x, y, z, c.log))
     return sorted(out)
 
 
@@ -195,7 +193,7 @@ class Cqap:
                 y = vs(*(atom.args[p] for p in d.y_pos))
                 x = vs(*(atom.args[p] for p in d.x_pos))
                 lg = LogBound(n=d.sym) if d.sym is not None else LogBound()
-                rows.append(LogConstraint(x, y, lg, atom.rel))
+                rows.append(LogConstraint(x, y, lg))
         best: dict[tuple[VarSet, VarSet], LogConstraint] = {}
         for r in rows:
             k = (r.x, r.y)
@@ -205,7 +203,7 @@ class Cqap:
 
     def access_constraint(self) -> LogConstraint:
         """The request is a materialized relation of log-size logQ."""
-        return LogConstraint(0, self.access, LogBound(q=Fraction(1)), "Q")
+        return LogConstraint(0, self.access, LogBound(q=Fraction(1)))
 
     def split_constraints(self) -> list[SplitConstraint]:
         return span_split_constraints(self.analysis_constraints())

@@ -324,7 +324,7 @@ def solve_joint_lp(
             f"joint program for {rule.pretty()} at (logN, logQ, logS) = "
             f"(1, {log_q}, {log_s}) came back {res.status}"
         )
-    sol = _package(rule, system, rr.rows, res)
+    sol = _package(rule, rr.rows, res)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("rule %s at (1, %s, %s): OBJ=%s", rule.pretty(), log_q, log_s, sol.value)
     return sol
@@ -372,7 +372,7 @@ def _price(rule, rows, mults, what: str):
     return a, b, c, used
 
 
-def _package(rule, system, rows, res: LpResult) -> JointSolution:
+def _package(rule, rows, res: LpResult) -> JointSolution:
     a, b, c, used = _price(rule, rows, res.duals, "multiplier")
     vecs: dict[str, CondVec] = {part: {} for part in CERT_PARTS}
     for row, w in used:

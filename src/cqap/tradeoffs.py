@@ -1,14 +1,14 @@
 """Space-time tradeoff terms and envelopes.
 
-A tradeoff term states S^c * T^k <= N^a * Q^b (up to polylog factors), and
+A tradeoff term states S^c * T <= N^a * Q^b (up to polylog factors), and
 carries as its provenance the certifying inequality the joint entropy program
-reports with its optimal dual: k is the total weight on online targets
-(normalised to 1), c the total weight on storage targets, and (a, b) the
-priced data and request rows.  The value function of the program over the
-storage budget is concave and piecewise linear, so a rule's whole tradeoff is
-a short list of such terms; `rule_tradeoff` recovers them exactly by walking
-the program's optimal basis, with no value probes, and certifies each piece
-with its dual line.
+reports with its optimal dual, whose weight on online targets is 1: c is the
+total weight on storage targets, and (a, b) the priced data and request
+rows.  The value function of the program over the storage budget is concave
+and piecewise linear, so a rule's whole tradeoff is a short list of such
+terms; `rule_tradeoff` recovers them exactly by walking the program's
+optimal basis, with no value probes, and certifies each piece with its dual
+line.
 
 Everything happens on one program per rule that differs only in its right
 sides, so a rule's solve at logS = 0 is its only cold solve.  From that
@@ -24,9 +24,13 @@ its dual line is tight there and its slope in logQ is exact.  The walk is
 fixed by the rule, so the certificates do not depend on other rules or on
 the order they are solved in.
 
-`envelope` combines per-rule term lists into the answering-time curve: every
-rule must be served, each by its best term (or by running from scratch within
-T <= N*Q), so the curve is the max over rules of the min over term lines.
+`envelope` combines per-rule term lists into the answering-time curve, as
+PANDA bounds a disjunctive rule by its own program (Abo Khamis, Ngo & Suciu,
+2017): every rule must be served, each by the best of its own terms, so the
+curve is the max over rules of the min over each rule's lines.  Answering
+from scratch within T <= N*Q is one more term of each rule
+(`RuleTradeoff.with_scratch`).  At logQ > 0 a term's line is its exact line
+at logQ = 0+ extended, so the curve there is a valid bound, not the value.
 """
 
 from __future__ import annotations
@@ -52,40 +56,30 @@ ONE = Fraction(1)
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TradeoffTerm:
-    """S^space_exp * T^time_exp <= N^rhs.n * Q^rhs.q, up to polylog factors.
+    """S^space_exp * T <= N^rhs.n * Q^rhs.q, up to polylog factors.
 
     `span` is the budget range (in units of logN) on which the term is the
     tight piece of its rule's value function; None when unknown or, for the
-    right end, unbounded.  Identity is the normalised line, so the same
-    bound written at different scales compares equal.
+    right end, unbounded.  Identity is the line: span, provenance and note
+    do not take part in equality or hashing.
     """
 
     space_exp: Fraction
     rhs: LogBound
-    time_exp: Fraction = ONE
-    span: tuple | None = field(default=None)
-    provenance: ExtractedInequality | None = field(default=None, repr=False)
-    note: str = ""
+    span: tuple | None = field(default=None, compare=False)
+    provenance: ExtractedInequality | None = field(default=None, repr=False, compare=False)
+    note: str = field(default="", compare=False)
 
     def line(self) -> tuple[Fraction, Fraction, Fraction]:
         """(a, b, c) with  logT <= a*logN + b*logQ - c*logS."""
-        k = self.time_exp
-        return (self.rhs.n / k, self.rhs.q / k, self.space_exp / k)
-
-    def __eq__(self, other):
-        if not isinstance(other, TradeoffTerm):
-            return NotImplemented
-        return self.line() == other.line()
-
-    def __hash__(self):
-        return hash(self.line())
+        return (self.rhs.n, self.rhs.q, self.space_exp)
 
     def pretty(self) -> str:
-        vals = (self.space_exp, self.time_exp, self.rhs.n, self.rhs.q)
+        vals = (self.space_exp, self.rhs.n, self.rhs.q)
         k = lcm(*(v.denominator for v in vals))
-        c, t, a, b = (int(v * k) for v in vals)
+        c, a, b = (int(v * k) for v in vals)
 
         def side(parts):
             out = [
@@ -95,13 +89,12 @@ class TradeoffTerm:
             ]
             return "*".join(out) if out else "1"
 
-        return f"{side([('S', c), ('T', t)])} ~ {side([('N', a), ('Q', b)])}"
+        return f"{side([('S', c), ('T', k)])} ~ {side([('N', a), ('Q', b)])}"
 
     def to_json(self) -> dict:
         out = {
             "display": self.pretty(),
             "space_exp": str(self.space_exp),
-            "time_exp": str(self.time_exp),
             "n_exp": str(self.rhs.n),
             "q_exp": str(self.rhs.q),
         }
@@ -229,41 +222,30 @@ class TradeoffCurve:
 
 
 def envelope(rule_terms, log_q=ZERO) -> TradeoffCurve:
-    """Max over rules of the min over each rule's term lines, clamped at 0.
+    """Max over rules of the min over each rule's own term lines, clamped at 0.
 
-    Terms with no storage exponent are from-scratch plans: they do not read
-    the stored object, so they serve the requests of every rule alike.  They
-    join every rule's minimum and never stand alone in the maximum — a rule
-    list holding only such terms contributes its fallbacks to the others
-    rather than pinning the worst case to a constant.
+    Each item of `rule_terms` is one rule's term list, and every rule must
+    be served, each by its best term: a rule whose terms all have space
+    exponent 0 holds the curve at its value for every budget.  Callers that
+    allow answering from scratch attach that term to each rule, as
+    `RuleTradeoff.with_scratch` does.
 
     The grid holds 0, every line's zero and every positive crossing of two
     lines.  A max of mins of lines bends only where two lines cross and
     reaches zero only where one does, so the grid holds every breakpoint.
-    Points collinear with their neighbours are dropped, and the walk stops
-    at the first zero, which a falling line in every minimum ensures; with
-    only from-scratch terms every line is flat and the grid is {0}.
+    Points collinear with their neighbours are dropped, the walk stops at
+    the first zero, and a last point level with the one before it is
+    dropped, since the curve is read as constant past its last point.
     """
     log_q = Fraction(log_q)
-    shared: set[tuple[Fraction, Fraction]] = set()
-    sloped_groups: list[set[tuple[Fraction, Fraction]]] = []
-    for terms in rule_terms:
-        sloped: set[tuple[Fraction, Fraction]] = set()
-        for term in terms:
-            a, b, c = term.line()
-            line = (a + b * log_q, -c)
-            (sloped if c else shared).add(line)
-        if sloped:
-            sloped_groups.append(sloped)
-    if sloped_groups:
-        groups = [g | shared for g in sloped_groups]
-    elif shared:
-        groups = [shared]
-    else:
-        raise ValueError("envelope needs at least one term")
+    groups = [
+        {(a + b * log_q, -c) for a, b, c in (t.line() for t in terms)} for terms in rule_terms
+    ]
+    if not groups or not all(groups):
+        raise ValueError("envelope needs at least one term for every rule")
 
     cands = {ZERO}
-    flat = [ln for g in groups for ln in g]
+    flat = list(set().union(*groups))
     for i, (v0, m0) in enumerate(flat):
         if m0:
             cands.add(-v0 / m0)  # zero crossing
@@ -275,14 +257,16 @@ def envelope(rule_terms, log_q=ZERO) -> TradeoffCurve:
 
     points: list[tuple[Fraction, Fraction]] = []
     for s in sorted(cands):
-        t = max(min(v0 + m0 * s for v0, m0 in g) for g in groups)
+        t = max(ZERO, *(min(v0 + m0 * s for v0, m0 in g) for g in groups))
         if len(points) > 1:
             (s0, t0), (s1, t1) = points[-2:]
             if (t1 - t0) * (s - s1) == (t - t1) * (s1 - s0):
                 points.pop()
         points.append((s, t))
-        if t <= 0:
+        if t == 0:
             break
+    if len(points) > 1 and points[-1][1] == points[-2][1]:
+        points.pop()
     for (s0, t0), (s1, t1) in zip(points, points[1:]):
         if s1 <= s0 or t1 > t0:  # pragma: no cover - exactness guard
             raise LpError("envelope walk produced a non-monotone curve")

@@ -11,9 +11,9 @@ something the pipeline computes, or a sampler that probes it:
   inequality (`joint_inequality` of a term's provenance) is checked on
   random polymatroid pairs, apart from its stepwise proofs.
 - `derive_witness` and `prove`: the least-weight witness over the elemental
-  inequalities, solved for exactly.  Hand-written inequalities and the
-  closed-form terms below carry no witness of their own, so their proofs
-  spend this one; `proofs.construct` only ever spends the LP's.
+  inequalities, solved for exactly.  Hand-written inequalities carry no
+  witness of their own, so `prove` spends this one, and the closed-form
+  terms below carry it in their provenance in place of the LP's.
 - `tradeoff_from_edge_cover` and `tradeoff_from_path`: the paper's closed
   forms from fractional edge covers, of the whole query or bag by bag along
   a root-to-node path of a decomposition.  They pin the LP's terms where the
@@ -390,8 +390,12 @@ def _cover_term(q: Cqap, bags, a_sets, covers) -> TradeoffTerm:
         _acc(theta, (0, a_set), ONE / alpha)
         space += ONE / alpha
     lam = {(0, bags[-1]): ONE}
-    # a closed form carries no witness: `prove` derives one for each side
-    prov = ExtractedInequality(g_s, g_t, theta, lam, LogBound(n_tot, q_tot), None, None, None, None)
+    # a closed form comes with no dual, so each side carries the derived witness
+    sigma_s, mu_s = derive_witness(g_s, theta)
+    sigma_t, mu_t = derive_witness(g_t, lam)
+    prov = ExtractedInequality(
+        g_s, g_t, theta, lam, LogBound(n_tot, q_tot), sigma_s, mu_s, sigma_t, mu_t
+    )
     return TradeoffTerm(
         space_exp=space, rhs=LogBound(n_tot, q_tot), provenance=prov
     )

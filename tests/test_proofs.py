@@ -222,14 +222,16 @@ def test_normalize_scales_everything():
 
 
 def test_normalize_is_identity_at_unit_weight():
-    g, th, sg, mus = normalize({(0, 1): F(1, 2)}, {(0, 3): F(1)})
+    g, th, sg, mus = normalize(
+        {(0, 1): F(1, 2)}, {(0, 3): F(1)}, sigma={(1, 2): F(1, 2)}, mu={}
+    )
     assert g == {(0, 1): F(1, 2)} and th == {(0, 3): F(1)}
-    assert sg is None and mus is None
+    assert sg == {(1, 2): F(1, 2)} and mus == {}
 
 
 def test_normalize_rejects_weightless_targets():
     with pytest.raises(ValueError, match="no positive weight"):
-        normalize({(0, 1): F(1)}, {})
+        normalize({(0, 1): F(1)}, {}, {}, {})
 
 
 def test_normalize_two_entry_target_then_construct(generator_terms):
@@ -249,15 +251,15 @@ def test_normalize_two_entry_target_then_construct(generator_terms):
 def _discharge_both_sides(ext, label):
     """Construct and validate the proof of each side; the total step count.
 
-    A closed-form term carries no witness, so its sides spend the derived one.
+    Every term carries its witness: the LP's, or a closed form's derived one.
     """
-    ps = prove(ext.g_t, ext.lam, sigma=ext.sigma_t, mu=ext.mu_t, name=label)
+    ps = construct(ext.g_t, ext.lam, sigma=ext.sigma_t, mu=ext.mu_t, name=label)
     rep = validate(ps)
     assert rep, (label, "T", rep.reason)
     steps = len(ps.steps)
     if ext.theta:
         g, th, sg, mus = ext.scaled_s_side()
-        ps = prove(g, th, sigma=sg, mu=mus, name=label)
+        ps = construct(g, th, sigma=sg, mu=mus, name=label)
         rep = validate(ps)
         assert rep, (label, "S", rep.reason)
         steps += len(ps.steps)

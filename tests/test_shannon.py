@@ -194,7 +194,7 @@ def test_package_errors_name_the_rule_row_and_residual():
     res = sol.lp
 
     def package(**changes):
-        return shannon._package(rule, system, rows, replace(res, **changes))
+        return shannon._package(rule, rows, replace(res, **changes))
 
     assert package().certificate == sol.certificate
     # the theta row is ">=", so its multiplier -1/2 turns positive

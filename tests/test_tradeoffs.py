@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from functools import cache
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from cqap.decompose import TreeDecomp, enumerate_pmtds
 from cqap.exactlp import LpError, walk_rhs
 from cqap.queries import LogBound, load_query, parse_query
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
-from cqap.shannon import JointSystem
+from cqap.shannon import JointSystem, solve_joint_lp
 from cqap.tradeoffs import (
     TradeoffTerm,
     envelope,
@@ -51,9 +52,8 @@ def mask(query, *names):
 
 
 def term(c, n, q_exp=0, k=1):
-    return TradeoffTerm(
-        space_exp=F(c), rhs=LogBound(F(n), F(q_exp)), time_exp=F(k)
-    )
+    """S^c * T^k ~ N^n * Q^q_exp, stored as its line over k."""
+    return TradeoffTerm(space_exp=F(c, k), rhs=LogBound(F(n, k), F(q_exp, k)))
 
 
 def lines_and_spans(rt):
@@ -433,7 +433,6 @@ def test_path_term_is_the_worked_four_reach_bound(generator_terms):
     t = generator_terms["path4"]
     assert t.space_exp == F(3, 2)
     assert t.rhs == LogBound(F(3), ONE)
-    assert t.time_exp == ONE
     prov = t.provenance
     assert sum(prov.lam.values()) == 1
     assert prov.bound == t.rhs
@@ -573,7 +572,7 @@ def test_provenance_prices_each_term(three_reach, generator_terms):
         prov = t.provenance
         assert prov.bound == t.rhs
         assert sum(prov.theta.values()) == t.space_exp
-        assert sum(prov.lam.values()) == t.time_exp
+        assert sum(prov.lam.values()) == ONE
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -582,11 +581,11 @@ def test_provenance_prices_each_term(three_reach, generator_terms):
 
 
 def fig_four_groups():
+    # each rule may also answer from scratch within T ~ N
     return [
-        [term(1, 2)],
-        [term(2, 4, 0, 2)],
-        [term(6, 12, 0, 5), term(8, 13, 0, 3)],
-        [term(0, 1)],
+        [term(1, 2), term(0, 1)],
+        [term(2, 4, 0, 2), term(0, 1)],
+        [term(6, 12, 0, 5), term(8, 13, 0, 3), term(0, 1)],
     ]
 
 
@@ -636,13 +635,41 @@ WHOLE_QUERY_ENVELOPES = {
 }
 
 
+@cache
+def pruned_tradeoffs(name):
+    """The query's system and the tradeoff of each pruned rule of its
+    enumerated plans."""
+    system = JointSystem(q(name))
+    rules = prune_rules(generate_rules(enumerate_pmtds(system.q)))
+    return system, [rule_tradeoff(r, system) for r in rules]
+
+
 @pytest.mark.parametrize("name", sorted(WHOLE_QUERY_ENVELOPES))
 def test_whole_query_envelope(name):
-    query = q(name)
-    system = JointSystem(query)
-    rules = prune_rules(generate_rules(enumerate_pmtds(query)))
-    curve = envelope([rule_tradeoff(r, system).with_scratch() for r in rules])
-    assert (len(rules), curve.points) == WHOLE_QUERY_ENVELOPES[name]
+    _, curves = pruned_tradeoffs(name)
+    curve = envelope([rt.with_scratch() for rt in curves])
+    assert (len(curves), curve.points) == WHOLE_QUERY_ENVELOPES[name]
+
+
+@pytest.mark.parametrize("log_q", [F(1, 4), F(1, 2), ONE, F(2)], ids=str)
+@pytest.mark.parametrize("name", sorted(WHOLE_QUERY_ENVELOPES))
+def test_envelope_is_no_lower_than_any_rule_at_positive_log_q(name, log_q):
+    # every rule is served by its own terms, so at logS = 0 the envelope is
+    # at least each rule's exact value, from a fresh joint solve
+    system, curves = pruned_tradeoffs(name)
+    s0, t0 = envelope([rt.with_scratch() for rt in curves], log_q).points[0]
+    assert s0 == 0
+    for rt in curves:
+        value = solve_joint_lp(rt.rule, system, ZERO, log_q=log_q).value
+        assert value <= t0, (rt.rule.pretty(system.q.var_names), value, t0)
+
+
+def test_three_reach_envelope_at_a_quarter_starts_at_its_worst_rule():
+    # the rule T{x1,x2,x3} v T{x4,x2,x3} v S{x1,x4} v S{x4,x2} v S{x1,x3}
+    # reads 5/4 at (logS, logQ) = (0, 1/4), and no rule reads more
+    _, curves = pruned_tradeoffs("three_reach")
+    curve = envelope([rt.with_scratch() for rt in curves], F(1, 4))
+    assert curve.points[0] == (ZERO, F(5, 4))
 
 
 def test_envelope_three_reach_figure():
@@ -707,9 +734,10 @@ def test_envelope_without_terms_rejected():
 
 
 def test_envelope_of_only_fallbacks_is_flat():
+    # a rule the budget cannot help holds the curve at its value
     curve = envelope([[term(0, 1, 1)], [term(0, 2)]])
-    assert curve.points == [(ZERO, ONE)]
-    assert curve_at(curve.points, 3) == ONE
+    assert curve.points == [(ZERO, F(2))]
+    assert curve_at(curve.points, 3) == F(2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -727,7 +755,7 @@ def exponents(hi):
 
 
 random_terms = st.builds(
-    lambda c, a, b, k: TradeoffTerm(space_exp=c, rhs=LogBound(a, b), time_exp=F(k)),
+    lambda c, a, b, k: TradeoffTerm(space_exp=c / k, rhs=LogBound(a / k, b / k)),
     st.one_of(st.just(ZERO), exponents(3)),
     exponents(4),
     exponents(2),
@@ -741,18 +769,12 @@ random_terms = st.builds(
     log_q=st.sampled_from([ZERO, F(1, 2), ONE]),
 )
 def test_envelope_is_the_clamped_max_of_mins_at_its_breakpoints(groups, log_q):
-    # from-scratch terms (no storage exponent) join every rule's minimum
-    shared = [t for g in groups for t in g if not t.space_exp]
-    sloped = [[t for t in g if t.space_exp] for g in groups]
-    sloped = [g for g in sloped if g] or [[]]
-
     def want(s):
         def at(t):
             a, b, c = t.line()
             return a + b * log_q - c * s
 
-        worst = max(min(at(t) for t in g + shared) for g in sloped)
-        return max(ZERO, worst)
+        return max(ZERO, max(min(at(t) for t in g) for g in groups))
 
     points = envelope(groups, log_q).points
     checks = [s for s, _ in points]
@@ -769,10 +791,14 @@ def test_envelope_is_the_clamped_max_of_mins_at_its_breakpoints(groups, log_q):
         assert len(points) == 1 or points[-2][1] > points[-1][1]
 
 
-def test_term_identity_ignores_scale():
-    assert term(1, 2, 1) == term(2, 4, 2, 2)
+def test_term_identity_ignores_span_provenance_and_note(two_reach):
+    # equal lines compare equal whatever their span, provenance or note
+    piece = two_reach[2].terms[0]
+    bare = TradeoffTerm(space_exp=piece.space_exp, rhs=piece.rhs, note="by hand")
+    assert piece.span is not None and piece.provenance is not None
+    assert bare == piece and hash(bare) == hash(piece)
+    assert len({bare, piece, term(1, 2, 2, 2)}) == 1
     assert term(1, 2, 1) != term(1, 2)
-    assert len({term(3, 6, 3, 3), term(1, 2, 1)}) == 1
 
 
 def test_term_json_shape(generator_terms):
