@@ -30,8 +30,8 @@ import logging
 from dataclasses import dataclass
 from itertools import product
 
-from .queries import Cqap, QueryError
-from .relalg import VarSet, members, submasks, subset, vs, vs_str
+from .queries import Cqap, QueryError, varset_of
+from .relalg import VarSet, members, names_of, submasks, subset, vs_str
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +53,9 @@ class TreeDecomp:
     """A rooted tree of bags; node 0 is the root, parent[0] == -1.
 
     Nodes are in preorder with siblings ordered by bag value, so equal trees
-    compare equal structurally.
+    compare equal structurally.  Preorder puts every parent before its
+    children (`parent[i] < i`), so of any connected node set the first node
+    is its top, and every other node has its parent in the set.
     """
 
     bags: tuple[VarSet, ...]
@@ -70,8 +72,9 @@ class TreeDecomp:
     def __len__(self) -> int:
         return len(self.bags)
 
-    def children(self, t: int) -> list[int]:
-        return [i for i, p in enumerate(self.parent) if p == t]
+    def is_downward_closed(self, in_m: tuple[bool, ...]) -> bool:
+        """Every child of a node in M is in M too."""
+        return all(in_m[c] or not in_m[p] for c, p in enumerate(self.parent) if c)
 
     def subtree(self, t: int) -> list[int]:
         out = [t]
@@ -89,15 +92,13 @@ class TreeDecomp:
         return False
 
     def top(self, v: int) -> int:
-        """The node nearest the root whose bag contains variable v."""
-        holders = [i for i, b in enumerate(self.bags) if b >> v & 1]
-        if not holders:
-            raise DecompositionError(f"variable {v} appears in no bag")
-        best = holders[0]
-        for t in holders[1:]:
-            if self.is_ancestor(t, best):
-                best = t
-        return best
+        """The node nearest the root whose bag contains variable v: in a
+        valid decomposition v's holders form a subtree, whose top comes
+        first in preorder."""
+        for i, b in enumerate(self.bags):
+            if b >> v & 1:
+                return i
+        raise DecompositionError(f"variable {v} appears in no bag")
 
     def validate(self, edges: list[VarSet]) -> list[str]:
         """Edge cover + running intersection, as human-readable problems."""
@@ -109,19 +110,10 @@ class TreeDecomp:
         for b in self.bags:
             all_vars |= b
         for v in members(all_vars):
-            holders = {i for i, b in enumerate(self.bags) if b >> v & 1}
-            # the holders must form a connected subtree
-            reach = {min(holders)}
-            grew = True
-            while grew:
-                grew = False
-                for t in holders - reach:
-                    if self.parent[t] in reach or any(
-                        self.parent[r] == t for r in reach
-                    ):
-                        reach.add(t)
-                        grew = True
-            if reach != holders:
+            holders = [i for i, b in enumerate(self.bags) if b >> v & 1]
+            # connected exactly when every holder but the first (in preorder
+            # the top) hangs from another holder
+            if any(not self.bags[self.parent[t]] >> v & 1 for t in holders[1:]):
                 problems.append(f"variable {v} induces a disconnected bag set")
         return problems
 
@@ -220,9 +212,8 @@ def make_pmtd(td: TreeDecomp, in_m: tuple[bool, ...], q: Cqap) -> Pmtd | None:
     """
     if not subset(q.access, td.bags[0]):
         return None
-    for t, m in enumerate(in_m):
-        if m and any(not in_m[c] for c in td.children(t)):
-            return None  # M must be downward-closed
+    if not td.is_downward_closed(in_m):
+        return None
     if not is_free_connex(td, q.head):
         return None
     nu = compute_nu(td, in_m, q.head)
@@ -343,9 +334,7 @@ def _downward_closed_sets(td: TreeDecomp):
     n = len(td)
     for bits in range(1 << n):
         in_m = tuple(bits >> t & 1 == 1 for t in range(n))
-        if all(
-            all(in_m[c] for c in td.children(t)) for t in range(n) if in_m[t]
-        ):
+        if td.is_downward_closed(in_m):
             yield in_m
 
 
@@ -400,19 +389,15 @@ def induced_pmtd(td: TreeDecomp, merge_tops: set[int], q: Cqap) -> Pmtd | None:
 
 def pmtds_to_json(plans: list[Pmtd], q: Cqap) -> str:
     names = q.var_names
-
-    def varlist(s: VarSet) -> list[str]:
-        return [names[i] for i in members(s)]
-
     doc = {
         "query": q.name,
         "pmtds": [
             {
-                "bags": [varlist(b) for b in p.td.bags],
+                "bags": [names_of(b, names) for b in p.td.bags],
                 "parent": list(p.td.parent),
                 "in_m": list(p.in_m),
                 "views": [
-                    {"side": "S" if m else "T", "vars": varlist(v)}
+                    {"side": "S" if m else "T", "vars": names_of(v, names)}
                     for v, m in zip(p.nu, p.in_m)
                     if v
                 ],
@@ -431,7 +416,7 @@ def pmtds_from_json(text: str, q: Cqap) -> list[Pmtd]:
         )
     plans = []
     for entry in doc["pmtds"]:
-        bags = [vs(*(q.var_index(v) for v in bag)) for bag in entry["bags"]]
+        bags = [varset_of(bag, q.var_names) for bag in entry["bags"]]
         if len(entry["in_m"]) != len(bags):
             raise QueryError(
                 f"plan in file has {len(entry['in_m'])} in_m flags for "

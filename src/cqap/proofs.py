@@ -28,7 +28,8 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .relalg import VarSet, members, size, vs_str
+from .queries import varset_of
+from .relalg import VarSet, names_of, size, term_str
 
 log = logging.getLogger(__name__)
 
@@ -90,16 +91,9 @@ class ProofStep:
         return {(0, self.y): -w, (self.x, self.y): w, (0, self.x): w}
 
     def pretty(self, names: list[str] | None = None) -> str:
-        def term(c: Coord) -> str:
-            x, y = c
-            body = vs_str(y, names) if names else f"{{{y:b}}}"
-            if x:
-                return f"h({body}|{vs_str(x, names) if names else f'{{{x:b}}}'})"
-            return f"h({body})"
-
         d = self.delta()
-        used = " + ".join(term(c) for c, v in sorted(d.items()) if v < 0)
-        made = " + ".join(term(c) for c, v in sorted(d.items()) if v > 0)
+        used = " + ".join(term_str(x, y, names) for (x, y), v in sorted(d.items()) if v < 0)
+        made = " + ".join(term_str(x, y, names) for (x, y), v in sorted(d.items()) if v > 0)
         return f"{self.kind:<14} {used} -> {made}  (w={self.weight})"
 
 
@@ -149,13 +143,6 @@ class ValidationReport:
         return self.ok
 
 
-def _coord_str(c: Coord, names=None) -> str:
-    x, y = c
-    if names:
-        return f"h({vs_str(y, names)}|{vs_str(x, names)})" if x else f"h({vs_str(y, names)})"
-    return f"h({y}|{x})" if x else f"h({y})"
-
-
 def validate(ps: ProofSequence, names: list[str] | None = None) -> ValidationReport:
     """Replay a sequence with exact arithmetic.
 
@@ -165,17 +152,17 @@ def validate(ps: ProofSequence, names: list[str] | None = None) -> ValidationRep
     """
     for c, v in ps.initial.items():
         if v < 0:
-            return ValidationReport(False, None, f"initial weight of {_coord_str(c, names)} is negative")
+            return ValidationReport(False, None, f"initial weight of {term_str(*c, names)} is negative")
     for c, v in ps.target.items():
         if v < 0:
-            return ValidationReport(False, None, f"target weight of {_coord_str(c, names)} is negative")
+            return ValidationReport(False, None, f"target weight of {term_str(*c, names)} is negative")
     cur = {k: Fraction(v) for k, v in ps.initial.items() if v}
     for idx, st in enumerate(ps.steps):
         for c, dv in st.delta().items():
             nv = cur.get(c, ZERO) + dv
             if nv < 0:
                 return ValidationReport(
-                    False, idx, f"step {idx} overdraws {_coord_str(c, names)} by {-nv}"
+                    False, idx, f"step {idx} overdraws {term_str(*c, names)} by {-nv}"
                 )
             if nv:
                 cur[c] = nv
@@ -185,7 +172,7 @@ def validate(ps: ProofSequence, names: list[str] | None = None) -> ValidationRep
         short = v - cur.get(c, ZERO)
         if short > 0:
             return ValidationReport(
-                False, len(ps.steps), f"final vector is short of {_coord_str(c, names)} by {short}"
+                False, len(ps.steps), f"final vector is short of {term_str(*c, names)} by {short}"
             )
     return ValidationReport(True)
 
@@ -278,7 +265,7 @@ class _Prover:
         for c, dv in step.delta().items():
             nv = self.cur.get(c, ZERO) + dv
             if nv < 0:  # pragma: no cover - every caller checks availability
-                raise AssertionError(f"step overdraws {_coord_str(c)}")
+                raise AssertionError(f"step overdraws {term_str(*c)}")
             if nv:
                 self.cur[c] = nv
             else:
@@ -383,7 +370,7 @@ class _Prover:
                     demand[x] = demand.get(x, ZERO) + t
                     need -= t
             if need > 0:  # pragma: no cover - the invariant rules this out
-                raise AssertionError(f"{_coord_str((0, z))} cannot be composed")
+                raise AssertionError(f"{term_str(0, z)} cannot be composed")
         for x, y, t in sorted(plan, key=lambda p: (size(p[0]), p[0], p[1])):
             self._emit(composition(x, y, t))
 
@@ -431,7 +418,7 @@ def construct(
     for z, slack in sorted(_excess(initial, target, pairs, monos).items()):
         if slack < 0:
             raise ConstructionError(
-                f"witness identity breaks at {_coord_str((0, z))}: short by {-slack}", residual
+                f"witness identity breaks at {term_str(0, z)}: short by {-slack}", residual
             )
     prover = _Prover(initial, pairs, monos)
     while (prover.sigma or prover.mu) and prover.fire():
@@ -448,27 +435,13 @@ def construct(
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _names_of(mask: VarSet, var_names: list[str]) -> list[str]:
-    return [var_names[i] for i in members(mask)]
-
-
-def _mask_of(names, var_names: list[str]) -> VarSet:
-    m = 0
-    for nm in names:
-        try:
-            m |= 1 << var_names.index(nm)
-        except ValueError:
-            raise ValueError(f"unknown variable {nm!r}") from None
-    return m
-
-
 def vec_to_json(vec: CondVec, var_names: list[str]) -> list[dict]:
     out = []
     for (x, y), w in sorted(vec.items()):
         if not w:
             continue
         out.append(
-            {"given": _names_of(x, var_names), "set": _names_of(y, var_names), "coeff": str(Fraction(w))}
+            {"given": names_of(x, var_names), "set": names_of(y, var_names), "coeff": str(Fraction(w))}
         )
     return out
 
@@ -476,8 +449,8 @@ def vec_to_json(vec: CondVec, var_names: list[str]) -> list[dict]:
 def vec_from_json(items, var_names: list[str]) -> CondVec:
     vec: CondVec = {}
     for it in items:
-        x = _mask_of(it.get("given", []), var_names)
-        y = _mask_of(it["set"], var_names)
+        x = varset_of(it.get("given", []), var_names)
+        y = varset_of(it["set"], var_names)
         if x & ~y:
             raise ValueError("conditioning set must lie inside the set")
         vec[(x, y)] = vec.get((x, y), ZERO) + Fraction(it["coeff"])
@@ -487,8 +460,8 @@ def vec_from_json(items, var_names: list[str]) -> CondVec:
 def step_to_json(step: ProofStep, var_names: list[str]) -> dict:
     return {
         "kind": step.kind,
-        "x": _names_of(step.x, var_names),
-        "y": _names_of(step.y, var_names),
+        "x": names_of(step.x, var_names),
+        "y": names_of(step.y, var_names),
         "weight": str(step.weight),
     }
 
@@ -496,8 +469,8 @@ def step_to_json(step: ProofStep, var_names: list[str]) -> dict:
 def step_from_json(doc: dict, var_names: list[str]) -> ProofStep:
     return ProofStep(
         doc["kind"],
-        _mask_of(doc["x"], var_names),
-        _mask_of(doc["y"], var_names),
+        varset_of(doc["x"], var_names),
+        varset_of(doc["y"], var_names),
         Fraction(doc["weight"]),
     )
 

@@ -22,7 +22,7 @@ a parameter of the analysis, not a declared bound, so a request cap line
 `ac |Q| <= k` is rejected.
 
 Split constraints (X, Y | X, N_Z) are spanned from cardinality constraints:
-one for every chain emptyset != X < Y <= Z.
+one for every chain emptyset != X < Y <= Z, with the smallest N_Z per (X, Y).
 """
 
 from __future__ import annotations
@@ -30,12 +30,24 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Sequence
 
-from .relalg import MAX_VARS, VarSet, members, submasks, subset, vs
+from .relalg import MAX_VARS, VarSet, names_of, submasks, subset, vs
 
 
 class QueryError(ValueError):
     pass
+
+
+def varset_of(names: Iterable[str], var_names: Sequence[str]) -> VarSet:
+    """The set of the named variables; an unknown name raises QueryError."""
+    m = 0
+    for name in names:
+        try:
+            m |= 1 << var_names.index(name)
+        except ValueError:
+            raise QueryError(f"unknown variable {name!r}") from None
+    return m
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -76,21 +88,20 @@ def span_split_constraints(cardinality: list[LogConstraint]) -> list[SplitConstr
 
     For each (emptyset, Z, N_Z) and each pair emptyset != X < Y <= Z we may
     split a table on its X-projection and bound |pieces| * piece-degree by
-    N_Z.  Chains are enumerated by brute force over subsets of Z.
+    N_Z.  Chains are enumerated by brute force over subsets of Z.  Only the
+    smallest bound per (X, Y) is kept, as for degree constraints: a larger
+    one gives the same rows with a weaker right side.
     """
-    out: list[SplitConstraint] = []
-    seen: set[tuple[VarSet, VarSet, VarSet]] = set()
+    best: dict[tuple[VarSet, VarSet], SplitConstraint] = {}
     for c in cardinality:
         if c.x != 0:
             continue
         z = c.y
         for y in submasks(z)[1:]:
             for x in submasks(y)[1:-1]:
-                if (x, y, z) in seen:
-                    continue
-                seen.add((x, y, z))
-                out.append(SplitConstraint(x, y, z, c.log))
-    return sorted(out)
+                if (x, y) not in best or c.log < best[x, y].log:
+                    best[x, y] = SplitConstraint(x, y, z, c.log)
+    return sorted(best.values())
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -173,10 +184,7 @@ class Cqap:
         raise QueryError(f"no atom uses relation {rel!r}")
 
     def var_index(self, name: str) -> int:
-        try:
-            return self.var_names.index(name)
-        except ValueError:
-            raise QueryError(f"unknown variable {name!r}") from None
+        return varset_of([name], self.var_names).bit_length() - 1
 
     # -- constraint views ---------------------------------------------------
 
@@ -204,9 +212,6 @@ class Cqap:
     def access_constraint(self) -> LogConstraint:
         """The request is a materialized relation of log-size logQ."""
         return LogConstraint(0, self.access, LogBound(q=Fraction(1)))
-
-    def split_constraints(self) -> list[SplitConstraint]:
-        return span_split_constraints(self.analysis_constraints())
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -372,8 +377,8 @@ def load_query(path) -> Cqap:
 
 def print_query(q: Cqap) -> str:
     nm = q.var_names
-    head = ", ".join(nm[i] for i in members(q.head))
-    acc = ", ".join(nm[i] for i in members(q.access))
+    head = ", ".join(names_of(q.head, nm))
+    acc = ", ".join(names_of(q.access, nm))
     body = ", ".join(
         f"{a.rel}({', '.join(nm[i] for i in a.args)})" for a in q.atoms
     )

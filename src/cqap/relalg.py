@@ -3,11 +3,17 @@
 Bit i of a `VarSet` is set when variable i is a member.  Every layer of the
 analysis -- decompositions, rules, LP columns and proofs -- names its
 variable sets this way.
+
+This module also owns their text form: a set is written as its members'
+names in index order (`names_of`, in braces by `vs_str`), or as the indices
+themselves when no names are given, and an entropy term h(Y|X) as
+`term_str` writes it.  Every JSON writer and printer goes through these;
+`queries.varset_of` is the one way back from names.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 MAX_VARS = 16
 
@@ -21,10 +27,6 @@ def vs(*indices: int) -> VarSet:
             raise ValueError(f"variable index {i} out of range 0..{MAX_VARS - 1}")
         m |= 1 << i
     return m
-
-
-def vs_from(indices: Iterable[int]) -> VarSet:
-    return vs(*indices)
 
 
 def members(s: VarSet) -> tuple[int, ...]:
@@ -50,7 +52,18 @@ def subset(a: VarSet, b: VarSet) -> bool:
     return a & ~b == 0
 
 
-def vs_str(s: VarSet, names: list[str] | None = None) -> str:
-    if names is None:
-        return "{" + ",".join(str(i) for i in members(s)) + "}"
-    return "{" + ",".join(names[i] for i in members(s)) + "}"
+def names_of(s: VarSet, var_names: Sequence[str]) -> list[str]:
+    """The names of the set's members, in index order."""
+    return [var_names[i] for i in members(s)]
+
+
+def vs_str(s: VarSet, names: Sequence[str] | None = None) -> str:
+    """`{x1,x3}` with names, `{0,2}` without."""
+    labels = names_of(s, names) if names else [str(i) for i in members(s)]
+    return "{" + ",".join(labels) + "}"
+
+
+def term_str(x: VarSet, y: VarSet, names: Sequence[str] | None = None) -> str:
+    """The entropy term h(Y|X), written h(Y) when X is empty."""
+    given = f"|{vs_str(x, names)}" if x else ""
+    return f"h({vs_str(y, names)}{given})"

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .decompose import Pmtd
-from .queries import Cqap
-from .relalg import VarSet, members, subset, vs_from, vs_str
+from .queries import Cqap, varset_of
+from .relalg import VarSet, names_of, subset, vs_str
 
 log = logging.getLogger(__name__)
 
@@ -157,17 +157,13 @@ def prune_rules(rules: Sequence[TwoPhaseRule]) -> list[TwoPhaseRule]:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _names(v: VarSet, q: Cqap) -> list[str]:
-    return [q.var_names[i] for i in members(v)]
-
-
 def rules_to_json(rules: Sequence[TwoPhaseRule], q: Cqap) -> str:
     doc = {
         "query": q.name,
         "rules": [
             {
-                "t": [_names(v, q) for v in sorted(r.t_targets)],
-                "s": [_names(v, q) for v in sorted(r.s_targets)],
+                "t": [names_of(v, q.var_names) for v in sorted(r.t_targets)],
+                "s": [names_of(v, q.var_names) for v in sorted(r.s_targets)],
                 "picks": [list(p) for p in r.picks],
             }
             for r in rules
@@ -180,17 +176,11 @@ def rules_from_json(text: str, q: Cqap) -> list[TwoPhaseRule]:
     doc = json.loads(text)
     if doc.get("query") not in (None, q.name):
         raise ValueError(f"rules are for query {doc.get('query')!r}, not {q.name!r}")
-    out = []
-    for r in doc["rules"]:
-        out.append(
-            TwoPhaseRule(
-                s_targets=frozenset(
-                    vs_from(q.var_index(n) for n in names) for names in r["s"]
-                ),
-                t_targets=frozenset(
-                    vs_from(q.var_index(n) for n in names) for names in r["t"]
-                ),
-                picks=tuple((p[0], p[1]) for p in r.get("picks", [])),
-            )
+    return [
+        TwoPhaseRule(
+            s_targets=frozenset(varset_of(names, q.var_names) for names in r["s"]),
+            t_targets=frozenset(varset_of(names, q.var_names) for names in r["t"]),
+            picks=tuple((p[0], p[1]) for p in r.get("picks", [])),
         )
-    return out
+        for r in doc["rules"]
+    ]

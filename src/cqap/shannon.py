@@ -48,7 +48,7 @@ from itertools import combinations
 
 from .exactlp import LpError, LpResult, RhsPiece, resolve_lp, solve_lp_guided, walk_rhs
 from .proofs import CondVec, normalize
-from .queries import Cqap, LogBound, LogConstraint, SplitConstraint
+from .queries import Cqap, LogBound, LogConstraint, SplitConstraint, span_split_constraints
 from .relalg import VarSet, submasks
 from .rules import TwoPhaseRule
 
@@ -112,7 +112,7 @@ class JointSystem:
         self.m = (1 << q.n) - 1
         self.dc: list[LogConstraint] = q.analysis_constraints()
         self.ac: LogConstraint = q.access_constraint()
-        self.sc: list[SplitConstraint] = q.split_constraints()
+        self.sc: list[SplitConstraint] = span_split_constraints(self.dc)
         self._base: list[LpRow] | None = None
         self._rules: dict[TwoPhaseRule, RuleRows] = {}
 

@@ -9,7 +9,7 @@ import pytest
 
 from cqap.decompose import TreeDecomp, enumerate_pmtds, pmtds_from_json
 from cqap.exactlp import solve_lp
-from cqap.queries import load_query, parse_query
+from cqap.queries import load_query, parse_query, varset_of
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
 from cqap.shannon import JointSystem
 from cqap.tradeoffs import rule_tradeoff
@@ -24,7 +24,7 @@ def corpus_query(name):
 
 
 def varmask(query, *names):
-    return sum(1 << query.var_index(n) for n in names)
+    return varset_of(names, query.var_names)
 
 
 def rule_with_t(rules, query, *t_groups):

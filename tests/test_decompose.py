@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqap import decompose
 from cqap.decompose import (
@@ -21,7 +23,7 @@ from cqap.decompose import (
     pmtds_to_json,
 )
 from cqap.queries import QueryError, load_query
-from cqap.relalg import vs
+from cqap.relalg import names_of, vs
 
 ROOT = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -32,18 +34,10 @@ def q(name):
 
 def plan_names(plans: list[Pmtd], query) -> set[tuple[frozenset, frozenset]]:
     """Each plan as (T view name-sets, S view name-sets)."""
-    nm = query.var_names
+    def names(side):
+        return frozenset(frozenset(names_of(v, query.var_names)) for v in side)
 
-    def names(s):
-        return frozenset(nm[i] for i in range(len(nm)) if s >> i & 1)
-
-    return {
-        (
-            frozenset(names(v) for v in p.t_targets),
-            frozenset(names(v) for v in p.s_targets),
-        )
-        for p in plans
-    }
+    return {(names(p.t_targets), names(p.s_targets)) for p in plans}
 
 
 def fs(*groups):
@@ -63,6 +57,50 @@ def test_tree_validate_catches_problems():
     # variable 0 sits in bags 0 and 2 but the connecting bag 1 lacks it
     td2 = TreeDecomp((vs(0, 1), vs(1, 2), vs(0, 2)), (-1, 0, 1))
     assert any("disconnected" in p for p in td2.validate([vs(0, 1)]))
+
+
+@st.composite
+def trees_with_m(draw):
+    """A random preorder tree over at most 7 nodes, bags over 4 variables,
+    and a random node set M."""
+    n = draw(st.integers(1, 7))
+    parent = (-1,) + tuple(draw(st.integers(0, i - 1)) for i in range(1, n))
+    bags = tuple(draw(st.lists(st.integers(0, 15), min_size=n, max_size=n)))
+    in_m = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return TreeDecomp(bags, parent), in_m
+
+
+def _connected(td, nodes):
+    """Brute force: grow from one node along tree edges inside `nodes`."""
+    reach, todo = set(), [nodes[-1]]
+    while todo:
+        t = todo.pop()
+        if t not in reach:
+            reach.add(t)
+            todo += [u for u in nodes if td.parent[u] == t or td.parent[t] == u]
+    return reach == set(nodes)
+
+
+def _depth(td, t):
+    return 0 if td.parent[t] == -1 else 1 + _depth(td, td.parent[t])
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_with_m())
+def test_tree_questions_match_brute_force(tree):
+    td, in_m = tree
+    disconnected = {p.split()[1] for p in td.validate([]) if "disconnected" in p}
+    for v in range(4):
+        holders = [i for i, b in enumerate(td.bags) if b >> v & 1]
+        if not holders:
+            with pytest.raises(DecompositionError):
+                td.top(v)
+            continue
+        assert (str(v) in disconnected) == (not _connected(td, holders))
+        if _connected(td, holders):
+            assert td.top(v) == min(holders, key=lambda t: _depth(td, t))
+    closed = all(in_m[s] for t in range(len(td)) if in_m[t] for s in td.subtree(t))
+    assert td.is_downward_closed(in_m) == closed
 
 
 def test_free_connex_rejects_mid_path_roots():

@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,6 +36,7 @@ from cqap.proofs import (
     validate,
 )
 from cqap.queries import load_query
+from cqap.relalg import vs_str
 
 from support import derive_witness, eval_cond_vec, prove, replay_values, sample_polymatroid
 
@@ -173,9 +175,20 @@ def test_construct_names_where_a_broken_witness_fails(two_reach):
     (i, j), w = min(ext.sigma_t.items())
     assert i & j  # the first coordinate left short is h(I∩J)
     sigma = {k: v for k, v in ext.sigma_t.items() if k != (i, j)}
-    with pytest.raises(ConstructionError, match=rf"breaks at h\({i & j}\): short by {w}$") as exc:
+    with pytest.raises(ConstructionError, match=rf"breaks at h\({re.escape(vs_str(i & j))}\): short by {w}$") as exc:
         construct(ext.g_t, ext.lam, sigma=sigma, mu=ext.mu_t)
     assert exc.value.residual == ext.lam
+
+
+def test_nameless_output_writes_sets_as_vs_str():
+    assert submodularity(0b011, 0b110, 1).pretty() == (
+        "submodularity  h({0,1}|{1}) -> h({0,1,2}|{1,2})  (w=1)"
+    )
+    short = ProofSequence(initial={}, target={(0, 0b101): F(1)})
+    assert validate(short).reason == "final vector is short of h({0,2}) by 1"
+    with pytest.raises(ConstructionError) as exc:
+        construct({}, {(0, 0b101): F(1)}, sigma={}, mu={})
+    assert str(exc.value) == "witness identity breaks at h({0,2}): short by 1"
 
 
 @settings(max_examples=60, deadline=None)

@@ -137,5 +137,22 @@ def test_span_split_constraints_ternary():
 
 def test_span_split_constraints_includes_full_edge():
     q = load_query(CORPUS / "two_reach.cqap")
-    sc = q.split_constraints()
+    sc = span_split_constraints(q.analysis_constraints())
     assert any(c.x == vs(0) and c.y == vs(0, 2) == c.z for c in sc)
+
+
+def test_span_split_constraints_keep_the_smallest_bound_per_pair():
+    q = parse_query("phi(a | a) :- R(a, b), S(a, b, c).\ndc R: size = N^1\ndc S: size = N^2")
+    sc = span_split_constraints(q.analysis_constraints())
+    (ab,) = [c for c in sc if (c.x, c.y) == (vs(0), vs(0, 1))]
+    assert (ab.z, ab.log) == (vs(0, 1), LogBound(n=Fraction(1)))
+
+
+def test_corpus_split_constraints_repeat_no_pair():
+    counts = {}
+    for path in sorted(CORPUS.glob("*.cqap")):
+        sc = span_split_constraints(load_query(path).analysis_constraints())
+        assert len({(c.x, c.y) for c in sc}) == len(sc), path.stem
+        counts[path.stem] = len(sc)
+    # R and S share {x, y1}, T and U share {x, y2}: four pairs spanned twice
+    assert counts["hierarchical"] == 44

@@ -17,7 +17,7 @@ import pytest
 from cqap import shannon
 from cqap.decompose import enumerate_pmtds, pmtds_from_json
 from cqap.exactlp import LpError, _Simplex, resolve_lp, solve_lp
-from cqap.queries import LogBound, load_query, parse_query
+from cqap.queries import LogBound, load_query, parse_query, varset_of
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
 from cqap.shannon import JointSystem, solve_joint_lp
 
@@ -32,10 +32,7 @@ def q(name):
 
 
 def mask(query, *names):
-    m = 0
-    for n in names:
-        m |= 1 << query.var_index(n)
-    return m
+    return varset_of(names, query.var_names)
 
 
 def rules_of(query):

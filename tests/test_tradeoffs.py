@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from cqap import proofs, tradeoffs
 from cqap.decompose import TreeDecomp, enumerate_pmtds
 from cqap.exactlp import LpError, walk_rhs
-from cqap.queries import LogBound, load_query, parse_query
+from cqap.queries import LogBound, load_query, parse_query, varset_of
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
 from cqap.shannon import JointSystem, solve_joint_lp
 from cqap.tradeoffs import (
@@ -48,7 +48,7 @@ def q(name):
 
 
 def mask(query, *names):
-    return sum(1 << query.var_index(n) for n in names)
+    return varset_of(names, query.var_names)
 
 
 def term(c, n, q_exp=0, k=1):
