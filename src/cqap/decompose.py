@@ -76,13 +76,6 @@ class TreeDecomp:
         """Every child of a node in M is in M too."""
         return all(in_m[c] or not in_m[p] for c, p in enumerate(self.parent) if c)
 
-    def subtree(self, t: int) -> list[int]:
-        out = [t]
-        for i in range(t + 1, len(self.bags)):
-            if self.parent[i] in out:
-                out.append(i)
-        return out
-
     def is_ancestor(self, a: int, t: int) -> bool:
         """True when a is a proper ancestor of t."""
         while t != -1:
@@ -349,37 +342,6 @@ def enumerate_pmtds(q: Cqap) -> list[Pmtd]:
     kept = minimal_pmtds(plans)
     log.debug("%s: %d plans (%d before domination)", q.name, len(kept), len(plans))
     return kept
-
-
-def induced_pmtd(td: TreeDecomp, merge_tops: set[int], q: Cqap) -> Pmtd | None:
-    """Merge each chosen node's subtree into its bag and put it in M.
-
-    `merge_tops` must be an antichain; the merged nodes become leaves.
-    """
-    for a in merge_tops:
-        for b in merge_tops:
-            if a != b and td.is_ancestor(a, b):
-                raise DecompositionError("merge tops must form an antichain")
-    drop = set()
-    bags = list(td.bags)
-    for t in sorted(merge_tops):
-        for s in td.subtree(t):
-            if s != t:
-                bags[t] |= bags[s]
-                drop.add(s)
-    keep = [t for t in range(len(td)) if t not in drop]
-    new_of = {t: i for i, t in enumerate(keep)}
-    new_bags = [bags[t] for t in keep]
-    new_parent = [-1 if td.parent[t] == -1 else new_of[td.parent[t]] for t in keep]
-    merged = canonical_tree(new_bags, new_parent)
-    # recover which canonical nodes are the merged ones by bag identity
-    flags = [False] * len(merged)
-    want = sorted(bags[t] for t in merge_tops)
-    for i, b in enumerate(merged.bags):
-        if b in want and not flags[i]:
-            want.remove(b)
-            flags[i] = True
-    return make_pmtd(merged, tuple(flags), q)
 
 
 # ═══════════════════════════════════════════════════════════════════════════

@@ -21,11 +21,14 @@ the two-by-two minor update  (p*a - f*b) / d  with the previous pivot as
 divisor, to nonzeros only.  The divisions are exact (tableau entries stay
 subdeterminants of the integer input), Python's big integers absorb the
 growth, and ratio tests compare cross products, so no Fraction arithmetic
-happens in the inner loops.  The Shannon programs stay sparse while solved:
-over one pass of each of the benchmark's LP workloads, 4.7% of the rows'
-cells were nonzero at a pivot, 20% of the rows had a nonzero in the entering
-column, and 93% of the pivots had p == d, which leaves every row without
-such a nonzero as it is.
+happens in the inner loops.  The Shannon programs stay sparse while solved,
+and `_pivot` takes three branches on what that leaves to do.  Over one pass
+of each of the benchmark's LP workloads (530 pivots), 4.7% of the rows'
+cells were nonzero at a pivot and 18% of the other rows had a nonzero in
+the entering column.  94% of the pivots had p == d: then p*a/d is a, so
+only those rows change, and only on the pivot row's columns.  In 73% d was
+also 1, and the update a - f*b needs no division.  The other 6% scale every
+row by p/d.
 
 The slack basis.  Each row is scaled into a "<=" row, a ">=" row by a
 negative scale, and row i's slack sits at column nvars + i, basic at the
@@ -44,11 +47,14 @@ the tableau, the basis and the objective row are its own.  The reduced
 costs do not depend on the right sides, so the start's basis stays dual
 feasible.  The new right sides go through the signed row scales, times one
 positive integer that clears their denominators.  Whatever the pivots since,
-each row's slack column holds the tableau's multiple of that row, so the new
-right-side column is the sum of the slack columns weighted by the new right
-sides (`_weigh_slacks`).  A tie direction `toward`, one entry per row, goes
-the same way into a second right-side column (key ncols + 1) for the tie
-phase, and the result's tableau keeps no such column.
+each row's slack column holds the tableau's multiple of that row, so the
+right-side column moves by the slack columns of the rows whose right side
+changed, weighted by the change (`_weigh_slacks`).  A request probe moves
+only its theta rows: over the same pass the 21 warm starts weighed 2.4
+changed rows each, where a right side from scratch would weigh the 21 rows
+with a nonzero right side.  A tie direction `toward`, one entry per row,
+goes the same way into a second right-side column (key ncols + 1) for the
+tie phase, and the result's tableau keeps no such column.
 
 Cold and warm solves share one finish.  First the dual phase: dual simplex
 pivots (Lemke, 1954) restore primal feasibility.  A row with a negative
@@ -114,7 +120,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -186,9 +192,11 @@ def resolve_lp(start: LpResult | RhsPiece, rhs: Sequence, toward: Sequence) -> L
     `start` is an optimal result or a piece of a walk; its program (c, the
     coefficients and the senses) is solved again with row i's right side
     rhs[i], continuing from the start's basis, to a basis optimal at rhs
-    and, where feasible, at rhs + t*toward for all small t > 0.  A start
-    that is not optimal, or an entry per row too many or too few in `rhs`
-    or `toward`, raises ValueError.
+    and, where feasible, at rhs + t*toward for all small t > 0.  The start's
+    right-side column moves by the rows where rhs differs from the start's
+    own right sides alone (`_Simplex._weigh_slacks`).  A start that is not
+    optimal, or an entry per row too many or too few in `rhs` or `toward`,
+    raises ValueError.
     """
     if start._tableau is None:
         raise ValueError(f"a warm start needs an optimal result, not {start.status!r}")
@@ -199,7 +207,7 @@ def resolve_lp(start: LpResult | RhsPiece, rhs: Sequence, toward: Sequence) -> L
         raise ValueError(f"the tie direction has {len(toward)} entries for {rows} rows")
     # new right sides may come out negative in the start's basis: the dual phase mends them
     warm, _ = start._tableau._with_direction(toward)
-    warm.b, warm.bscale = warm._weigh_slacks(warm.ncols, rhs)
+    warm.b, warm.bscale = warm._weigh_slacks(warm.ncols, rhs, warm.b, warm.bscale)
     return warm._finish(warm.obj)
 
 
@@ -287,38 +295,62 @@ class _Simplex:
     # ── pivoting ────────────────────────────────────────────────────────
 
     def _pivot(self, obj: list[int], r: int, col: int):
+        """Pivot on row r, column col: every row a -> (p*a - f*b) / d.
+
+        p is the pivot, d the divisor, f a row's entry in col and b the
+        pivot row's entry in a's column.  When p == d, p*a/d is a, so only
+        the rows with a nonzero in col change, and only on the pivot row's
+        columns; when d is also 1 nothing is divided.  Otherwise every row
+        is rebuilt.
+        """
         tab = self.tab
         prow = tab[r]
         p = prow[col]
         d = self.div
-        for i, row in enumerate(tab):
-            if i == r:
-                continue
-            f = row.get(col)
-            if p == d:  # p*a//d is a, so only the pivot row's columns change
-                if f:
-                    for j, b in prow.items():
-                        v = row.get(j, 0) - f * b // d
+        items = list(prow.items())
+        if p == d:
+            touched = [row for row in tab if col in row and row is not prow]
+            if d == 1:
+                for row in touched:
+                    f, get = row[col], row.get
+                    for j, b in items:
+                        v = get(j, 0) - f * b
                         if v:
                             row[j] = v
                         else:
                             del row[j]
-            elif f:
-                new = {j: p * a // d for j, a in row.items() if j not in prow}
-                for j, b in prow.items():
-                    v = (p * row.get(j, 0) - f * b) // d
-                    if v:
-                        new[j] = v
-                tab[i] = new
             else:
-                tab[i] = {j: p * a // d for j, a in row.items()}
+                for row in touched:
+                    f, get = row[col], row.get
+                    for j, b in items:
+                        v = get(j, 0) - f * b // d
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
+        else:
+            for i, row in enumerate(tab):
+                if row is prow:
+                    continue
+                f = row.get(col)
+                if f:
+                    new = {j: p * a // d for j, a in row.items() if j not in prow}
+                    get = row.get
+                    for j, b in items:
+                        v = (p * get(j, 0) - f * b) // d
+                        if v:
+                            new[j] = v
+                    tab[i] = new
+                else:
+                    tab[i] = {j: p * a // d for j, a in row.items()}
         f = obj[col]
         if p == d:
-            for j, b in prow.items():
-                obj[j] -= f * b // d
+            if f:
+                for j, b in items:
+                    obj[j] -= f * b // d
         else:
             scaled = [p * a for a in obj]
-            for j, b in prow.items():
+            for j, b in items:
                 scaled[j] -= f * b
             obj[:] = [a // d for a in scaled]
         self.div = p
@@ -351,17 +383,16 @@ class _Simplex:
                 bland = False
 
     def _primal_step(self, obj: list[int], bland: bool):
-        """Largest improving reduced cost enters; minimum ratio leaves."""
-        entering = -1
-        best = 0
-        for j in range(self.ncols):
-            if obj[j] < 0:
-                if bland:
-                    entering = j
-                    break
-                if obj[j] < best:
-                    best = obj[j]
-                    entering = j
+        """Largest improving reduced cost enters; minimum ratio leaves.
+
+        Ties go to the smallest index, on both sides.
+        """
+        costs = obj[: self.ncols]
+        if bland:
+            entering = next((j for j, v in enumerate(costs) if v < 0), -1)
+        else:
+            best = min(costs, default=0)
+            entering = costs.index(best) if best < 0 else -1
         if entering < 0:
             return "optimal"
         leaving = -1
@@ -528,33 +559,59 @@ class _Simplex:
         fork.pivots = 0
         return fork
 
-    def _weigh_slacks(self, key: int, values: Sequence) -> tuple[list[int], int]:
-        """Put the column that `values`, one per row, become under `key`.
+    def _weigh_slacks(
+        self, key: int, values: Sequence, was: Iterable[int], was_scale: int
+    ) -> tuple[list[int], int]:
+        """Move the column under `key` from the integers `was` to `values`, one per row.
 
         The values go through the signed row scales, times the least
-        positive integer that clears their denominators; both are returned.
-        Row i's slack column started as e_i, so whatever the pivots since,
-        the tableau holds div * (the inverse basis times e_i) there, and the
-        slack columns weighted by the scaled values are the column they
-        would have become.  Its entry in the objective row is priced by the
-        basic costs.
+        positive integer that clears their denominators; both are returned,
+        as the integers `ints` and their `scale`.  Row i's slack column
+        started as e_i, so whatever the pivots since, the tableau holds
+        div * (the inverse basis times e_i) there, and the slack columns
+        weighted by the scaled values are the column they would have become.
+        The column under `key` is already that sum for `was` over
+        `was_scale` (zeros where there is no column yet), so only the slack
+        columns of the rows whose value changed are weighed in:
+        scale * column + sum_i (was_scale * ints_i - scale * was_i) * slack_i,
+        over was_scale, an exact division.  A request probe from a walk piece
+        changes only its theta rows, where a full sum would weigh every row
+        with a nonzero right side.  The column's entry in the objective row
+        is priced by the basic costs.
         """
-        scaled = {i: _rational(v) * self.rscale[i] for i, v in enumerate(values) if v}
-        scale = lcm(*(v.denominator for v in scaled.values()), 1)
-        ints = [0] * len(self.rscale)
-        for i, v in scaled.items():
-            ints[i] = v.numerator * (scale // v.denominator)
-        weight = {self.nvars + i: ints[i] for i in scaled}
-        obj = self.obj
+        rscale = self.rscale
+        nums, dens = {}, {}
+        for i, v in enumerate(values):
+            if v:
+                v = _rational(v)
+                num, den = v.numerator * rscale[i], v.denominator
+                g = gcd(num, den)
+                nums[i], dens[i] = num // g, den // g
+        scale = lcm(*dens.values())
+        ints = [0] * len(rscale)
+        for i, num in nums.items():
+            ints[i] = num * (scale // dens[i])
+        nvars = self.nvars
+        delta = {
+            nvars + i: num * was_scale - old * scale
+            for i, (num, old) in enumerate(zip(ints, was))
+            if num * was_scale != old * scale
+        }
+        cols, weights = list(delta), list(delta.values())
+        obj, cost, basis = self.obj, self.cost, self.basis
         obj[key] = 0
         for i, row in enumerate(self.tab):
-            v = sum(map(mul, map(row.get, weight, repeat(0)), weight.values()))
+            v = sum(map(mul, map(row.get, cols, repeat(0)), weights))
+            if key in row:
+                v += scale * row[key]
+            if was_scale != 1:
+                v //= was_scale
             if v:
                 row[key] = v
             else:
                 row.pop(key, None)
-            if self.basis[i] < self.nvars:
-                obj[key] += self.cost[self.basis[i]] * v
+            if basis[i] < nvars:
+                obj[key] += cost[basis[i]] * v
         return ints, scale
 
     def _with_direction(self, direction: Sequence) -> tuple[_Simplex, int]:
@@ -565,7 +622,7 @@ class _Simplex:
         other column.  The copy comes with the direction's integer scale.
         """
         fork = self._fork(self.obj + [0])
-        return fork, fork._weigh_slacks(self.ncols + 1, direction)[1]
+        return fork, fork._weigh_slacks(self.ncols + 1, direction, repeat(0), 1)[1]
 
     # ── the right-side walk ─────────────────────────────────────────────
 
@@ -589,11 +646,9 @@ class _Simplex:
         while True:
             num = den = 0  # least ratio so far as num/den with den > 0
             ties: list[int] = []
-            for i, row in enumerate(self.tab):
-                dv = row.get(dcol, 0)
-                if dv >= 0:
-                    continue
-                bv = row.get(rhs, 0)
+            for i in [i for i, row in enumerate(self.tab) if row.get(dcol, 0) < 0]:
+                row = self.tab[i]
+                dv, bv = row[dcol], row.get(rhs, 0)
                 if not ties or bv * den < num * -dv:
                     num, den, ties = bv, -dv, [i]
                 elif bv * den == num * -dv:

@@ -27,6 +27,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .queries import varset_of
 from .relalg import VarSet, names_of, size, term_str
@@ -50,6 +51,18 @@ CondVec = dict[Coord, Fraction]
 # ═══════════════════════════════════════════════════════════════════════════
 # Steps and sequences
 # ═══════════════════════════════════════════════════════════════════════════
+
+
+def _moves(kind: str, x: VarSet, y: VarSet) -> tuple[tuple[Coord, int], ...]:
+    """A step's effect per unit of weight: each coordinate it consumes (-1)
+    or produces (+1), consumed first."""
+    if kind == SUBMODULARITY:
+        return ((x & y, x), -1), ((y, x | y), 1)
+    if kind == MONOTONICITY:
+        return ((0, y), -1), ((0, x), 1)
+    if kind == COMPOSITION:
+        return ((0, x), -1), ((x, y), -1), ((0, y), 1)
+    return ((0, y), -1), ((x, y), 1), ((0, x), 1)
 
 
 @dataclass(frozen=True)
@@ -81,14 +94,7 @@ class ProofStep:
 
     def delta(self) -> CondVec:
         """The step's effect: consumed coordinates negative, produced positive."""
-        w = self.weight
-        if self.kind == SUBMODULARITY:
-            return {(self.x & self.y, self.x): -w, (self.y, self.x | self.y): w}
-        if self.kind == MONOTONICITY:
-            return {(0, self.y): -w, (0, self.x): w}
-        if self.kind == COMPOSITION:
-            return {(0, self.x): -w, (self.x, self.y): -w, (0, self.y): w}
-        return {(0, self.y): -w, (self.x, self.y): w, (0, self.x): w}
+        return {c: sign * self.weight for c, sign in _moves(self.kind, self.x, self.y)}
 
     def pretty(self, names: list[str] | None = None) -> str:
         d = self.delta()
@@ -211,13 +217,17 @@ class ConstructionError(RuntimeError):
         self.residual = residual
 
 
-def _excess(initial: CondVec, target: CondVec, sigma, mu) -> dict[VarSet, Fraction]:
-    """Coefficient of each h(Z) in  <initial - target, h> - witness terms."""
-    e: dict[VarSet, Fraction] = {}
+def _excess(initial, target, sigma, mu) -> dict[VarSet, int | Fraction]:
+    """Coefficient of each h(Z) in  <initial - target, h> - witness terms.
+
+    Exact in whatever the weights are: `construct` passes integers over one
+    common denominator.
+    """
+    e: dict[VarSet, int | Fraction] = {}
 
     def add(z, v):
         if z:
-            e[z] = e.get(z, ZERO) + v
+            e[z] = e.get(z, 0) + v
 
     for vec, sign in ((initial, 1), (target, -1)):
         for (x, y), v in vec.items():
@@ -232,7 +242,7 @@ def _excess(initial: CondVec, target: CondVec, sigma, mu) -> dict[VarSet, Fracti
     return e
 
 
-def _take(pool: dict, key, w: Fraction):
+def _take(pool: dict, key, w: int):
     pool[key] -= w
     if not pool[key]:
         del pool[key]
@@ -240,6 +250,9 @@ def _take(pool: dict, key, w: Fraction):
 
 class _Prover:
     """Emits steps that spend an exact witness (sigma, mu) down to nothing.
+
+    Every weight is an integer over the common denominator `den`, and each
+    emitted `ProofStep` carries its weight as Fraction(w, den).
 
     Invariant: for every nonempty Z the coefficient of h(Z) in
     <cur, h> - sum sigma*sub - sum mu*mono  is at least the target's.
@@ -255,33 +268,35 @@ class _Prover:
     is zero and nothing is targeted: it cancels, and is dropped.
     """
 
-    def __init__(self, initial: CondVec, sigma, mu):
+    def __init__(self, initial: dict[Coord, int], sigma, mu, den: int):
         self.cur = dict(initial)
         self.sigma = sigma
         self.mu = mu
+        self.den = den
         self.steps: list[ProofStep] = []
 
-    def _emit(self, step: ProofStep):
-        for c, dv in step.delta().items():
-            nv = self.cur.get(c, ZERO) + dv
+    def _emit(self, kind: str, x: VarSet, y: VarSet, w: int):
+        cur = self.cur
+        for c, sign in _moves(kind, x, y):
+            nv = cur.get(c, 0) + sign * w
             if nv < 0:  # pragma: no cover - every caller checks availability
                 raise AssertionError(f"step overdraws {term_str(*c)}")
             if nv:
-                self.cur[c] = nv
+                cur[c] = nv
             else:
-                self.cur.pop(c, None)
-        self.steps.append(step)
+                cur.pop(c, None)
+        self.steps.append(ProofStep(kind, x, y, Fraction(w, self.den)))
 
-    def _submodularity(self, i: VarSet, j: VarSet, w: Fraction):
+    def _submodularity(self, i: VarSet, j: VarSet, w: int):
         """h(I|I∩J) -> h(I∪J|J), then compose with h(J) where it is held."""
-        self._emit(submodularity(i, j, w))
+        self._emit(SUBMODULARITY, i, j, w)
         _take(self.sigma, (min(i, j), max(i, j)), w)
-        held = self.cur.get((0, j), ZERO)
+        held = self.cur.get((0, j), 0)
         if held:
-            self._emit(composition(j, i | j, min(held, w)))
+            self._emit(COMPOSITION, j, i | j, min(held, w))
 
-    def _monotonicity(self, x: VarSet, y: VarSet, w: Fraction):
-        self._emit(monotonicity(x, y, w))
+    def _monotonicity(self, x: VarSet, y: VarSet, w: int):
+        self._emit(MONOTONICITY, x, y, w)
         _take(self.mu, (x, y), w)
 
     def _tops(self) -> dict[VarSet, tuple | None]:
@@ -301,11 +316,11 @@ class _Prover:
                     queue.append(y)
         return tops
 
-    def _route(self, tops, z: VarSet, want: Fraction) -> Fraction:
+    def _route(self, tops, z: VarSet, want: int) -> int:
         """Make up to `want` of h(Z) held; returns the amount made."""
         top = next((t for t in tops if not (z & ~t)), None)
         if top is None:
-            return ZERO
+            return 0
         path = []
         while tops[top] is not None:
             top, arc = tops[top]
@@ -314,23 +329,23 @@ class _Prover:
         w = min(want, self.cur[(0, top)], *(self.cur[arc] for arc in path))
         for x, y in path:
             if x != top:
-                self._emit(decomposition(top, x, w))
-            self._emit(composition(x, y, w))
+                self._emit(DECOMPOSITION, x, top, w)
+            self._emit(COMPOSITION, x, y, w)
             top = y
         if z != top:
-            self._emit(decomposition(top, z, w))
+            self._emit(DECOMPOSITION, z, top, w)
         return w
 
     def fire(self) -> bool:
         """Spend part of one multiplier; False when none can be spent."""
         for (i, j), w in sorted(self.sigma.items()):
             for a, b in ((i, j), (j, i)):
-                held = self.cur.get((a & b, a), ZERO)
+                held = self.cur.get((a & b, a), 0)
                 if held:
                     self._submodularity(a, b, min(w, held))
                     return True
         for (x, y), w in sorted(self.mu.items()):
-            held = self.cur.get((0, y), ZERO)
+            held = self.cur.get((0, y), 0)
             if held:
                 self._monotonicity(x, y, min(w, held))
                 return True
@@ -340,7 +355,7 @@ class _Prover:
                 got = self._route(tops, a, w)
                 if got:
                     if a & b:
-                        self._emit(decomposition(a, a & b, got))
+                        self._emit(DECOMPOSITION, a & b, a, got)
                     self._submodularity(a, b, got)
                     return True
         for (x, y), w in sorted(self.mu.items()):
@@ -350,7 +365,7 @@ class _Prover:
                 return True
         return False
 
-    def compose(self, target: CondVec):
+    def compose(self, target: dict[Coord, int]):
         """Compose conditional terms into the targets, largest sets first.
 
         With the witness spent or cancelled, the invariant says the net
@@ -358,21 +373,21 @@ class _Prover:
         demand pushed down incoming terms only reaches such sets.
         """
         demand = {y: v for (_, y), v in target.items()}
-        plan: list[tuple[VarSet, VarSet, Fraction]] = []
+        plan: list[tuple[VarSet, VarSet, int]] = []
         for z in sorted({y for _, y in self.cur} | set(demand), key=lambda s: (-size(s), s)):
-            need = demand.get(z, ZERO) - self.cur.get((0, z), ZERO)
+            need = demand.get(z, 0) - self.cur.get((0, z), 0)
             for (x, y), v in sorted(self.cur.items()):
                 if need <= 0:
                     break
                 if y == z and x:
                     t = min(v, need)
                     plan.append((x, z, t))
-                    demand[x] = demand.get(x, ZERO) + t
+                    demand[x] = demand.get(x, 0) + t
                     need -= t
             if need > 0:  # pragma: no cover - the invariant rules this out
                 raise AssertionError(f"{term_str(0, z)} cannot be composed")
         for x, y, t in sorted(plan, key=lambda p: (size(p[0]), p[0], p[1])):
-            self._emit(composition(x, y, t))
+            self._emit(COMPOSITION, x, y, t)
 
 
 def construct(
@@ -393,8 +408,10 @@ def construct(
 
     Every multiplier is spent by a step of its own kind, reached by
     composing and decomposing held terms, then the held terms are composed
-    into the targets (see `_Prover`).  This cannot fail, so ConstructionError
-    means only that the witness breaks the identity (the message names the
+    into the targets (see `_Prover`).  The witness is spent as integers over
+    the least common denominator of every weight, and each step's weight
+    goes back to a Fraction.  This cannot fail, so ConstructionError means
+    only that the witness breaks the identity (the message names the
     coordinate).
     """
     initial = {k: Fraction(v) for k, v in initial.items() if v}
@@ -415,17 +432,23 @@ def construct(
             pairs[key] = pairs.get(key, ZERO) + Fraction(w)
     # h(Y) >= h(∅) is covered by the nonnegative slack, so it needs no step
     monos = {(x, y): Fraction(w) for (x, y), w in mu.items() if w and x}
-    for z, slack in sorted(_excess(initial, target, pairs, monos).items()):
+    vecs = (initial, target, pairs, monos)
+    den = lcm(*(v.denominator for vec in vecs for v in vec.values()))
+    initial_n, target_n, pairs_n, monos_n = (
+        {k: v.numerator * (den // v.denominator) for k, v in vec.items()} for vec in vecs
+    )
+    for z, slack in sorted(_excess(initial_n, target_n, pairs_n, monos_n).items()):
         if slack < 0:
             raise ConstructionError(
-                f"witness identity breaks at {term_str(0, z)}: short by {-slack}", residual
+                f"witness identity breaks at {term_str(0, z)}: short by {Fraction(-slack, den)}",
+                residual,
             )
-    prover = _Prover(initial, pairs, monos)
+    prover = _Prover(initial_n, pairs_n, monos_n, den)
     while (prover.sigma or prover.mu) and prover.fire():
         pass
     if prover.sigma or prover.mu:
         log.debug("dropping %d cancelling multiplier(s)", len(prover.sigma) + len(prover.mu))
-    prover.compose(target)
+    prover.compose(target_n)
     log.debug("constructed %d step(s) for %s", len(prover.steps), name or "sequence")
     return ProofSequence(initial=initial, target=target, steps=prover.steps, name=name)
 

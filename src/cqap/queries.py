@@ -74,12 +74,11 @@ class LogConstraint:
 
 @dataclass(frozen=True, order=True)
 class SplitConstraint:
-    """(x, y | x, bound of z): a co-degree split spanned from a cardinality
-    constraint on z; requires emptyset != x < y <= z."""
+    """(x, y | x, bound): a co-degree split spanned from a cardinality
+    constraint on a set z with that bound; requires emptyset != x < y <= z."""
 
     x: VarSet
     y: VarSet
-    z: VarSet
     log: LogBound
 
 
@@ -100,7 +99,7 @@ def span_split_constraints(cardinality: list[LogConstraint]) -> list[SplitConstr
         for y in submasks(z)[1:]:
             for x in submasks(y)[1:-1]:
                 if (x, y) not in best or c.log < best[x, y].log:
-                    best[x, y] = SplitConstraint(x, y, z, c.log)
+                    best[x, y] = SplitConstraint(x, y, c.log)
     return sorted(best.values())
 
 

@@ -63,13 +63,13 @@ NO_BOUND = LogBound()
 class LpRow:
     """One constraint row: sparse coefficients, sense, symbolic right side.
 
-    `coeffs` are (column, value) pairs, each column once, and go to
+    `coeffs` are (column, integer) pairs, each column once, and go to
     a cold `solve_lp` as they are.  The numeric right side at a probe is
     bound.n + bound.q*logQ + s_mult*logS.  `cert` holds the (part, key)
     certificate coordinates the row's nonnegative multiplier is added to.
     """
 
-    coeffs: tuple[tuple[int, Fraction], ...]
+    coeffs: tuple[tuple[int, int], ...]
     sense: str
     bound: LogBound
     s_mult: Fraction
@@ -87,9 +87,15 @@ class RuleRows:
     live: list[tuple[int, Fraction, Fraction, Fraction]]
 
     def rhs(self, log_q, log_s) -> list[Fraction]:
+        """Every row's right side at (logQ, logS), adding only nonzero terms."""
         out = [ZERO] * len(self.rows)
         for k, n, q, s in self.live:
-            out[k] = n + q * log_q + s * log_s
+            v = n
+            if q and log_q:
+                v += q * log_q
+            if s and log_s:
+                v += s * log_s
+            out[k] = v
         return out
 
 
@@ -134,9 +140,9 @@ class JointSystem:
         mu, sigma = f"mu_{side.lower()}", f"sigma_{side.lower()}"
         for i in range(self.n):
             rest = self.full & ~(1 << i)
-            coeffs = [(self.col(side, self.full), ONE)]
+            coeffs = [(self.col(side, self.full), 1)]
             if rest:
-                coeffs.append((self.col(side, rest), -ONE))
+                coeffs.append((self.col(side, rest), -1))
             cert = ((mu, (rest, self.full)),)
             rows.append(
                 LpRow(tuple(coeffs), ">=", NO_BOUND, ZERO, ("mono", side, i), cert)
@@ -144,16 +150,11 @@ class JointSystem:
         for i, j in combinations(range(self.n), 2):
             pair = (1 << i) | (1 << j)
             for x in submasks(self.full & ~pair):
-                acc: dict[int, Fraction] = {}
-                for z, w in (
-                    (x | (1 << i), ONE),
-                    (x | (1 << j), ONE),
-                    (x | pair, -ONE),
-                    (x, -ONE),
-                ):
+                acc: dict[int, int] = {}
+                for z, w in ((x | (1 << i), 1), (x | (1 << j), 1), (x | pair, -1), (x, -1)):
                     if z:
                         col = self.col(side, z)
-                        acc[col] = acc.get(col, ZERO) + w
+                        acc[col] = acc.get(col, 0) + w
                 coeffs = tuple(sorted(acc.items()))
                 cert = ((sigma, (x | (1 << i), x | (1 << j))),)
                 rows.append(
@@ -166,12 +167,12 @@ class JointSystem:
 
         Each term is also the row's certificate coordinate (x, y) on g_side.
         """
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         for side, x, y in terms:
-            for z, w in ((y, ONE), (x, -ONE)):
+            for z, w in ((y, 1), (x, -1)):
                 if z:
                     col = self.col(side, z)
-                    acc[col] = acc.get(col, ZERO) + w
+                    acc[col] = acc.get(col, 0) + w
         cert = tuple((f"g_{side.lower()}", (x, y)) for side, x, y in terms)
         return LpRow(tuple(sorted(acc.items())), "<=", bound, ZERO, tag, cert)
 
@@ -208,11 +209,11 @@ class JointSystem:
             return self._rules[rule]
         rows = []
         for b in sorted(rule.t_targets):
-            coeffs = ((self.col("T", b), -ONE), (self.col_obj, ONE))
+            coeffs = ((self.col("T", b), -1), (self.col_obj, 1))
             cert = (("lam", (0, b)),)
             rows.append(LpRow(coeffs, "<=", NO_BOUND, ZERO, ("lam", b), cert))
         for b in sorted(rule.s_targets):
-            coeffs = ((self.col("S", b), ONE),)
+            coeffs = ((self.col("S", b), 1),)
             cert = (("theta", (0, b)),)
             rows.append(LpRow(coeffs, ">=", NO_BOUND, ONE, ("theta", b), cert))
         rows += self.base_rows()

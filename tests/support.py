@@ -22,6 +22,9 @@ something the pipeline computes, or a sampler that probes it:
   reference its max-of-mins definition is checked against.
 - `joint_solve_at`: a joint solve at logS > 0, warm-started from the
   rule's cold solve at logS = 0 as `rule_tradeoff` does.
+- `dense_tableau` and `gauss_jordan_pivot`: the real values of the exact
+  simplex's fraction-free sparse tableau, and a dense Fraction pivot on
+  them, the reference its `_pivot` kernel is checked against.
 """
 
 from __future__ import annotations
@@ -481,3 +484,30 @@ def joint_solve_at(rule: TwoPhaseRule, system: JointSystem, log_s, *, log_q=ZERO
     at logS = 0 and the same logQ; that solve itself when logS = 0."""
     low = solve_joint_lp(rule, system, ZERO, log_q=log_q)
     return solve_joint_lp(rule, system, log_s, log_q=log_q, start=low) if log_s else low
+
+
+# ═══════════════════════════════════════════════════════════════════════════
+# Exact LP reference
+# ═══════════════════════════════════════════════════════════════════════════
+
+
+def dense_tableau(lp, obj: list[int]) -> list[list[Fraction]]:
+    """The real values of a `_Simplex` tableau: its rows, then `obj`.
+
+    Each row is dense over the structural and slack columns and both
+    right-side keys (ncols and ncols + 1); every stored integer is its real
+    value times `lp.div`, the fraction-free tableau's common denominator.
+    """
+    width = lp.ncols + 2
+    rows = [[Fraction(row.get(j, 0), lp.div) for j in range(width)] for row in lp.tab]
+    return rows + [[Fraction(v, lp.div) for v in obj] + [ZERO] * (width - len(obj))]
+
+
+def gauss_jordan_pivot(rows: list[list[Fraction]], r: int, col: int) -> list[list[Fraction]]:
+    """A dense Fraction Gauss-Jordan pivot on rows[r][col], every row included.
+
+    The pivot row is divided by its entry, and each other row loses its
+    entry in `col` times that row, so `col` becomes the unit vector e_r.
+    """
+    prow = [v / rows[r][col] for v in rows[r]]
+    return [prow if i == r else [a - row[col] * b for a, b in zip(row, prow)] for i, row in enumerate(rows)]

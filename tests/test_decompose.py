@@ -16,7 +16,6 @@ from cqap.decompose import (
     TreeDecomp,
     enumerate_pmtds,
     enumerate_tds,
-    induced_pmtd,
     is_free_connex,
     make_pmtd,
     pmtds_from_json,
@@ -85,6 +84,15 @@ def _depth(td, t):
     return 0 if td.parent[t] == -1 else 1 + _depth(td, td.parent[t])
 
 
+def _subtree(td, t):
+    """t and every node below it; parents come before children in preorder."""
+    out = [t]
+    for i in range(t + 1, len(td)):
+        if td.parent[i] in out:
+            out.append(i)
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(trees_with_m())
 def test_tree_questions_match_brute_force(tree):
@@ -99,7 +107,7 @@ def test_tree_questions_match_brute_force(tree):
         assert (str(v) in disconnected) == (not _connected(td, holders))
         if _connected(td, holders):
             assert td.top(v) == min(holders, key=lambda t: _depth(td, t))
-    closed = all(in_m[s] for t in range(len(td)) if in_m[t] for s in td.subtree(t))
+    closed = all(in_m[s] for t in range(len(td)) if in_m[t] for s in _subtree(td, t))
     assert td.is_downward_closed(in_m) == closed
 
 
@@ -231,34 +239,8 @@ def test_four_reach_enumeration_covers_chains():
 
 
 # ----------------------------------------------------------------------------
-# induced plans and serialization
+# serialization
 # ----------------------------------------------------------------------------
-
-
-def test_induced_plan_merges_subtrees():
-    query = q("hierarchical")
-    x, y1, y2 = (query.var_index(v) for v in ("x", "y1", "y2"))
-    z = [query.var_index(f"z{i}") for i in range(1, 5)]
-    td = TreeDecomp(
-        (
-            vs(x, *z),
-            vs(x, y1, z[0], z[1]),
-            vs(x, y2, z[2], z[3]),
-        ),
-        (-1, 0, 0),
-    )
-    whole = induced_pmtd(td, {0}, query)
-    assert whole is not None
-    assert whole.s_targets == frozenset({vs(*z)})
-    assert whole.t_targets == frozenset()
-
-    left = induced_pmtd(td, {1}, query)
-    assert left is not None
-    assert left.s_targets == frozenset({vs(x, z[0], z[1])})
-    assert len(left.t_targets) == 2
-
-    with pytest.raises(DecompositionError):
-        induced_pmtd(td, {0, 1}, query)  # not an antichain
 
 
 def test_plan_json_round_trip():

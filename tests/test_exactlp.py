@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import re
 from fractions import Fraction as F
 from functools import partial
@@ -20,6 +21,8 @@ from cqap.queries import load_query
 from cqap.rules import generate_rules, prune_rules
 from cqap.shannon import JointSystem
 from cqap.tradeoffs import rule_tradeoff
+
+from support import dense_tableau, gauss_jordan_pivot
 
 
 def sparse(rows):
@@ -446,16 +449,24 @@ rhs_value = st.fractions(min_value=-2, max_value=5, max_denominator=3)
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_lp(), st.lists(rhs_value, min_size=10, max_size=10))
-def test_warm_start_matches_a_cold_solve(problem, new_rhs):
-    # b1 -> b2 -> b3, each step warm from the last optimal solve; a box row
-    # keeps most programs bounded, so that most draws get a start.  A moved
-    # right side may leave no feasible slack basis, so HiGHS solves it cold
+@given(
+    random_lp(),
+    st.lists(rhs_value, min_size=10, max_size=10),
+    st.lists(st.booleans(), min_size=5, max_size=5),
+)
+def test_warm_start_matches_a_cold_solve(problem, new_rhs, moved_rows):
+    # b1 -> b2 -> b2 -> b3, each step warm from the last optimal solve, where
+    # b2 moves only the rows `moved_rows` picks from b1 and is then solved
+    # again unmoved; a box row keeps most programs bounded, so that most draws
+    # get a start.  A moved right side may leave no feasible slack basis, so
+    # HiGHS solves it cold
     c, rows = problem
     rows = rows + [([1] * len(c), "<=", 4)]
     start = solve_lp(c, sparse(rows))
     assume(start.status == "optimal")
-    for bs in (new_rhs[:5], new_rhs[5:]):
+    first, last = new_rhs[:5], new_rhs[5:]
+    some = [b if move else a for a, b, move in zip(first, last, moved_rows)]
+    for bs in (first, some, some, last):
         moved = [(a, sense, b) for (a, sense, _), b in zip(rows, bs)]
         warm = resolve_lp(start, [b for _, _, b in moved], [0] * len(moved))
         status, value = highs(c, moved)
@@ -532,6 +543,103 @@ def test_walk_matches_a_warm_solve(problem, direction, s):
         assert pieces == [] and warm.value == start.value
     else:
         assert warm.status == "infeasible"
+
+
+# ----------------------------------------------------------------------------
+# The pivot kernel and the weighed right sides against a dense reference
+# ----------------------------------------------------------------------------
+
+
+def pivot_branches(problem, picks):
+    """Pivot a program's slack basis at `picks`, each checked against the reference.
+
+    A pick (a, b) pivots in row a mod the row count on its b-th nonzero
+    column (structural or slack, mod their count), after negating the row if
+    that entry is negative, as the dual steps do.  After every pivot the
+    tableau and the objective row must be the dense Gauss-Jordan pivot of
+    their values before it.  Returns the simplex, its objective row (with a
+    second right-side entry) and the `_pivot` branches taken.
+    """
+    c, rows = problem
+    lp = _Simplex([F(v) for v in c], sparse(rows))
+    obj = [-v for v in lp.cost] + [0] * (lp.ncols + 2 - lp.nvars)
+    branches = set()
+    for a, b in picks:
+        r = a % len(lp.tab)
+        cols = sorted(j for j in lp.tab[r] if j < lp.ncols)
+        col = cols[b % len(cols)]
+        if lp.tab[r][col] < 0:
+            lp._negate(r)
+        p, d = lp.tab[r][col], lp.div
+        branches.add("p == d == 1" if p == d == 1 else "p == d != 1" if p == d else "p != d")
+        want = gauss_jordan_pivot(dense_tableau(lp, obj), r, col)
+        lp._pivot(obj, r, col)
+        assert dense_tableau(lp, obj) == want, (r, col, p, d)
+        assert lp.basis[r] == col and lp.div == p
+    return lp, obj, branches
+
+
+TWO_ROWS = ([1, 1], [([2, 1], "<=", 4), ([1, 3], "<=", 6)])
+# one pick sequence per branch of `_pivot`: p = 1 on the slack basis; p = 2
+# there, then p == d == 2 on the second row's slack
+PIVOT_EXAMPLES = [
+    (TWO_ROWS, [(1, 0)], {"p == d == 1"}),
+    (TWO_ROWS, [(0, 0), (1, 2)], {"p != d", "p == d != 1"}),
+]
+
+
+def test_pivot_examples_cover_every_branch():
+    seen = set()
+    for problem, picks, branches in PIVOT_EXAMPLES:
+        assert pivot_branches(problem, picks)[2] == branches
+        seen |= branches
+    assert seen == {"p == d == 1", "p == d != 1", "p != d"}
+
+
+def pivot_examples(test):
+    for problem, picks, _ in PIVOT_EXAMPLES:
+        test = example(problem, picks, [1] * 5, [1] * 5, [True] * 5)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    random_lp(),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=6),
+    st.lists(rhs_value, min_size=5, max_size=5),
+    st.lists(rhs_value, min_size=5, max_size=5),
+    st.lists(st.booleans(), min_size=5, max_size=5),
+)
+@pivot_examples
+def test_pivot_and_weighed_columns_match_a_dense_reference(problem, picks, first, last, moved_rows):
+    # after random pivots, a column weighed in from nothing is the dense sum
+    # of the slack columns weighted by the scaled values; a column moved to
+    # values that differ in only some rows, or in none, is the column
+    # weighed afresh, integer for integer, with the same scale
+    lp, obj, _ = pivot_branches(problem, picks)
+    lp.obj = obj
+    m, key = len(lp.tab), lp.ncols + 1
+    first = first[:m]
+    some = [b if move else a for a, b, move in zip(first, last, moved_rows)]
+    ints, scale = lp._weigh_slacks(key, first, [0] * m, 1)
+    scaled = [v * s for v, s in zip(first, lp.rscale)]
+    assert scale == math.lcm(*(v.denominator for v in scaled))
+    assert ints == [v * scale for v in scaled]
+    slack = dense_tableau(lp, obj)
+    for i, row in enumerate(lp.tab):
+        weighed = sum(ints[k] * slack[i][lp.nvars + k] for k in range(m))
+        assert F(row.get(key, 0), lp.div) == weighed
+    basic = [(b, row) for b, row in zip(lp.basis, lp.tab) if b < lp.nvars]
+    assert obj[key] == sum(lp.cost[b] * row.get(key, 0) for b, row in basic)
+    for values in (some, some):
+        fresh = lp._fork(list(obj))
+        for row in fresh.tab:
+            row.pop(key, None)
+        want = fresh._weigh_slacks(key, values, [0] * m, 1)
+        assert lp._weigh_slacks(key, values, ints, scale) == want
+        assert [row.get(key) for row in lp.tab] == [row.get(key) for row in fresh.tab]
+        assert obj[key] == fresh.obj[key]
+        ints, scale = want
 
 
 # ----------------------------------------------------------------------------

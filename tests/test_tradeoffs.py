@@ -651,6 +651,31 @@ def test_whole_query_envelope(name):
     assert (len(curves), curve.points) == WHOLE_QUERY_ENVELOPES[name]
 
 
+# SHA-256 over every step, as (kind, X, Y, weight), of the T and S side proofs
+# of every term of every pruned rule of the queries above, in query, rule and
+# term order; `validate` checks each side.  The count and the digest pin the
+# steps themselves, not only their validity: a prover that reorders, merges or
+# re-weights a step moves the digest.  Re-record only with the reason.
+PRUNED_PROOF_STEPS = (1002, "cf5819ce75130183d1f142ff4a1ee312ea33a87392cc076ad481903fdf97d915")
+
+
+def test_pruned_rules_proof_steps_are_pinned():
+    lines = []
+    for name in sorted(WHOLE_QUERY_ENVELOPES):
+        for rt in pruned_tradeoffs(name)[1]:
+            for t in rt.terms:
+                ext = t.provenance
+                sides = [(ext.g_t, ext.lam, ext.sigma_t, ext.mu_t)]
+                if ext.theta:
+                    sides.append(ext.scaled_s_side())
+                for g, target, sigma, mu in sides:
+                    ps = proofs.construct(g, target, sigma=sigma, mu=mu)
+                    assert proofs.validate(ps), (name, t.pretty())
+                    lines += [repr((st.kind, st.x, st.y, st.weight)) for st in ps.steps]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == PRUNED_PROOF_STEPS
+
+
 @pytest.mark.parametrize("log_q", [F(1, 4), F(1, 2), ONE, F(2)], ids=str)
 @pytest.mark.parametrize("name", sorted(WHOLE_QUERY_ENVELOPES))
 def test_envelope_is_no_lower_than_any_rule_at_positive_log_q(name, log_q):
