@@ -219,26 +219,23 @@ def make_pmtd(td: TreeDecomp, in_m: tuple[bool, ...], q: Cqap) -> Pmtd | None:
     return Pmtd(td, in_m, nu)
 
 
-def dominates(p: Pmtd, r: Pmtd) -> bool:
-    """Every view of r fits inside a same-side view of p (r is at most p)."""
-    return all(
-        any(subset(v, w) for w in p.s_targets) for v in r.s_targets
-    ) and all(any(subset(v, w) for w in p.t_targets) for v in r.t_targets)
+def dominates(p: tuple, r: tuple) -> bool:
+    """Every view of plan key r fits inside a same-side view of plan key p."""
+    return all(any(subset(v, w) for w in ps) for ps, rs in zip(p, r) for v in rs)
 
 
 def minimal_pmtds(plans: list[Pmtd]) -> list[Pmtd]:
-    """Dedup by view sets, then keep plans not strictly above another."""
+    """Dedup by view sets, then keep plans not strictly above another.
+
+    Plans are compared by their `key()`s, each built once.
+    """
     by_key: dict = {}
     for p in plans:
         by_key.setdefault(p.key(), p)
-    kept = []
-    for k, p in by_key.items():
-        if not any(
-            k2 != k and dominates(p, p2) and not dominates(p2, p)
-            for k2, p2 in by_key.items()
-        ):
-            kept.append(p)
-    return sorted(kept, key=Pmtd.key)
+    kept = [
+        k for k in by_key if not any(k2 != k and dominates(k, k2) and not dominates(k2, k) for k2 in by_key)
+    ]
+    return [by_key[k] for k in sorted(kept)]
 
 
 # ═══════════════════════════════════════════════════════════════════════════

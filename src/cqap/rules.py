@@ -17,31 +17,30 @@ is removed.  Across rules, a rule whose target sets contain another rule's
 The rules are not built from the product of the choices.  `generate_rules`
 folds the plans in one at a time (Berge multiplication, as for minimal
 transversals: Eiter & Gottlob, SIAM J. Comput. 1995), keeping only the
-distinct partial pairs of cleaned target sets, each with the first pick
-prefix in product order that reaches it.  This is exact because
+distinct partial pairs of cleaned target sets.  This is exact because
 min(A | B) == min(min A | min B), so a cleaned partial pair determines the
-final targets of every completion; ties between choices keep the one that
-picks the earliest nodes, as the product loop did.  `prune_rules` scans the
-rules level by level in target count and compares each only with the rules
-kept at lower levels; that is exact because a rule strictly below another
-has strictly fewer targets and strict domination is transitive.
+final targets of every completion, whatever order the plans come in.  The
+work does depend on the order (four_reach: 49 k to 129 k (state, view) steps
+over 200 random orders), so the fold fixes its own: the plans with the most
+views first, while the states they multiply are few (about 49 k steps),
+ties broken by each plan's sorted (side, view) list.  `prune_rules` scans
+the rules level by level in target count and compares each only with the
+rules kept at lower levels; that is exact because a rule strictly below
+another has strictly fewer targets and strict domination is transitive.
 
 The plans share most of their views, so the fold stores a side as a bitmask
-over the distinct views and a partial pair as one int; a view's insert is
-two mask operations, and a frozenset is built once per distinct final side.
-The prune gives kept rule j bit j and keeps, per distinct side (by value),
-the mask of the kept rules whose side it contains: a rule is dominated
-exactly when its S and T masks meet.
-
-The choice structure is kept as `picks` (plan index, node index) so later
-stages can map every target back to the plan node that produced it.
+over the distinct views and a partial pair as one int in a set; a view's
+insert is two mask operations, and a frozenset is built once per distinct
+final side.  The prune gives kept rule j bit j and keeps, per distinct side
+(by value), the mask of the kept rules whose side it contains: a rule is
+dominated exactly when its S and T masks meet.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .decompose import Pmtd
@@ -56,13 +55,12 @@ log = logging.getLogger(__name__)
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoPhaseRule:
     """One disjunctive size rule; at most one of the sides may be empty."""
 
     s_targets: frozenset[VarSet]
     t_targets: frozenset[VarSet]
-    picks: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     def key(self) -> tuple[tuple[VarSet, ...], tuple[VarSet, ...]]:
         return (tuple(sorted(self.t_targets)), tuple(sorted(self.s_targets)))
@@ -83,46 +81,44 @@ def plan_choices(plan: Pmtd) -> list[tuple[int, bool, VarSet]]:
 def generate_rules(plans: Sequence[Pmtd]) -> list[TwoPhaseRule]:
     """All rules from one-view-per-plan choices, deduplicated, sorted by key.
 
-    The plans are folded in one at a time.  A state is a clean partial pair,
-    the int  S side << w | T side  where bit k of a side is the k-th smallest
-    of the w views, with the first pick prefix that reaches it.  A view's
-    insert leaves a side alone when it holds a view the new one contains
-    (`low`), and else clears the views that contain it (`keep`) and sets its
-    bit.  States are extended in insertion order and views in node order,
-    so each rule keeps the first choice in product order.  The fold's work
-    still depends on the plan order: four_reach takes 51 k to 117 k (state,
-    view) steps across the benchmark's seeds 1-7.
+    The plans are folded in one at a time, in the module docstring's order,
+    which the "folded plan i" debug lines follow.  A state is a clean
+    partial pair, the int  S side << w | T side  where bit k of a side is
+    the k-th smallest of the w views.  A view's insert leaves a side alone when it holds a view the
+    new one contains (`low`), and else clears the views that contain it
+    (`keep`) and sets its bit.
     """
-    per_plan = [plan_choices(p) for p in plans]
+    per_plan = [sorted((m, v) for _, m, v in plan_choices(p)) for p in plans]
     if not per_plan:
         raise ValueError("no plans to fold into rules")
     for i, choices in enumerate(per_plan):
         if not choices:
             raise ValueError(f"plan {i} offers no view: every node is hollow")
-    views = sorted({v for choices in per_plan for _, _, v in choices})
+    per_plan.sort(key=lambda choices: (-len(choices), choices))
+    views = sorted({v for choices in per_plan for _, v in choices})
     w = len(views)
     below = [sum(1 << j for j, b in enumerate(views) if subset(b, v)) for v in views]
     above = [sum(1 << j for j, b in enumerate(views) if subset(v, b)) for v in views]
-    states: dict[int, tuple[tuple[int, int], ...]] = {0: ()}
+    states = {0}
     for i, choices in enumerate(per_plan):
-        at = [(node, views.index(v), w if m else 0) for node, m, v in choices]
-        moves = [(below[k] << sh, ~(above[k] << sh), 1 << k + sh, (i, node)) for node, k, sh in at]
-        step: dict[int, tuple[tuple[int, int], ...]] = {}
-        for key, picks in states.items():
-            for low, keep, bit, pick in moves:
-                nxt = key if key & low else key & keep | bit
-                if nxt not in step:
-                    step[nxt] = picks + (pick,)
-        states = step
+        at = [(views.index(v), w if m else 0) for m, v in choices]
+        moves = [(below[k] << sh, ~(above[k] << sh), 1 << k + sh) for k, sh in at]
+        states = {
+            key if key & low else key & keep | bit
+            for key in states
+            for low, keep, bit in moves
+        }
         log.debug("folded plan %d: %d partial rules", i, len(states))
     t_mask = (1 << w) - 1
     masks = {m for key in states for m in (key >> w, key & t_mask)}
-    sides = {m: frozenset(v for k, v in enumerate(views) if m >> k & 1) for m in masks}
-    # distinct sides differ in tuple(sorted(side)), so ranking the sides by it
-    # makes (T rank, S rank) `TwoPhaseRule.key`'s order
-    order = {m: r for r, m in enumerate(sorted(sides, key=lambda m: sorted(sides[m])))}
-    done = sorted(states, key=lambda key: order[key & t_mask] * len(order) + order[key >> w])
-    rules = [TwoPhaseRule(sides[key >> w], sides[key & t_mask], states[key]) for key in done]
+    # bits follow the view order, so a side's tuple is the sorted one
+    # `TwoPhaseRule.key` compares, and  T rank * n + S rank  sorts by key
+    ranked = sorted((tuple(v for k, v in enumerate(views) if m >> k & 1), m) for m in masks)
+    rank = {m: r for r, (_, m) in enumerate(ranked)}
+    sides = [frozenset(side) for side, _ in ranked]
+    n = len(sides)
+    codes = sorted(rank[key & t_mask] * n + rank[key >> w] for key in states)
+    rules = [TwoPhaseRule(sides[c % n], sides[c // n]) for c in codes]
     log.debug("generated %d rules, %d distinct sides", len(rules), len(sides))
     return rules
 
@@ -164,7 +160,6 @@ def rules_to_json(rules: Sequence[TwoPhaseRule], q: Cqap) -> str:
             {
                 "t": [names_of(v, q.var_names) for v in sorted(r.t_targets)],
                 "s": [names_of(v, q.var_names) for v in sorted(r.s_targets)],
-                "picks": [list(p) for p in r.picks],
             }
             for r in rules
         ],
@@ -180,7 +175,6 @@ def rules_from_json(text: str, q: Cqap) -> list[TwoPhaseRule]:
         TwoPhaseRule(
             s_targets=frozenset(varset_of(names, q.var_names) for names in r["s"]),
             t_targets=frozenset(varset_of(names, q.var_names) for names in r["t"]),
-            picks=tuple((p[0], p[1]) for p in r.get("picks", [])),
         )
         for r in doc["rules"]
     ]

@@ -245,25 +245,20 @@ def test_four_reach_rules_from_pinned_plans():
 
 
 def as_pairs(rules):
-    return [(r.key(), r.picks) for r in rules]
+    return [r.key() for r in rules]
 
 
 def rules_digest(rules) -> str:
     return hashlib.sha256(repr(as_pairs(rules)).encode()).hexdigest()
 
 
-# Digests of (key, picks) of every generated and every kept four_reach rule,
-# as the loop over the product of all 2 125 764 choices produced them.
-FOUR_REACH_DIGESTS = {
-    "enumerated": (
-        "b5059507b558d0131b09fce96d1d8c802b7a9bb9606cdc9abb527dedbdaa1b1c",
-        "5ea5c38ea3126ac3b50189fb3f2cb6187c9fc29ed283ed1af366f8f699e24a00",
-    ),
-    "reversed": (
-        "3fe3128a7542a08c5ceba5cac02af736bc230bdb99d36f4bfb872c602640b99a",
-        "82ffbd6bb4e0320442d4a84c2457173e15b0a6daa9b0efd22b8654145930c200",
-    ),
-}
+# Digests of the keys of every generated and every kept four_reach rule, as
+# the loop over the product of all 2 125 764 choices produced them; the same
+# for every plan order.
+FOUR_REACH_DIGESTS = (
+    "e3f820ad6dff5710e9aafac897bc8eae9f43152793a1713a0e737f23659897e5",
+    "464ea1c6cb68fbeea37b56309922dde67151d03e947cae65d95bad5cdd8cc6a4",
+)
 
 
 def test_four_reach_full_enumeration():
@@ -271,16 +266,11 @@ def test_four_reach_full_enumeration():
     assert len(enumerate_tds(query)) == 21
     plans = enumerate_pmtds(query)
     assert len(plans) == 15
-    keys = set()
-    for order, ps in (("enumerated", plans), ("reversed", plans[::-1])):
+    for ps in (plans, plans[::-1]):
         rules = generate_rules(ps)
         kept = prune_rules(rules)
         assert (len(rules), len(kept)) == (8654, 23)
-        digests = (rules_digest(rules), rules_digest(kept))
-        assert digests == FOUR_REACH_DIGESTS[order]
-        keys.add((tuple(r.key() for r in rules), tuple(r.key() for r in kept)))
-    # the tie-break picks depend on the plan order, the rules do not
-    assert len(keys) == 1
+        assert (rules_digest(rules), rules_digest(kept)) == FOUR_REACH_DIGESTS
 
 
 def test_generate_requires_views():
@@ -304,28 +294,47 @@ def test_generate_names_the_missing_views():
 
 # Partial states after each four_reach plan, one per distinct cleaned
 # partial (S targets, T targets) pair: the invariant that makes the fold exact.
-FOUR_REACH_STATES = {
-    "enumerated": [1, 2, 6, 15, 44, 105, 275, 636, 764, 765, 1962, 3495, 7649, 8774, 8654],
-    "reversed": [3, 9, 23, 44, 105, 275, 399, 764, 765, 1990, 2791, 5211, 5090, 8654, 8654],
-}
+# The fold's own plan order makes them the same for every caller's order.
+FOUR_REACH_STATES = [3, 8, 23, 56, 149, 224, 435, 443, 1136, 2532, 3065, 2998, 5090, 8654, 8654]
 
 
-def test_fold_keeps_one_state_per_cleaned_partial_pair(caplog):
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def generate_and_count(plans):
+    """`generate_rules(plans)` and the state counts its fold logs per plan."""
+    logger = logging.getLogger("cqap.rules")
+    handler, level = _Records(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        rules = generate_rules(plans)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    counts = [
+        int(m[2])
+        for m in (
+            re.fullmatch(r"folded plan (\d+): (\d+) partial rules", r.getMessage())
+            for r in handler.records
+        )
+        if m
+    ]
+    return rules, counts
+
+
+def test_fold_keeps_one_state_per_cleaned_partial_pair():
     plans = enumerate_pmtds(q("four_reach"))
-    for order, ps in (("enumerated", plans), ("reversed", plans[::-1])):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="cqap.rules"):
-            generated = generate_rules(ps)
-        counts = [
-            int(m[2])
-            for m in (
-                re.fullmatch(r"folded plan (\d+): (\d+) partial rules", r.getMessage())
-                for r in caplog.records
-            )
-            if m
-        ]
-        assert counts == FOUR_REACH_STATES[order]
-        assert rules_digest(generated) == FOUR_REACH_DIGESTS[order][0]
+    for ps in (plans, plans[::-1]):
+        generated, counts = generate_and_count(ps)
+        assert counts == FOUR_REACH_STATES
+        assert rules_digest(generated) == FOUR_REACH_DIGESTS[0]
 
 
 # ----------------------------------------------------------------------------
@@ -351,13 +360,12 @@ def clean_targets(targets):
 
 
 def product_rules(plans):
-    """Every one-view-per-plan choice, cleaned; the first in product order wins."""
+    """Every one-view-per-plan choice, cleaned and deduplicated."""
     by_key = {}
     for combo in product(*[plan_choices(p) for p in plans]):
         rule = TwoPhaseRule(
             s_targets=minimal(v for _, m, v in combo if m),
             t_targets=minimal(v for _, m, v in combo if not m),
-            picks=tuple((i, node) for i, (node, _, _) in enumerate(combo)),
         )
         by_key.setdefault(rule.key(), rule)
     return sorted(by_key.values(), key=TwoPhaseRule.key)
@@ -406,9 +414,18 @@ def test_fold_and_frontier_match_their_definitions(plans, data):
     assert as_pairs(prune_rules(data.draw(st.permutations(rules)))) == as_pairs(kept)
 
 
+@settings(max_examples=100, deadline=None)
+@given(plan_lists(), st.data())
+def test_plan_order_changes_neither_rules_nor_fold_work(plans, data):
+    rules, counts = generate_and_count(plans)
+    again, counts_again = generate_and_count(data.draw(st.permutations(plans)))
+    assert again == rules
+    assert counts_again == counts
+
+
 def fresh(r: TwoPhaseRule) -> TwoPhaseRule:
     """An equal rule whose sides are new frozenset objects."""
-    return TwoPhaseRule(frozenset(list(r.s_targets)), frozenset(list(r.t_targets)), r.picks)
+    return TwoPhaseRule(frozenset(list(r.s_targets)), frozenset(list(r.t_targets)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -476,6 +493,5 @@ def test_rules_json_round_trip():
     text = rules_to_json(rules, query)
     back = rules_from_json(text, query)
     assert [r.key() for r in back] == [r.key() for r in rules]
-    assert [r.picks for r in back] == [r.picks for r in rules]
     with pytest.raises(ValueError):
         rules_from_json(text, q("two_reach"))
