@@ -376,16 +376,23 @@ def pmtds_from_json(text: str, q: Cqap) -> list[Pmtd]:
     plans = []
     for entry in doc["pmtds"]:
         bags = [varset_of(bag, q.var_names) for bag in entry["bags"]]
-        if len(entry["in_m"]) != len(bags):
+        in_m, parent = entry["in_m"], entry["parent"]
+        if len(in_m) != len(bags):
             raise QueryError(
-                f"plan in file has {len(entry['in_m'])} in_m flags for "
-                f"{len(bags)} bags: {entry}"
+                f"plan in file has {len(in_m)} in_m flags for {len(bags)} bags: {entry}"
             )
-        td = TreeDecomp(tuple(bags), tuple(entry["parent"]))
+        if not all(type(b) is bool for b in in_m):
+            raise QueryError(f"plan in file has an in_m flag that is not a boolean: {entry}")
+        if not all(type(t) is int for t in parent):
+            raise QueryError(f"plan in file has a parent that is not an integer: {entry}")
+        try:
+            td = TreeDecomp(tuple(bags), tuple(parent))
+        except DecompositionError as e:
+            raise QueryError(f"plan in file has a bad parent list ({e}): {entry}") from None
         problems = td.validate(q.edge_sets())
         if problems:
             raise QueryError(f"bad decomposition in plan file: {problems[0]}")
-        p = make_pmtd(td, tuple(bool(b) for b in entry["in_m"]), q)
+        p = make_pmtd(td, tuple(in_m), q)
         if p is None:
             raise QueryError(f"invalid or redundant plan in file: {entry}")
         plans.append(p)

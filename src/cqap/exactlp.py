@@ -105,8 +105,12 @@ so each term's certificate and request probe.  On the tier-1 fixtures' 17
 terms and hierarchical's 3 rules, steepest edge at every tie gave proofs of
 261 steps against 243 for this mix, and steepest edge that yields to
 smallest index after STALL_LIMIT degenerate pivots left a request probe of
-hierarchical rule 1 13 730 dual pivots, against 3.  A walk may take
-PIVOT_LIMIT pivots and raises PivotLimitError naming "the right-side walk".
+hierarchical rule 1 13 730 dual pivots, against 3.  The tie phase keeps the
+stall rule and the walk its own, as each is load-bearing for a pinned
+output: the walk's rule in the tie phase took hierarchical's proofs from 418
+to 439 steps, and a stall rule in the walk took the corpus's pruned rules'
+proofs from 1 002 to 1 030 steps or more.  A walk may take PIVOT_LIMIT
+pivots and raises PivotLimitError naming "the right-side walk".
 The last leaving row's slack columns weigh the rows into the dual simplex's
 proof of infeasibility (Lemke, 1954), and the walk returns these Farkas
 multipliers, so a caller can price where its program ends.

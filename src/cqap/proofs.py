@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 
 from .queries import varset_of
-from .relalg import VarSet, names_of, size, term_str
+from .relalg import VarSet, names_of, term_str
 
 log = logging.getLogger(__name__)
 
@@ -101,23 +101,6 @@ class ProofStep:
         used = " + ".join(term_str(x, y, names) for (x, y), v in sorted(d.items()) if v < 0)
         made = " + ".join(term_str(x, y, names) for (x, y), v in sorted(d.items()) if v > 0)
         return f"{self.kind:<14} {used} -> {made}  (w={self.weight})"
-
-
-def submodularity(i: VarSet, j: VarSet, weight) -> ProofStep:
-    return ProofStep(SUBMODULARITY, i, j, Fraction(weight))
-
-
-def monotonicity(x: VarSet, y: VarSet, weight) -> ProofStep:
-    return ProofStep(MONOTONICITY, x, y, Fraction(weight))
-
-
-def composition(x: VarSet, y: VarSet, weight) -> ProofStep:
-    return ProofStep(COMPOSITION, x, y, Fraction(weight))
-
-
-def decomposition(y: VarSet, x: VarSet, weight) -> ProofStep:
-    """Split h(Y) into h(X) + h(Y|X); the inverse of composition."""
-    return ProofStep(DECOMPOSITION, x, y, Fraction(weight))
 
 
 @dataclass
@@ -374,7 +357,7 @@ class _Prover:
         """
         demand = {y: v for (_, y), v in target.items()}
         plan: list[tuple[VarSet, VarSet, int]] = []
-        for z in sorted({y for _, y in self.cur} | set(demand), key=lambda s: (-size(s), s)):
+        for z in sorted({y for _, y in self.cur} | set(demand), key=lambda s: (-s.bit_count(), s)):
             need = demand.get(z, 0) - self.cur.get((0, z), 0)
             for (x, y), v in sorted(self.cur.items()):
                 if need <= 0:
@@ -386,7 +369,7 @@ class _Prover:
                     need -= t
             if need > 0:  # pragma: no cover - the invariant rules this out
                 raise AssertionError(f"{term_str(0, z)} cannot be composed")
-        for x, y, t in sorted(plan, key=lambda p: (size(p[0]), p[0], p[1])):
+        for x, y, t in sorted(plan, key=lambda p: (p[0].bit_count(), p[0], p[1])):
             self._emit(COMPOSITION, x, y, t)
 
 

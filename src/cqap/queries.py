@@ -192,7 +192,7 @@ class Cqap:
         bound N^a as a*logN, a numeric bound k >= 1 as the constant N^0 (a
         degree bound of 1 is a functional dependency).  The smallest bound
         per (x, y) is kept."""
-        rows: list[LogConstraint] = []
+        best: dict[tuple[VarSet, VarSet], LogConstraint] = {}
         for atom in self.atoms:
             for d in self.decls:
                 if d.rel != atom.rel:
@@ -200,12 +200,8 @@ class Cqap:
                 y = vs(*(atom.args[p] for p in d.y_pos))
                 x = vs(*(atom.args[p] for p in d.x_pos))
                 lg = LogBound(n=d.sym) if d.sym is not None else LogBound()
-                rows.append(LogConstraint(x, y, lg))
-        best: dict[tuple[VarSet, VarSet], LogConstraint] = {}
-        for r in rows:
-            k = (r.x, r.y)
-            if k not in best or (r.log.n, r.log.q) < (best[k].log.n, best[k].log.q):
-                best[k] = r
+                if (x, y) not in best or lg < best[x, y].log:
+                    best[x, y] = LogConstraint(x, y, lg)
         return sorted(best.values())
 
     def access_constraint(self) -> LogConstraint:
@@ -253,7 +249,7 @@ def _parse_bound(text: str, where: str) -> tuple[int | None, Fraction | None]:
     raise QueryError(f"{where}: bound must be an integer or N^a, got {text!r}")
 
 
-def parse_query(text: str, name_hint: str = "query") -> Cqap:
+def parse_query(text: str) -> Cqap:
     """Parse the text form.  `#` starts a comment; the rule may span lines."""
     lines = []
     for raw in text.splitlines():
@@ -331,7 +327,7 @@ def parse_query(text: str, name_hint: str = "query") -> Cqap:
     if not subset(head | access, body_vars):
         raise QueryError("head/access variables must appear in the body")
 
-    q = Cqap(qname or name_hint, var_names, atoms, head | access, access)
+    q = Cqap(qname, var_names, atoms, head | access, access)
 
     for line in rest:
         m = _DC_SIZE_RE.match(line)

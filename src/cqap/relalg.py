@@ -34,10 +34,6 @@ def members(s: VarSet) -> tuple[int, ...]:
     return tuple(i for i in range(MAX_VARS) if s >> i & 1)
 
 
-def size(s: VarSet) -> int:
-    return s.bit_count()
-
-
 def submasks(s: VarSet) -> list[VarSet]:
     """Every subset of the set in increasing order, from 0 to the set itself."""
     out = [0]

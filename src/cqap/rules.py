@@ -71,13 +71,6 @@ class TwoPhaseRule:
         return " v ".join(parts)
 
 
-def plan_choices(plan: Pmtd) -> list[tuple[int, bool, VarSet]]:
-    """The pickable views of a plan as (node, materialized, variable set)."""
-    return [
-        (t, m, v) for t, (m, v) in enumerate(zip(plan.in_m, plan.nu)) if v
-    ]
-
-
 def generate_rules(plans: Sequence[Pmtd]) -> list[TwoPhaseRule]:
     """All rules from one-view-per-plan choices, deduplicated, sorted by key.
 
@@ -88,7 +81,7 @@ def generate_rules(plans: Sequence[Pmtd]) -> list[TwoPhaseRule]:
     new one contains (`low`), and else clears the views that contain it
     (`keep`) and sets its bit.
     """
-    per_plan = [sorted((m, v) for _, m, v in plan_choices(p)) for p in plans]
+    per_plan = [sorted((m, v) for m, v in zip(p.in_m, p.nu) if v) for p in plans]
     if not per_plan:
         raise ValueError("no plans to fold into rules")
     for i, choices in enumerate(per_plan):

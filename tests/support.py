@@ -39,7 +39,7 @@ from cqap.decompose import TreeDecomp
 from cqap.exactlp import LpError, solve_lp
 from cqap.proofs import CondVec, ConstructionError, ProofSequence, _excess, construct
 from cqap.queries import Cqap, LogBound
-from cqap.relalg import VarSet, members, size, submasks, vs_str
+from cqap.relalg import VarSet, members, submasks, vs_str
 from cqap.rules import TwoPhaseRule
 from cqap.shannon import ExtractedInequality, JointSolution, JointSystem, solve_joint_lp
 from cqap.tradeoffs import TradeoffTerm, rule_tradeoff
@@ -129,7 +129,7 @@ def sample_entropic(n: int, rng: random.Random) -> SetFunction:
         margs = {full: {cell: w / total for cell, w in zip(cells, weights)}}
         for s in range(full - 1, 0, -1):
             out = ~s & (s + 1)  # the lowest variable not in s
-            pos = size(s & (out - 1))  # its position in the parent's keys
+            pos = (s & (out - 1)).bit_count()  # its position in the parent's keys
             marg: dict = {}
             for key, p in margs[s | out].items():
                 key = key[:pos] + key[pos + 1 :]
@@ -161,7 +161,7 @@ def sample_conic(n: int, rng: random.Random) -> SetFunction:
         add(lambda s, w=w_set: 1 if s & w else 0, Fraction(rng.randint(1, 3)))
     if rng.random() < 0.7:  # a uniform matroid rank min(|s|, k)
         k = rng.randint(1, n)
-        add(lambda s, k=k: min(size(s), k), Fraction(rng.randint(1, 2)))
+        add(lambda s, k=k: min(s.bit_count(), k), Fraction(rng.randint(1, 2)))
     return SetFunction(n, vals)
 
 

@@ -262,6 +262,28 @@ def test_plan_json_needs_one_in_m_flag_per_bag():
         assert repr(entry["bags"]) in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("parent", [-1], "bad parent list"),
+        ("parent", [-1, 1], "bad parent list"),
+        ("parent", [-1, "x"], "parent that is not an integer"),
+        ("parent", [-1, True], "parent that is not an integer"),
+        ("in_m", [True, "false"], "in_m flag that is not a boolean"),
+        ("in_m", [1, 0], "in_m flag that is not a boolean"),
+    ],
+    ids=["short-parent", "child-before-parent", "string-parent", "bool-parent", "string-flag", "int-flag"],
+)
+def test_plan_json_names_the_entry_with_a_malformed_parent_or_flag(field, value, problem):
+    query = q("two_reach")
+    doc = json.loads(pmtds_to_json(enumerate_pmtds(query), query))
+    entry = next(e for e in doc["pmtds"] if len(e["bags"]) == 2)
+    entry[field] = value
+    with pytest.raises(QueryError, match=problem) as exc:
+        pmtds_from_json(json.dumps(doc), query)
+    assert repr(entry["bags"]) in str(exc.value)
+
+
 def test_enumerated_plans_are_valid():
     for name in ["two_reach", "three_reach", "square", "hierarchical"]:
         query = q(name)

@@ -146,6 +146,20 @@ def test_walk_pivot_budget_names_the_walk(monkeypatch):
     )
 
 
+def test_tie_phase_pivot_budget_names_the_tie_phase(monkeypatch):
+    # the move of test_tie_phase_keeps_the_basis_optimal_along_toward takes
+    # 0 dual pivots and 1 tie pivot, so a budget of 0 stops in the tie phase
+    rows = sparse([([1, 0], "<=", 2), ([0, 1], "<=", 2), ([1, 1], "<=", 3)])
+    start = solve_lp([1, 1], rows)
+    monkeypatch.setattr(exactlp, "PIVOT_LIMIT", 0)
+    with pytest.raises(PivotLimitError) as exc:
+        resolve_lp(start, [1, 1, 2], [0, 0, 1])
+    assert str(exc.value) == (
+        "exact simplex passed its budget of 0 pivots in the tie phase: "
+        "0 pivots on 3 rows x 2 columns"
+    )
+
+
 def test_minimization_flips_duals():
     # minimize x + y as the maximization of -(x + y); a >= row prices <= 0
     res = solve_lp([-1, -1], sparse([([1, 2], ">=", 4)]))

@@ -10,8 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqap.relalg import size
-
 from support import (
     JointInequality,
     SetFunction,
@@ -23,7 +21,7 @@ from support import (
 
 
 def modular(n):
-    return SetFunction(n, [size(s) for s in range(1 << n)])
+    return SetFunction(n, [s.bit_count() for s in range(1 << n)])
 
 
 def test_check_polymatroid_examples():

@@ -20,19 +20,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cqap.proofs import (
+    COMPOSITION,
+    DECOMPOSITION,
+    MONOTONICITY,
+    SUBMODULARITY,
     ConstructionError,
     ProofSequence,
     ProofStep,
     bundle_from_json,
     bundle_to_json,
-    composition,
     construct,
-    decomposition,
-    monotonicity,
     normalize,
     sequence_from_json,
     sequence_to_json,
-    submodularity,
     validate,
 )
 from cqap.queries import load_query
@@ -53,7 +53,7 @@ def storage_merge():
     return ProofSequence(
         initial={(0, 1): F(1), (0, 2): F(1)},
         target={(0, 3): F(1)},
-        steps=[submodularity(1, 2, 1), composition(2, 3, 1)],
+        steps=[ProofStep(SUBMODULARITY, 1, 2, 1), ProofStep(COMPOSITION, 2, 3, 1)],
     )
 
 
@@ -64,27 +64,27 @@ def storage_merge():
 
 def test_step_shapes_are_checked():
     with pytest.raises(ValueError, match="incomparable"):
-        submodularity(1, 3, 1)
+        ProofStep(SUBMODULARITY, 1, 3, 1)
     with pytest.raises(ValueError, match="subset"):
-        monotonicity(3, 3, 1)
+        ProofStep(MONOTONICITY, 3, 3, 1)
     with pytest.raises(ValueError, match="subset"):
-        composition(4, 3, 1)
+        ProofStep(COMPOSITION, 4, 3, 1)
     with pytest.raises(ValueError, match="subset"):
-        decomposition(3, 0, 1)
+        ProofStep(DECOMPOSITION, 0, 3, 1)
     with pytest.raises(ValueError, match="positive"):
-        monotonicity(1, 3, 0)
+        ProofStep(MONOTONICITY, 1, 3, 0)
     with pytest.raises(ValueError, match="kind"):
         ProofStep("merge", 1, 2, F(1))
 
 
 def test_step_effects():
-    assert submodularity(0b011, 0b110, F(1, 2)).delta() == {
+    assert ProofStep(SUBMODULARITY, 0b011, 0b110, F(1, 2)).delta() == {
         (0b010, 0b011): F(-1, 2),
         (0b110, 0b111): F(1, 2),
     }
-    assert monotonicity(1, 3, 1).delta() == {(0, 3): -1, (0, 1): 1}
-    assert composition(1, 3, 1).delta() == {(0, 1): -1, (1, 3): -1, (0, 3): 1}
-    assert decomposition(3, 1, 1).delta() == {(0, 3): -1, (1, 3): 1, (0, 1): 1}
+    assert ProofStep(MONOTONICITY, 1, 3, 1).delta() == {(0, 3): -1, (0, 1): 1}
+    assert ProofStep(COMPOSITION, 1, 3, 1).delta() == {(0, 1): -1, (1, 3): -1, (0, 3): 1}
+    assert ProofStep(DECOMPOSITION, 1, 3, 1).delta() == {(0, 3): -1, (1, 3): 1, (0, 1): 1}
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -99,7 +99,7 @@ def test_two_step_merge_replays_clean():
 
 def test_overdrawn_composition_is_flagged():
     ps = storage_merge()
-    ps.steps[1] = composition(2, 3, 2)
+    ps.steps[1] = ProofStep(COMPOSITION, 2, 3, 2)
     rep = validate(ps)
     assert not rep and rep.step == 1 and "overdraws" in rep.reason
 
@@ -117,7 +117,7 @@ def test_negative_inputs_are_rejected():
 
 def test_validation_reports_name_variables():
     ps = storage_merge()
-    ps.steps[1] = composition(2, 3, 2)
+    ps.steps[1] = ProofStep(COMPOSITION, 2, 3, 2)
     rep = validate(ps, ["x1", "x3", "x2"])
     assert "x3" in rep.reason
 
@@ -181,7 +181,7 @@ def test_construct_names_where_a_broken_witness_fails(two_reach):
 
 
 def test_nameless_output_writes_sets_as_vs_str():
-    assert submodularity(0b011, 0b110, 1).pretty() == (
+    assert ProofStep(SUBMODULARITY, 0b011, 0b110, 1).pretty() == (
         "submodularity  h({0,1}|{1}) -> h({0,1,2}|{1,2})  (w=1)"
     )
     short = ProofSequence(initial={}, target={(0, 0b101): F(1)})

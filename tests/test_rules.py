@@ -25,7 +25,6 @@ from cqap.relalg import subset, vs
 from cqap.rules import (
     TwoPhaseRule,
     generate_rules,
-    plan_choices,
     prune_rules,
     rules_from_json,
     rules_to_json,
@@ -362,10 +361,11 @@ def clean_targets(targets):
 def product_rules(plans):
     """Every one-view-per-plan choice, cleaned and deduplicated."""
     by_key = {}
-    for combo in product(*[plan_choices(p) for p in plans]):
+    choices = [[(m, v) for m, v in zip(p.in_m, p.nu) if v] for p in plans]
+    for combo in product(*choices):
         rule = TwoPhaseRule(
-            s_targets=minimal(v for _, m, v in combo if m),
-            t_targets=minimal(v for _, m, v in combo if not m),
+            s_targets=minimal(v for m, v in combo if m),
+            t_targets=minimal(v for m, v in combo if not m),
         )
         by_key.setdefault(rule.key(), rule)
     return sorted(by_key.values(), key=TwoPhaseRule.key)
