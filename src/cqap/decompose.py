@@ -30,7 +30,7 @@ import logging
 from dataclasses import dataclass
 from itertools import product
 
-from .queries import Cqap, QueryError, varset_of
+from .queries import Cqap, QueryError, fields_of, file_entries, varset_of
 from .relalg import VarSet, members, names_of, submasks, subset, vs_str
 
 log = logging.getLogger(__name__)
@@ -368,15 +368,10 @@ def pmtds_to_json(plans: list[Pmtd], q: Cqap) -> str:
 
 
 def pmtds_from_json(text: str, q: Cqap) -> list[Pmtd]:
-    doc = json.loads(text)
-    if doc.get("query") not in (None, q.name):
-        raise QueryError(
-            f"plan file is for query {doc.get('query')!r}, not {q.name!r}"
-        )
     plans = []
-    for entry in doc["pmtds"]:
-        bags = [varset_of(bag, q.var_names) for bag in entry["bags"]]
-        in_m, parent = entry["in_m"], entry["parent"]
+    for entry in file_entries(text, q, "plan file", "pmtds"):
+        bags, parent, in_m = fields_of(entry, f"plan in file {entry}", "bags", "parent", "in_m")
+        bags = [varset_of(bag, q.var_names) for bag in bags]
         if len(in_m) != len(bags):
             raise QueryError(
                 f"plan in file has {len(in_m)} in_m flags for {len(bags)} bags: {entry}"

@@ -52,9 +52,10 @@ right-side column moves by the slack columns of the rows whose right side
 changed, weighted by the change (`_weigh_slacks`).  A request probe moves
 only its theta rows: over the same pass the 21 warm starts weighed 2.4
 changed rows each, where a right side from scratch would weigh the 21 rows
-with a nonzero right side.  A tie direction `toward`, one entry per row,
-goes the same way into a second right-side column (key ncols + 1) for the
-tie phase, and the result's tableau keeps no such column.
+with a nonzero right side.  A second right-side column (key ncols + 1),
+the direction column, holds d over dscale (zeros and 1 when cold); a tie
+direction `toward`, one entry per row, re-aims it the same way for the tie
+phase, and the result's tableau keeps it.
 
 Cold and warm solves share one finish.  First the dual phase: dual simplex
 pivots (Lemke, 1954) restore primal feasibility.  A row with a negative
@@ -85,11 +86,10 @@ pivot count and the program's size, instead of running on for minutes.
 
 The right-side walk.  `walk_rhs` follows an optimal basis while the right
 sides move to b + t*d, from t = 0 up (right-side ranging: Gass & Saaty,
-1955).  A copy of the tableau carries d as a second integer right-side
-column, built from the slack columns as a warm start builds its right sides,
-so each basis gives its exact line, value = intercept + slope*t, off the
-objective row's two right-side entries, and row i's basic value moves as
-rhs_i + t*dir_i (over the scales).  The basis stays optimal up to the least
+1955).  A copy of the tableau re-aims its direction column at d, as a warm
+start moves its right sides, so each basis gives its exact line, value =
+intercept + slope*t, off the objective row's two right-side entries, and
+row i's basic value moves as rhs_i + t*dir_i (over the scales).  The basis stays optimal up to the least
 ratio rhs_i / -dir_i over the rows with dir_i < 0, an exact cross-multiplied
 ratio test; there such a row leaves by a dual simplex pivot, its entering
 column chosen by `_entering`, the ratio test the dual phase uses, so every
@@ -161,8 +161,8 @@ class RhsPiece:
     """One piece of a right-side walk: the optimum is intercept + slope*t on [lo, hi].
 
     `hi` is None when the program stays feasible for every larger t.  The
-    piece keeps its first basis, so `resolve_lp` can start from it as from an
-    optimal result.
+    piece keeps its first basis, direction column included, so `resolve_lp`
+    can start from it as from an optimal result, re-aiming that column.
     """
 
     lo: Fraction
@@ -198,9 +198,9 @@ def resolve_lp(start: LpResult | RhsPiece, rhs: Sequence, toward: Sequence) -> L
     rhs[i], continuing from the start's basis, to a basis optimal at rhs
     and, where feasible, at rhs + t*toward for all small t > 0.  The start's
     right-side column moves by the rows where rhs differs from the start's
-    own right sides alone (`_Simplex._weigh_slacks`).  A start that is not
-    optimal, or an entry per row too many or too few in `rhs` or `toward`,
-    raises ValueError.
+    own right sides alone (`_Simplex._weigh_slacks`), its direction column
+    likewise to `toward`.  A start that is not optimal, or an entry per row
+    too many or too few in `rhs` or `toward`, raises ValueError.
     """
     if start._tableau is None:
         raise ValueError(f"a warm start needs an optimal result, not {start.status!r}")
@@ -210,9 +210,9 @@ def resolve_lp(start: LpResult | RhsPiece, rhs: Sequence, toward: Sequence) -> L
     if len(toward) != rows:
         raise ValueError(f"the tie direction has {len(toward)} entries for {rows} rows")
     # new right sides may come out negative in the start's basis: the dual phase mends them
-    warm, _ = start._tableau._with_direction(toward)
+    warm = start._tableau._with_direction(toward)
     warm.b, warm.bscale = warm._weigh_slacks(warm.ncols, rhs, warm.b, warm.bscale)
-    return warm._finish(warm.obj)
+    return warm._finish(warm.obj, warm=True)
 
 
 def walk_rhs(start: LpResult, direction: Sequence) -> tuple[list[RhsPiece], list | None]:
@@ -232,8 +232,8 @@ def walk_rhs(start: LpResult, direction: Sequence) -> tuple[list[RhsPiece], list
     rows = len(start._tableau.rscale)
     if len(direction) != rows:
         raise ValueError(f"the direction has {len(direction)} entries for {rows} rows")
-    walk, dscale = start._tableau._with_direction(direction)
-    pieces, farkas = walk._walk(walk.obj, dscale)
+    walk = start._tableau._with_direction(direction)
+    pieces, farkas = walk._walk(walk.obj)
     if farkas is not None:
         walk._check_farkas(farkas, direction, pieces[-1].hi if pieces else ZERO)
     return pieces, farkas
@@ -285,6 +285,7 @@ class _Simplex:
             self.b.append(rhs.numerator * s // rhs.denominator)
             self.rscale.append(s)
         self.ncols = self.nvars + len(self.rows_in)
+        self.d, self.dscale = [0] * len(self.rows_in), 1  # the direction column (ncols + 1), as b
         self.basis = list(range(self.nvars, self.ncols))
         self.tab = []  # sparse rows {column: int}, right side under key ncols
         for (coeffs, _), b, slack in zip(self.rows_in, self.b, self.basis):
@@ -448,14 +449,14 @@ class _Simplex:
         in `_pivot` would redo each row a pivot touches, five times as many
         sums on the benchmark's reach programs.
         """
-        other = self.ncols + 1 if key == self.ncols else self.ncols  # the other right side
+        rhs, dcol = self.ncols, self.ncols + 1
         best = -1
         top = bottom = 0  # best entry^2 / norm so far as top/bottom
         for i in rows:
             row = self.tab[i]
             vals = row.values()
-            v, w = row[key], row.get(other, 0)
-            norm = sum(map(mul, vals, vals)) - v * v - w * w
+            v, b, w = row[key], row.get(rhs, 0), row.get(dcol, 0)
+            norm = sum(map(mul, vals, vals)) - b * b - w * w
             if best < 0 or v * v * bottom > top * norm:
                 top, bottom, best = v * v, norm, i
         return best
@@ -510,22 +511,18 @@ class _Simplex:
                     f"and c[{pos}] = {Fraction(self.cost[pos], self.cscale)}"
                 )
         # every basic slack costs 0, so the reduced costs are the negated costs
-        obj = [-v for v in self.cost] + [0] * (rhs + 1 - self.nvars)
+        obj = [-v for v in self.cost] + [0] * (rhs + 2 - self.nvars)
         return self._finish(obj)
 
-    def _finish(self, obj: list[int]) -> LpResult:
-        """The dual phase, the tie phase if `obj` has a `toward` entry, then phase 2."""
+    def _finish(self, obj: list[int], warm: bool = False) -> LpResult:
+        """The dual phase, the tie phase along the direction column if `warm`, then phase 2."""
         rhs, tie = self.ncols, self.ncols + 1
         status = self._iterate(obj, partial(self._dual_step, key=rhs), "the dual phase")
         if status == "infeasible":
             return LpResult("infeasible", None, [], [])
         dual = self.pivots
-        warm = len(obj) > tie
         if warm:  # "infeasible" here leaves a basis optimal at rhs alone
             self._iterate(obj, partial(self._dual_step, key=tie), "the tie phase")
-            del obj[tie]
-            for row in self.tab:
-                row.pop(tie, None)
         ties = self.pivots - dual
         status = self._iterate(obj, self._primal_step, "phase 2")
         if status == "unbounded":
@@ -575,7 +572,7 @@ class _Simplex:
         div * (the inverse basis times e_i) there, and the slack columns
         weighted by the scaled values are the column they would have become.
         The column under `key` is already that sum for `was` over
-        `was_scale` (zeros where there is no column yet), so only the slack
+        `was_scale` (zeros and 1 on a cold direction column), so only the slack
         columns of the rows whose value changed are weighed in:
         scale * column + sum_i (was_scale * ints_i - scale * was_i) * slack_i,
         over was_scale, an exact division.  A request probe from a walk piece
@@ -618,19 +615,20 @@ class _Simplex:
                 obj[key] += cost[basis[i]] * v
         return ints, scale
 
-    def _with_direction(self, direction: Sequence) -> tuple[_Simplex, int]:
-        """A copy of this optimal tableau with `direction` as a second right side.
+    def _with_direction(self, direction: Sequence) -> _Simplex:
+        """A copy of this optimal tableau whose direction column is aimed at `direction`.
 
-        The column goes under key ncols + 1, where the tie phase and the walk
-        read it, built by `_weigh_slacks`; `_pivot` keeps it current like any
-        other column.  The copy comes with the direction's integer scale.
+        The column (key ncols + 1), read by the tie phase and the walk, moves
+        from this tableau's own d over dscale by `_weigh_slacks`; `_pivot`
+        keeps it current like any other column.
         """
-        fork = self._fork(self.obj + [0])
-        return fork, fork._weigh_slacks(self.ncols + 1, direction, repeat(0), 1)[1]
+        fork = self._fork(list(self.obj))
+        fork.d, fork.dscale = fork._weigh_slacks(self.ncols + 1, direction, self.d, self.dscale)
+        return fork
 
     # ── the right-side walk ─────────────────────────────────────────────
 
-    def _walk(self, obj: list[int], dscale: int) -> tuple[list[RhsPiece], list | None]:
+    def _walk(self, obj: list[int]) -> tuple[list[RhsPiece], list | None]:
         """Raise t through every basis change until no column can enter.
 
         In tableau units u = t * bscale / dscale, row i's basic value is
@@ -642,7 +640,7 @@ class _Simplex:
         that stops the walk comes back too, read by `_read_slacks`.
         """
         rhs, dcol = self.ncols, self.ncols + 1
-        t_per_u = Fraction(dscale, self.bscale)
+        t_per_u = Fraction(self.dscale, self.bscale)
         pieces: list[RhsPiece] = []
         at = ZERO  # the walk's u
         at_zero = 0
@@ -662,13 +660,13 @@ class _Simplex:
                 scale = self.div * self.cscale
                 line = (
                     Fraction(obj[rhs], scale * self.bscale),
-                    Fraction(obj[dcol], scale * dscale),
+                    Fraction(obj[dcol], scale * self.dscale),
                 )
                 hi = None if end is None else end * t_per_u
                 if pieces and (pieces[-1].intercept, pieces[-1].slope) == line:
                     pieces[-1].hi = hi
                 else:
-                    pieces.append(RhsPiece(at * t_per_u, hi, *line, self._snapshot(obj)))
+                    pieces.append(RhsPiece(at * t_per_u, hi, *line, self._fork(list(obj))))
                 if end is None:
                     break
                 at = end
@@ -694,14 +692,6 @@ class _Simplex:
             return pieces, None
         row = self.tab[leaving]
         return pieces, self._read_slacks([row.get(j, 0) for j in range(self.nvars, rhs)], self.div)
-
-    def _snapshot(self, obj: list[int]) -> _Simplex:
-        """This walk's basis without its direction column, for warm starts."""
-        dcol = self.ncols + 1
-        snap = self._fork(obj[:dcol])
-        for row in snap.tab:
-            row.pop(dcol, None)
-        return snap
 
     def _read_slacks(self, values: list[int], den: int) -> list[Fraction]:
         """Multipliers for the original rows from a row's entries under the slack columns.

@@ -27,6 +27,7 @@ one for every chain emptyset != X < Y <= Z, with the smallest N_Z per (X, Y).
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,6 +49,21 @@ def varset_of(names: Iterable[str], var_names: Sequence[str]) -> VarSet:
         except ValueError:
             raise QueryError(f"unknown variable {name!r}") from None
     return m
+
+
+def fields_of(doc: dict, what: str, *keys: str) -> list:
+    """doc's values under `keys`; a missing key raises QueryError naming it and `what`."""
+    if missing := [k for k in keys if k not in doc]:
+        raise QueryError(f"{what} has no {missing[0]!r}")
+    return [doc[k] for k in keys]
+
+
+def file_entries(text: str, q: Cqap, what: str, key: str) -> list:
+    """The entries under `key` of a JSON file for q; a file for another query raises QueryError."""
+    doc = json.loads(text)
+    if doc.get("query") not in (None, q.name):
+        raise QueryError(f"{what} is for query {doc.get('query')!r}, not {q.name!r}")
+    return fields_of(doc, what, key)[0]
 
 
 # ═══════════════════════════════════════════════════════════════════════════

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .decompose import Pmtd
-from .queries import Cqap, varset_of
+from .queries import Cqap, fields_of, file_entries, varset_of
 from .relalg import VarSet, names_of, subset, vs_str
 
 log = logging.getLogger(__name__)
@@ -161,13 +161,11 @@ def rules_to_json(rules: Sequence[TwoPhaseRule], q: Cqap) -> str:
 
 
 def rules_from_json(text: str, q: Cqap) -> list[TwoPhaseRule]:
-    doc = json.loads(text)
-    if doc.get("query") not in (None, q.name):
-        raise ValueError(f"rules are for query {doc.get('query')!r}, not {q.name!r}")
+    entries = file_entries(text, q, "rule file", "rules")
     return [
         TwoPhaseRule(
-            s_targets=frozenset(varset_of(names, q.var_names) for names in r["s"]),
-            t_targets=frozenset(varset_of(names, q.var_names) for names in r["t"]),
+            s_targets=frozenset(varset_of(names, q.var_names) for names in s),
+            t_targets=frozenset(varset_of(names, q.var_names) for names in t),
         )
-        for r in doc["rules"]
+        for s, t in (fields_of(r, f"rule in file {r}", "s", "t") for r in entries)
     ]

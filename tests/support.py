@@ -20,8 +20,9 @@ something the pipeline computes, or a sampler that probes it:
   two must agree (two_reach, set disjointness).
 - `curve_at`: the envelope's curve read between its breakpoints, the
   reference its max-of-mins definition is checked against.
-- `joint_solve_at`: a joint solve at logS > 0, warm-started from the
-  rule's cold solve at logS = 0 as `rule_tradeoff` does.
+- `joint_solve_at`: a joint solve at logS > 0, warm-started afresh from
+  the rule's cold solve at logS = 0: the tests' fresh-probe oracle, where
+  `rule_tradeoff` walks the right sides and probes from the walk's pieces.
 - `dense_tableau` and `gauss_jordan_pivot`: the real values of the exact
   simplex's fraction-free sparse tableau, and a dense Fraction pivot on
   them, the reference its `_pivot` kernel is checked against.

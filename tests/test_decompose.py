@@ -271,17 +271,35 @@ def test_plan_json_needs_one_in_m_flag_per_bag():
         ("parent", [-1, True], "parent that is not an integer"),
         ("in_m", [True, "false"], "in_m flag that is not a boolean"),
         ("in_m", [1, 0], "in_m flag that is not a boolean"),
+        ("bags", None, r"^plan in file .* has no 'bags'$"),
+        ("parent", None, r"^plan in file .* has no 'parent'$"),
+        ("in_m", None, r"^plan in file .* has no 'in_m'$"),
     ],
-    ids=["short-parent", "child-before-parent", "string-parent", "bool-parent", "string-flag", "int-flag"],
+    ids=[
+        "short-parent", "child-before-parent", "string-parent", "bool-parent", "string-flag",
+        "int-flag", "no-bags", "no-parent", "no-flags",
+    ],
 )
 def test_plan_json_names_the_entry_with_a_malformed_parent_or_flag(field, value, problem):
+    # a value of None deletes the key
     query = q("two_reach")
     doc = json.loads(pmtds_to_json(enumerate_pmtds(query), query))
     entry = next(e for e in doc["pmtds"] if len(e["bags"]) == 2)
-    entry[field] = value
+    if value is None:
+        del entry[field]
+    else:
+        entry[field] = value
     with pytest.raises(QueryError, match=problem) as exc:
         pmtds_from_json(json.dumps(doc), query)
-    assert repr(entry["bags"]) in str(exc.value)
+    assert repr(entry) in str(exc.value)
+
+
+def test_plan_json_names_a_missing_plan_list_or_another_query():
+    query = q("two_reach")
+    with pytest.raises(QueryError, match=r"^plan file has no 'pmtds'$"):
+        pmtds_from_json(json.dumps({"query": "two_reach"}), query)
+    with pytest.raises(QueryError, match=r"^plan file is for query 'square', not 'two_reach'$"):
+        pmtds_from_json(json.dumps({"query": "square", "pmtds": []}), query)
 
 
 def test_enumerated_plans_are_valid():

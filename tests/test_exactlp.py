@@ -736,6 +736,16 @@ def test_verdict_examples_cover_every_verdict():
     assert len(set(verdicts)) == 7
 
 
+def test_check_rejects_a_multiplier_off_the_tableau_denominator():
+    # a dual a fraction of a tableau unit away is no integer weight of its row
+    c, rows = MAX_LE
+    res = solve_lp(c, sparse(rows))
+    duals = list(res.duals)
+    duals[1] += TINY
+    with pytest.raises(LpError, match="^multiplier is not on the tableau's denominator$"):
+        res._tableau._check(res.x, duals, res.value)
+
+
 def verdict_examples(test):
     for problem, change, _ in VERDICT_EXAMPLES:
         test = example(problem, change, None)(test)

@@ -113,6 +113,8 @@ def test_empty_sequence_must_already_dominate():
 def test_negative_inputs_are_rejected():
     rep = validate(ProofSequence(initial={(0, 1): F(-1)}, target={}))
     assert not rep and rep.step is None and "negative" in rep.reason
+    rep = validate(ProofSequence(initial={(0, 1): F(1)}, target={(0, 1): F(-1)}), ["x1"])
+    assert not rep and rep.step is None and rep.reason == "target weight of h({x1}) is negative"
 
 
 def test_validation_reports_name_variables():
@@ -156,6 +158,37 @@ def test_construct_without_work_is_empty():
     ps = construct({(0, 7): F(1)}, {(0, 7): F(1)}, sigma={}, mu={})
     assert ps.steps == []
     assert validate(ps)
+
+
+def test_construct_routes_held_terms_to_a_monotonicity():
+    # h(xy) is not held, so h(x) + h(xy|x) compose into it before mu is spent
+    x, y = 1, 2
+    initial, target = {(0, x): F(1), (x, x | y): F(1)}, {(0, y): F(1)}
+    ps = construct(initial, target, sigma={}, mu={(y, x | y): F(1)})
+    assert [(s.kind, s.x, s.y, s.weight) for s in ps.steps] == [
+        ("composition", x, x | y, F(1)),
+        ("monotonicity", y, x | y, F(1)),
+    ]
+    assert validate(ps)
+
+
+@pytest.mark.parametrize(
+    "initial, target, sigma, mu, message",
+    [
+        ({}, {(1, 3): 1}, {}, {}, "construct needs unconditional targets"),
+        ({(0, 1): -1}, {}, {}, {}, "construct needs nonnegative weights and multipliers"),
+        ({}, {}, {}, {(1, 3): -1}, "construct needs nonnegative weights and multipliers"),
+        ({}, {}, {(1, 3): 1}, {}, "sigma needs incomparable pairs"),
+        ({}, {}, {}, {(3, 3): 1}, "mu needs pairs (X, Y) with X a proper subset of Y"),
+        ({}, {}, {}, {(2, 1): 1}, "mu needs pairs (X, Y) with X a proper subset of Y"),
+    ],
+    ids=[
+        "conditional-target", "negative-weight", "negative-mu", "nested-sigma", "equal-mu", "crossed-mu",
+    ],
+)
+def test_construct_checks_its_input(initial, target, sigma, mu, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        construct(initial, target, sigma=sigma, mu=mu)
 
 
 def test_construct_needs_a_witness():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,22 +61,37 @@ def test_parse_numeric_and_symbolic_bounds():
     assert q.decls[1].num == 100
 
 
+ONE_ATOM = "phi(x1 | x1) :- R(x1, x2)."
+SEVENTEEN = ", ".join(f"v{i}" for i in range(17))
+LOGQ = ": logQ is a parameter of the analysis, not a declared bound"
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "bad, message",
     [
-        "phi(x1 | x1) :- R(x1, x1).",  # repeated variable in one atom
-        "phi(x9 | x9) :- R(x1, x2).",  # head var not in body
-        "phi(x1 | x1) :- R(x1, x2), R(x1).",  # arity mismatch
-        "phi(x1 | x1) :- R(x1, x2)",  # missing terminator
-        "phi(x1 | x1) :- R(x1, x2).\ndc S: size = N^1",  # unknown relation
-        "phi(x1 | x1) :- R(x1, x2).\ndc R: (x1 -> x9) <= 4",  # foreign var
-        "phi(x1 | x1) :- R(x1, x2).\ndc R: size = N^1/0",  # zero denominator
-        "phi(x1 | x1) :- R(x1, x2).\nac |Q| <= 0",  # request cap below 1
-        "phi(x1 | x1) :- R(x1, x2).\nac |Q| <= 1",  # logQ is not declared
+        ("phi(x1 | x1) :- R(x1, x1).", "atom R repeats a variable"),
+        ("phi(x9 | x9) :- R(x1, x2).", "head/access variables must appear in the body"),
+        ("phi(x1 | x1) :- R(x1, x2), R(x1).", "relation R used with two arities"),
+        ("phi(x1 | x1) :- R(x1, x2)", "no '.'-terminated rule found"),
+        (ONE_ATOM + "\ndc S: size = N^1", "no atom uses relation 'S'"),
+        (ONE_ATOM + "\ndc R: (x1 -> x9) <= 4", "dc R: (x1 -> x9) <= 4: 'x9' not in R's arguments"),
+        (ONE_ATOM + "\ndc R: size = N^1/0", "dc R: size = N^1/0: exponent 1/0 has a zero denominator"),
+        # logQ is a parameter of the analysis, whatever cap the line declares
+        (ONE_ATOM + "\nac |Q| <= 0", "ac |Q| <= 0" + LOGQ),
+        (ONE_ATOM + "\nac |Q| <= 1", "ac |Q| <= 1" + LOGQ),
+        ("phi(x1 | x1) :- R(x1, 2x).", "atom R: bad variable name '2x'"),
+        ("phi(x1 | x1) :- R(x1, x2), S().", "atom S has no variables"),
+        ("phi(x1 | x1) :- R(x1, x2) S(x2).", "unexpected text after atom: 'S(x2)'"),
+        ("phi(x1 | x1) :- .", "rule has no body atoms"),
+        (ONE_ATOM + "\ndc R: width = 3", "cannot parse constraint line: 'dc R: width = 3'"),
+        (ONE_ATOM + "\ndc R: size = 0", "dc R: size = 0: bound must be >= 1"),
+        (ONE_ATOM + "\ndc R: size = M^2", "dc R: size = M^2: bound must be an integer or N^a, got 'M^2'"),
+        (ONE_ATOM + "\ndc R: (x1 -> x1) <= 4", "constraint on R needs x strictly inside y"),
+        (f"phi(v0 | v0) :- R({SEVENTEEN}).", "more than 16 variables"),
     ],
 )
-def test_parse_rejects(bad):
-    with pytest.raises(QueryError):
+def test_parse_rejects(bad, message):
+    with pytest.raises(QueryError, match=f"^{re.escape(message)}$"):
         parse_query(bad)
 
 
@@ -84,6 +100,11 @@ def test_print_parse_round_trip():
         q = load_query(path)
         q2 = parse_query(print_query(q))
         assert q2 == q, path.name
+    # no corpus query declares a degree bound
+    degrees = ["dc R: (x1 -> x1,x2) <= 100", "dc S: (x3 -> x3,x1) <= N^1/2"]
+    q = parse_query("\n".join(["phi(x1, x2 | x1) :- R(x1, x2), S(x3, x1).", *degrees]))
+    assert print_query(q).splitlines()[1:] == degrees
+    assert parse_query(print_query(q)) == q
 
 
 # ----------------------------------------------------------------------------

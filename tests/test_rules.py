@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import re
 from functools import reduce
@@ -20,7 +21,7 @@ from cqap.decompose import (
     enumerate_tds,
     pmtds_from_json,
 )
-from cqap.queries import load_query
+from cqap.queries import QueryError, load_query
 from cqap.relalg import subset, vs
 from cqap.rules import (
     TwoPhaseRule,
@@ -495,3 +496,18 @@ def test_rules_json_round_trip():
     assert [r.key() for r in back] == [r.key() for r in rules]
     with pytest.raises(ValueError):
         rules_from_json(text, q("two_reach"))
+
+
+def test_rules_json_names_a_missing_key_or_another_query():
+    query = q("two_reach")
+    doc = json.loads(rules_to_json(prune_rules(generate_rules(enumerate_pmtds(query))), query))
+    with pytest.raises(QueryError, match=r"^rule file is for query 'two_reach', not 'three_reach'$"):
+        rules_from_json(json.dumps(doc), q("three_reach"))
+    with pytest.raises(QueryError, match=r"^rule file has no 'rules'$"):
+        rules_from_json(json.dumps({"query": "two_reach"}), query)
+    for side in ("s", "t"):
+        entry = dict(doc["rules"][0])
+        del entry[side]
+        with pytest.raises(QueryError, match=rf"^rule in file .* has no '{side}'$") as exc:
+            rules_from_json(json.dumps({**doc, "rules": [entry]}), query)
+        assert repr(entry) in str(exc.value)
