@@ -370,8 +370,9 @@ def pmtds_to_json(plans: list[Pmtd], q: Cqap) -> str:
 def pmtds_from_json(text: str, q: Cqap) -> list[Pmtd]:
     plans = []
     for entry in file_entries(text, q, "plan file", "pmtds"):
-        bags, parent, in_m = fields_of(entry, f"plan in file {entry}", "bags", "parent", "in_m")
-        bags = [varset_of(bag, q.var_names) for bag in bags]
+        what = f"plan in file {entry}"
+        bags, parent, in_m = fields_of(entry, what, "bags", "parent", "in_m")
+        bags = [varset_of(bag, q.var_names, what) for bag in bags]
         if len(in_m) != len(bags):
             raise QueryError(
                 f"plan in file has {len(in_m)} in_m flags for {len(bags)} bags: {entry}"

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .queries import varset_of
+from .queries import fields_of, varset_of
 from .relalg import VarSet, names_of, term_str
 
 log = logging.getLogger(__name__)
@@ -452,14 +452,16 @@ def vec_to_json(vec: CondVec, var_names: list[str]) -> list[dict]:
     return out
 
 
-def vec_from_json(items, var_names: list[str]) -> CondVec:
+def vec_from_json(items, var_names: list[str], what: str = "vector") -> CondVec:
     vec: CondVec = {}
     for it in items:
-        x = varset_of(it.get("given", []), var_names)
-        y = varset_of(it["set"], var_names)
+        entry = f"term {it} in {what}"
+        names, coeff = fields_of(it, entry, "set", "coeff")
+        x = varset_of(it.get("given", []), var_names, entry)
+        y = varset_of(names, var_names, entry)
         if x & ~y:
             raise ValueError("conditioning set must lie inside the set")
-        vec[(x, y)] = vec.get((x, y), ZERO) + Fraction(it["coeff"])
+        vec[(x, y)] = vec.get((x, y), ZERO) + Fraction(coeff)
     return vec
 
 
@@ -472,13 +474,10 @@ def step_to_json(step: ProofStep, var_names: list[str]) -> dict:
     }
 
 
-def step_from_json(doc: dict, var_names: list[str]) -> ProofStep:
-    return ProofStep(
-        doc["kind"],
-        varset_of(doc["x"], var_names),
-        varset_of(doc["y"], var_names),
-        Fraction(doc["weight"]),
-    )
+def step_from_json(doc: dict, var_names: list[str], what: str = "step") -> ProofStep:
+    kind, x, y, weight = fields_of(doc, what, "kind", "x", "y", "weight")
+    x, y = (varset_of(names, var_names, what) for names in (x, y))
+    return ProofStep(kind, x, y, Fraction(weight))
 
 
 def sequence_to_json(ps: ProofSequence, var_names: list[str]) -> dict:
@@ -490,11 +489,12 @@ def sequence_to_json(ps: ProofSequence, var_names: list[str]) -> dict:
     }
 
 
-def sequence_from_json(doc: dict, var_names: list[str]) -> ProofSequence:
+def sequence_from_json(doc: dict, var_names: list[str], what: str = "sequence") -> ProofSequence:
+    initial, target = fields_of(doc, what, "initial", "target")
     return ProofSequence(
-        initial=vec_from_json(doc["initial"], var_names),
-        target=vec_from_json(doc["target"], var_names),
-        steps=[step_from_json(s, var_names) for s in doc.get("steps", [])],
+        initial=vec_from_json(initial, var_names, f"the initial of {what}"),
+        target=vec_from_json(target, var_names, f"the target of {what}"),
+        steps=[step_from_json(s, var_names, f"step {s} of {what}") for s in doc.get("steps", [])],
         name=doc.get("name", ""),
     )
 
@@ -510,6 +510,10 @@ def bundle_to_json(sequences, *, query: str, var_names: list[str]) -> str:
 
 def bundle_from_json(text: str) -> tuple[str, list[str], list[ProofSequence]]:
     doc = json.loads(text)
-    var_names = list(doc["vars"])
-    seqs = [sequence_from_json(d, var_names) for d in doc.get("sequences", [])]
+    var_names, sequences = fields_of(doc, "bundle", "vars", "sequences")
+    var_names = list(var_names)
+    seqs = [
+        sequence_from_json(d, var_names, f"sequence {i} of the bundle")
+        for i, d in enumerate(sequences)
+    ]
     return doc.get("query", ""), var_names, seqs

@@ -40,30 +40,37 @@ class QueryError(ValueError):
     pass
 
 
-def varset_of(names: Iterable[str], var_names: Sequence[str]) -> VarSet:
-    """The set of the named variables; an unknown name raises QueryError."""
+def varset_of(names: Iterable[str], var_names: Sequence[str], what: str = "") -> VarSet:
+    """The set of the named variables; an unknown name raises QueryError,
+    naming `what` (the entry that holds the names) when it is given."""
     m = 0
     for name in names:
         try:
             m |= 1 << var_names.index(name)
         except ValueError:
-            raise QueryError(f"unknown variable {name!r}") from None
+            where = f" in {what}" if what else ""
+            raise QueryError(f"unknown variable {name!r}{where}") from None
     return m
 
 
 def fields_of(doc: dict, what: str, *keys: str) -> list:
-    """doc's values under `keys`; a missing key raises QueryError naming it and `what`."""
+    """doc's values under `keys`; a doc that is not a JSON object, or a
+    missing key, raises QueryError naming `what` and the key."""
+    if not isinstance(doc, dict):
+        raise QueryError(f"{what} is not a JSON object")
     if missing := [k for k in keys if k not in doc]:
         raise QueryError(f"{what} has no {missing[0]!r}")
     return [doc[k] for k in keys]
 
 
 def file_entries(text: str, q: Cqap, what: str, key: str) -> list:
-    """The entries under `key` of a JSON file for q; a file for another query raises QueryError."""
+    """The entries under `key` of a JSON file for q; a file that is not a
+    JSON object or is for another query raises QueryError."""
     doc = json.loads(text)
+    [entries] = fields_of(doc, what, key)
     if doc.get("query") not in (None, q.name):
         raise QueryError(f"{what} is for query {doc.get('query')!r}, not {q.name!r}")
-    return fields_of(doc, what, key)[0]
+    return entries
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -81,24 +88,16 @@ class LogBound:
 
 @dataclass(frozen=True, order=True)
 class LogConstraint:
-    """h(y | x) <= log."""
+    """h(y | x) <= log, or, from `span_split_constraints`, the split
+    (x, y | x, log): a table split on its x-projection, whose piece count
+    times piece degree is bounded by log."""
 
     x: VarSet
     y: VarSet
     log: LogBound
 
 
-@dataclass(frozen=True, order=True)
-class SplitConstraint:
-    """(x, y | x, bound): a co-degree split spanned from a cardinality
-    constraint on a set z with that bound; requires emptyset != x < y <= z."""
-
-    x: VarSet
-    y: VarSet
-    log: LogBound
-
-
-def span_split_constraints(cardinality: list[LogConstraint]) -> list[SplitConstraint]:
+def span_split_constraints(cardinality: list[LogConstraint]) -> list[LogConstraint]:
     """All (X, Y|X) splits chargeable to some cardinality constraint.
 
     For each (emptyset, Z, N_Z) and each pair emptyset != X < Y <= Z we may
@@ -107,7 +106,7 @@ def span_split_constraints(cardinality: list[LogConstraint]) -> list[SplitConstr
     smallest bound per (X, Y) is kept, as for degree constraints: a larger
     one gives the same rows with a weaker right side.
     """
-    best: dict[tuple[VarSet, VarSet], SplitConstraint] = {}
+    best: dict[tuple[VarSet, VarSet], LogConstraint] = {}
     for c in cardinality:
         if c.x != 0:
             continue
@@ -115,7 +114,7 @@ def span_split_constraints(cardinality: list[LogConstraint]) -> list[SplitConstr
         for y in submasks(z)[1:]:
             for x in submasks(y)[1:-1]:
                 if (x, y) not in best or c.log < best[x, y].log:
-                    best[x, y] = SplitConstraint(x, y, c.log)
+                    best[x, y] = LogConstraint(x, y, c.log)
     return sorted(best.values())
 
 

@@ -161,11 +161,14 @@ def rules_to_json(rules: Sequence[TwoPhaseRule], q: Cqap) -> str:
 
 
 def rules_from_json(text: str, q: Cqap) -> list[TwoPhaseRule]:
-    entries = file_entries(text, q, "rule file", "rules")
-    return [
-        TwoPhaseRule(
-            s_targets=frozenset(varset_of(names, q.var_names) for names in s),
-            t_targets=frozenset(varset_of(names, q.var_names) for names in t),
+    rules = []
+    for entry in file_entries(text, q, "rule file", "rules"):
+        what = f"rule in file {entry}"
+        s, t = fields_of(entry, what, "s", "t")
+        rules.append(
+            TwoPhaseRule(
+                s_targets=frozenset(varset_of(names, q.var_names, what) for names in s),
+                t_targets=frozenset(varset_of(names, q.var_names, what) for names in t),
+            )
         )
-        for s, t in (fields_of(r, f"rule in file {r}", "s", "t") for r in entries)
-    ]
+    return rules

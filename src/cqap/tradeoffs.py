@@ -27,10 +27,10 @@ the order they are solved in.
 `envelope` combines per-rule term lists into the answering-time curve, as
 PANDA bounds a disjunctive rule by its own program (Abo Khamis, Ngo & Suciu,
 2017): every rule must be served, each by the best of its own terms, so the
-curve is the max over rules of the min over each rule's lines.  Answering
-from scratch within T <= N*Q is one more term of each rule
-(`RuleTradeoff.with_scratch`).  At logQ > 0 a term's line is its exact line
-at logQ = 0+ extended, so the curve there is a valid bound, not the value.
+curve is the max over rules of the min over each rule's lines, and every
+point of it comes from a certified term.  At logQ > 0 a term's line is its
+exact line at logQ = 0+ extended, so the curve there is a valid bound, not
+the value.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .shannon import ExtractedInequality, JointSystem, solve_joint_lp, walk_join
 log = logging.getLogger(__name__)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -62,15 +61,14 @@ class TradeoffTerm:
 
     `span` is the budget range (in units of logN) on which the term is the
     tight piece of its rule's value function; None when unknown or, for the
-    right end, unbounded.  Identity is the line: span, provenance and note
-    do not take part in equality or hashing.
+    right end, unbounded.  Identity is the line: span and provenance do not
+    take part in equality or hashing.
     """
 
     space_exp: Fraction
     rhs: LogBound
     span: tuple | None = field(default=None, compare=False)
     provenance: ExtractedInequality | None = field(default=None, repr=False, compare=False)
-    note: str = field(default="", compare=False)
 
     def line(self) -> tuple[Fraction, Fraction, Fraction]:
         """(a, b, c) with  logT <= a*logN + b*logQ - c*logS."""
@@ -101,20 +99,7 @@ class TradeoffTerm:
         if self.span is not None:
             lo, hi = self.span
             out["span"] = [str(lo), None if hi is None else str(hi)]
-        if self.note:
-            out["note"] = self.note
         return out
-
-
-def scratch_term() -> TradeoffTerm:
-    """The from-scratch bound T ~ N*Q: no stored object, one pass of the
-    data per request.  Valid for any rule of an acyclic query, so reports
-    and envelopes may attach it to every rule."""
-    return TradeoffTerm(
-        space_exp=ZERO,
-        rhs=LogBound(ONE, ONE),
-        note="from scratch: answer each request by a fresh traversal",
-    )
 
 
 @dataclass
@@ -126,11 +111,12 @@ class RuleTradeoff:
     s_cap: Fraction | None
 
     def with_scratch(self) -> list[TradeoffTerm]:
-        """Terms plus the from-scratch fallback, deduplicated."""
-        terms = list(self.terms)
-        if scratch_term() not in terms:
-            terms.append(scratch_term())
-        return terms
+        """The rule's own terms, as a new list; nothing is added to them.
+
+        The name stays only because `perfbench/workloads.py` calls it, as
+        `exactlp.solve_lp_guided` stays for `perfbench/layers.py`; both go
+        when the benchmark is refreshed."""
+        return list(self.terms)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -226,9 +212,7 @@ def envelope(rule_terms, log_q=ZERO) -> TradeoffCurve:
 
     Each item of `rule_terms` is one rule's term list, and every rule must
     be served, each by its best term: a rule whose terms all have space
-    exponent 0 holds the curve at its value for every budget.  Callers that
-    allow answering from scratch attach that term to each rule, as
-    `RuleTradeoff.with_scratch` does.
+    exponent 0 holds the curve at its value for every budget.
 
     The grid holds 0, every line's zero and every positive crossing of two
     lines.  A max of mins of lines bends only where two lines cross and

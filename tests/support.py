@@ -26,6 +26,8 @@ something the pipeline computes, or a sampler that probes it:
 - `dense_tableau` and `gauss_jordan_pivot`: the real values of the exact
   simplex's fraction-free sparse tableau, and a dense Fraction pivot on
   them, the reference its `_pivot` kernel is checked against.
+- `random_cqap`: seeded random query texts, which the whole pipeline must
+  take from text to envelope with every term proved.
 """
 
 from __future__ import annotations
@@ -417,18 +419,10 @@ def tradeoff_from_edge_cover(q: Cqap, u) -> TradeoffTerm:
     full = q.vars_all
     weights = _check_cover(q, u, full)
     if q.access == full:
-        storage = sum(
-            w * _atom_cardinalities(q)[a.varset].n
-            for a, w in zip(q.atoms, weights)
-        )
-        return TradeoffTerm(
-            space_exp=ZERO,
-            rhs=LogBound(q=ONE),
-            note=(
-                "degenerate: the access set covers every variable; storing "
-                f"the requested projection needs at most N^{storage}"
-            ),
-        )
+        # degenerate: the access set covers every variable, so a request is
+        # answered by lookups alone, and storing the requested projection
+        # needs at most N^(sum of w_F * log|R_F|)
+        return TradeoffTerm(space_exp=ZERO, rhs=LogBound(q=ONE))
     if q.head == q.access:
         return _cover_term(q, [full], [q.access], [weights])
     system = JointSystem(q)
@@ -512,3 +506,49 @@ def gauss_jordan_pivot(rows: list[list[Fraction]], r: int, col: int) -> list[lis
     """
     prow = [v / rows[r][col] for v in rows[r]]
     return [prow if i == r else [a - row[col] * b for a, b in zip(row, prow)] for i, row in enumerate(rows)]
+
+
+# ═══════════════════════════════════════════════════════════════════════════
+# Generated queries
+# ═══════════════════════════════════════════════════════════════════════════
+
+
+def random_cqap(rng: random.Random) -> str:
+    """The text of a random CQAP, for checks over the whole pipeline.
+
+    3-5 variables x1..xn and 2-4 atoms of arity 2-3 that together use every
+    variable; one atom in four reuses an earlier relation of its arity (a
+    self-join).  Each relation has size N^1, N^1/2 or N^3/2, and about 30% of
+    them carry a degree bound (xi -> xi,xj) <= 1 or <= N^1/2 on two of their
+    arguments.  The access set is a random nonempty subset of the variables,
+    and the head a random superset of it.
+    """
+    n = rng.randint(3, 5)
+    while True:
+        atoms: list[tuple[str, tuple[int, ...]]] = []
+        for _ in range(rng.randint(2, 4)):
+            args = tuple(rng.sample(range(n), rng.randint(2, 3)))
+            same = [r for r, a in atoms if len(a) == len(args)]
+            rel = rng.choice(same) if same and rng.random() < 0.25 else None
+            if rel is None or (rel, args) in atoms:
+                rel = f"R{len(atoms) + 1}"
+            atoms.append((rel, args))
+        if len({v for _, args in atoms for v in args}) == n:
+            break
+    access = [v for v in range(n) if rng.random() < 0.4] or [rng.randrange(n)]
+    head = [v for v in range(n) if v in access or rng.random() < 0.3]
+
+    def names(vs):
+        return ", ".join(f"x{v + 1}" for v in vs)
+
+    body = ", ".join(f"{r}({names(args)})" for r, args in atoms)
+    lines = [f"g({names(head)} | {names(access)}) :- {body}."]
+    first = {}
+    for r, args in atoms:
+        first.setdefault(r, args)
+    for r, args in first.items():
+        lines.append(f"dc {r}: size = N^{rng.choice(['1', '1/2', '3/2'])}")
+        if rng.random() < 0.3:
+            x, y = (f"x{v + 1}" for v in rng.sample(args, 2))
+            lines.append(f"dc {r}: ({x} -> {x},{y}) <= {rng.choice(['1', 'N^1/2'])}")
+    return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction as F
+import json
 from pathlib import Path
 import random
 import re
@@ -35,7 +36,7 @@ from cqap.proofs import (
     sequence_to_json,
     validate,
 )
-from cqap.queries import load_query
+from cqap.queries import QueryError, load_query
 from cqap.relalg import vs_str
 
 from support import derive_witness, eval_cond_vec, prove, replay_values, sample_polymatroid
@@ -364,6 +365,29 @@ def test_corpus_bundle_validates(path):
 def test_corpus_bundle_serialization_is_stable(path):
     qname, var_names, seqs = bundle_from_json(path.read_text())
     assert bundle_to_json(seqs, query=qname, var_names=var_names) == path.read_text()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({}, "bundle has no 'vars'"),
+        ({"vars": ["x1"]}, "bundle has no 'sequences'"),
+        ({"vars": ["x1"], "sequences": [{"target": []}]}, "sequence 0 of the bundle has no 'initial'"),
+        (
+            {"vars": ["x1"], "sequences": [{"initial": [{"set": ["x1"]}], "target": []}]},
+            "term {'set': ['x1']} in the initial of sequence 0 of the bundle has no 'coeff'",
+        ),
+        (
+            {"vars": ["x1"], "sequences": [{"initial": [], "target": [], "steps": [{"kind": "m"}]}]},
+            "step {'kind': 'm'} of sequence 0 of the bundle has no 'x'",
+        ),
+        ({"vars": ["x1"], "sequences": [[]]}, "sequence 0 of the bundle is not a JSON object"),
+    ],
+    ids=["no-vars", "no-sequences", "no-initial", "no-coeff", "no-step-x", "list-sequence"],
+)
+def test_bundle_reader_names_a_missing_key(doc, message):
+    with pytest.raises(QueryError, match=f"^{re.escape(message)}$"):
+        bundle_from_json(json.dumps(doc))
 
 
 def test_sequence_round_trips_through_json():

@@ -47,26 +47,43 @@ def test_names_round_trip(perm, n, data):
 def _plan_doc():
     query = load_query(CORPUS / "queries" / "two_reach.cqap")
     doc = json.loads(pmtds_to_json(enumerate_pmtds(query), query))
-    doc["pmtds"][0]["bags"][0][0] = "w"
-    return pmtds_from_json, json.dumps(doc), query
+    entry = doc["pmtds"][0]
+    entry["bags"][0][0] = "w"
+    return pmtds_from_json, json.dumps(doc), query, f"plan in file {entry}"
 
 
 def _rule_doc():
     query = load_query(CORPUS / "queries" / "two_reach.cqap")
     rules = prune_rules(generate_rules(enumerate_pmtds(query)))
     doc = json.loads(rules_to_json(rules, query))
-    doc["rules"][0]["t"][0][0] = "w"
-    return rules_from_json, json.dumps(doc), query
+    entry = doc["rules"][0]
+    entry["t"][0][0] = "w"
+    return rules_from_json, json.dumps(doc), query, f"rule in file {entry}"
 
 
 def _bundle_doc():
     doc = json.loads((CORPUS / "proofs" / "two_reach.json").read_text())
-    doc["sequences"][0]["initial"][0]["set"][0] = "w"
-    return (lambda text, _: bundle_from_json(text)), json.dumps(doc), None
+    entry = doc["sequences"][0]["initial"][0]
+    entry["set"][0] = "w"
+    where = f"term {entry} in the initial of sequence 0 of the bundle"
+    return (lambda text, _: bundle_from_json(text)), json.dumps(doc), None, where
 
 
-@pytest.mark.parametrize("make", [_plan_doc, _rule_doc, _bundle_doc], ids=["plans", "rules", "bundle"])
+READERS = [_plan_doc, _rule_doc, _bundle_doc]
+READER_IDS = ["plans", "rules", "bundle"]
+
+
+@pytest.mark.parametrize("make", READERS, ids=READER_IDS)
 def test_readers_name_an_unknown_variable(make):
-    read, text, query = make()
-    with pytest.raises(QueryError, match=r"^unknown variable 'w'$"):
+    read, text, query, where = make()
+    with pytest.raises(QueryError) as exc:
+        read(text, query)
+    assert str(exc.value) == f"unknown variable 'w' in {where}"
+
+
+@pytest.mark.parametrize("text", ["[]", '"pmtds"', "1"])
+@pytest.mark.parametrize("make", READERS, ids=READER_IDS)
+def test_readers_reject_a_file_that_is_not_a_json_object(make, text):
+    read, _, query, _ = make()
+    with pytest.raises(QueryError, match=r"^(plan file|rule file|bundle) is not a JSON object$"):
         read(text, query)

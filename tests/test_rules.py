@@ -511,3 +511,15 @@ def test_rules_json_names_a_missing_key_or_another_query():
         with pytest.raises(QueryError, match=rf"^rule in file .* has no '{side}'$") as exc:
             rules_from_json(json.dumps({**doc, "rules": [entry]}), query)
         assert repr(entry) in str(exc.value)
+
+
+def test_rules_json_names_the_rule_with_an_unknown_variable():
+    # the message names the one rule that holds the unknown name, not another
+    query = q("three_reach")
+    doc = json.loads(rules_to_json(prune_rules(generate_rules(enumerate_pmtds(query))), query))
+    first, last = doc["rules"][0], doc["rules"][-1]
+    last["s"][-1] = ["x1", "y"]
+    with pytest.raises(QueryError, match=r"^unknown variable 'y' in rule in file ") as exc:
+        rules_from_json(json.dumps(doc), query)
+    assert str(exc.value).endswith(repr(last))
+    assert repr(first) not in str(exc.value)
