@@ -52,10 +52,8 @@ class DecompositionError(ValueError):
 class TreeDecomp:
     """A rooted tree of bags; node 0 is the root, parent[0] == -1.
 
-    Nodes are in preorder with siblings ordered by bag value, so equal trees
-    compare equal structurally.  Preorder puts every parent before its
-    children (`parent[i] < i`), so of any connected node set the first node
-    is its top, and every other node has its parent in the set.
+    Nodes are in preorder (`parent[i] < i`), so of any connected node set
+    the first node is its top and every other node has its parent in the set.
     """
 
     bags: tuple[VarSet, ...]
@@ -109,27 +107,6 @@ class TreeDecomp:
             if any(not self.bags[self.parent[t]] >> v & 1 for t in holders[1:]):
                 problems.append(f"variable {v} induces a disconnected bag set")
         return problems
-
-
-def canonical_tree(bags: list[VarSet], parent: list[int]) -> TreeDecomp:
-    """Relabel to preorder with sibling order by bag value."""
-    kids: dict[int, list[int]] = {}
-    for i, p in enumerate(parent):
-        kids.setdefault(p, []).append(i)
-
-    order: list[int] = []
-
-    def walk(t: int) -> None:
-        order.append(t)
-        for c in sorted(kids.get(t, []), key=lambda c: (bags[c], c)):
-            walk(c)
-
-    walk(kids[-1][0] if -1 in kids else 0)
-    new_of = {old: new for new, old in enumerate(order)}
-    return TreeDecomp(
-        tuple(bags[o] for o in order),
-        tuple(-1 if parent[o] == -1 else new_of[parent[o]] for o in order),
-    )
 
 
 def is_free_connex(td: TreeDecomp, head: VarSet) -> bool:
@@ -301,9 +278,9 @@ def enumerate_tds(q: Cqap) -> list[TreeDecomp]:
 
     Root bags are the access set plus any other variables; children are grown
     per connected component of uncovered edges, always containing the
-    component's interface and at least one newly covered edge.  Raises
-    `DecompositionError` once more than `TD_CAP` partial decompositions
-    have been built.
+    component's interface and at least one newly covered edge.  No tree
+    comes twice, even up to sibling order.  Raises `DecompositionError` once
+    more than `TD_CAP` partial decompositions have been built.
     """
     edges = sorted(set(q.edge_sets()))
     budget = [TD_CAP]
@@ -314,9 +291,9 @@ def enumerate_tds(q: Cqap) -> list[TreeDecomp]:
             continue
         rest = [e for e in edges if not subset(e, root)]
         for forest in _grow(root, rest, budget):
-            bags = [root] + [b for b, _ in forest]
-            parent = [-1] + [0 if o == -1 else o + 1 for _, o in forest]
-            out.append(canonical_tree(bags, parent))
+            bags = (root,) + tuple(b for b, _ in forest)
+            parent = (-1,) + tuple(0 if o == -1 else o + 1 for _, o in forest)
+            out.append(TreeDecomp(bags, parent))
     return out
 
 
@@ -371,7 +348,7 @@ def pmtds_from_json(text: str, q: Cqap) -> list[Pmtd]:
     plans = []
     for entry in file_entries(text, q, "plan file", "pmtds"):
         what = f"plan in file {entry}"
-        bags, parent, in_m = fields_of(entry, what, "bags", "parent", "in_m")
+        bags, parent, in_m = fields_of(entry, what, "bags", "parent", "in_m", lists=True)
         bags = [varset_of(bag, q.var_names, what) for bag in bags]
         if len(in_m) != len(bags):
             raise QueryError(

@@ -22,13 +22,12 @@ divisor, to nonzeros only.  The divisions are exact (tableau entries stay
 subdeterminants of the integer input), Python's big integers absorb the
 growth, and ratio tests compare cross products, so no Fraction arithmetic
 happens in the inner loops.  The Shannon programs stay sparse while solved,
-and `_pivot` takes three branches on what that leaves to do.  Over one pass
+and `_pivot` takes two branches on what that leaves to do.  Over one pass
 of each of the benchmark's LP workloads (530 pivots), 4.7% of the rows'
 cells were nonzero at a pivot and 18% of the other rows had a nonzero in
 the entering column.  94% of the pivots had p == d: then p*a/d is a, so
-only those rows change, and only on the pivot row's columns.  In 73% d was
-also 1, and the update a - f*b needs no division.  The other 6% scale every
-row by p/d.
+only those rows change, and only on the pivot row's columns.  The other 6%
+scale every row by p/d.
 
 The slack basis.  Each row is scaled into a "<=" row, a ">=" row by a
 negative scale, and row i's slack sits at column nvars + i, basic at the
@@ -305,8 +304,7 @@ class _Simplex:
         p is the pivot, d the divisor, f a row's entry in col and b the
         pivot row's entry in a's column.  When p == d, p*a/d is a, so only
         the rows with a nonzero in col change, and only on the pivot row's
-        columns; when d is also 1 nothing is divided.  Otherwise every row
-        is rebuilt.
+        columns.  Otherwise every row is rebuilt.
         """
         tab = self.tab
         prow = tab[r]
@@ -314,25 +312,14 @@ class _Simplex:
         d = self.div
         items = list(prow.items())
         if p == d:
-            touched = [row for row in tab if col in row and row is not prow]
-            if d == 1:
-                for row in touched:
-                    f, get = row[col], row.get
-                    for j, b in items:
-                        v = get(j, 0) - f * b
-                        if v:
-                            row[j] = v
-                        else:
-                            del row[j]
-            else:
-                for row in touched:
-                    f, get = row[col], row.get
-                    for j, b in items:
-                        v = get(j, 0) - f * b // d
-                        if v:
-                            row[j] = v
-                        else:
-                            del row[j]
+            for row in [row for row in tab if col in row and row is not prow]:
+                f, get = row[col], row.get
+                for j, b in items:
+                    v = get(j, 0) - f * b // d
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
         else:
             for i, row in enumerate(tab):
                 if row is prow:
@@ -605,8 +592,7 @@ class _Simplex:
             v = sum(map(mul, map(row.get, cols, repeat(0)), weights))
             if key in row:
                 v += scale * row[key]
-            if was_scale != 1:
-                v //= was_scale
+            v //= was_scale
             if v:
                 row[key] = v
             else:

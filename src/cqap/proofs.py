@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .queries import fields_of, varset_of
+from .queries import QueryError, fields_of, varset_of
 from .relalg import VarSet, names_of, term_str
 
 log = logging.getLogger(__name__)
@@ -460,8 +460,11 @@ def vec_from_json(items, var_names: list[str], what: str = "vector") -> CondVec:
         x = varset_of(it.get("given", []), var_names, entry)
         y = varset_of(names, var_names, entry)
         if x & ~y:
-            raise ValueError("conditioning set must lie inside the set")
-        vec[(x, y)] = vec.get((x, y), ZERO) + Fraction(coeff)
+            raise QueryError(f"{entry} has a 'given' outside its 'set'")
+        try:
+            vec[(x, y)] = vec.get((x, y), ZERO) + Fraction(coeff)
+        except (TypeError, ValueError, ArithmeticError):
+            raise QueryError(f"{entry} has 'coeff' that is not a number") from None
     return vec
 
 
@@ -477,7 +480,10 @@ def step_to_json(step: ProofStep, var_names: list[str]) -> dict:
 def step_from_json(doc: dict, var_names: list[str], what: str = "step") -> ProofStep:
     kind, x, y, weight = fields_of(doc, what, "kind", "x", "y", "weight")
     x, y = (varset_of(names, var_names, what) for names in (x, y))
-    return ProofStep(kind, x, y, Fraction(weight))
+    try:
+        return ProofStep(kind, x, y, weight)
+    except (TypeError, ValueError, ArithmeticError) as e:
+        raise QueryError(f"{e} in {what}") from None
 
 
 def sequence_to_json(ps: ProofSequence, var_names: list[str]) -> dict:
@@ -490,11 +496,12 @@ def sequence_to_json(ps: ProofSequence, var_names: list[str]) -> dict:
 
 
 def sequence_from_json(doc: dict, var_names: list[str], what: str = "sequence") -> ProofSequence:
-    initial, target = fields_of(doc, what, "initial", "target")
+    initial, target = fields_of(doc, what, "initial", "target", lists=True)
+    [steps] = fields_of({"steps": [], **doc}, what, "steps", lists=True)
     return ProofSequence(
         initial=vec_from_json(initial, var_names, f"the initial of {what}"),
         target=vec_from_json(target, var_names, f"the target of {what}"),
-        steps=[step_from_json(s, var_names, f"step {s} of {what}") for s in doc.get("steps", [])],
+        steps=[step_from_json(s, var_names, f"step {s} of {what}") for s in steps],
         name=doc.get("name", ""),
     )
 
@@ -510,8 +517,7 @@ def bundle_to_json(sequences, *, query: str, var_names: list[str]) -> str:
 
 def bundle_from_json(text: str) -> tuple[str, list[str], list[ProofSequence]]:
     doc = json.loads(text)
-    var_names, sequences = fields_of(doc, "bundle", "vars", "sequences")
-    var_names = list(var_names)
+    var_names, sequences = fields_of(doc, "bundle", "vars", "sequences", lists=True)
     seqs = [
         sequence_from_json(d, var_names, f"sequence {i} of the bundle")
         for i, d in enumerate(sequences)

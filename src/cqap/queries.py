@@ -41,33 +41,39 @@ class QueryError(ValueError):
 
 
 def varset_of(names: Iterable[str], var_names: Sequence[str], what: str = "") -> VarSet:
-    """The set of the named variables; an unknown name raises QueryError,
-    naming `what` (the entry that holds the names) when it is given."""
+    """The set of the named variables; a value that is not a list of names,
+    or an unknown name, raises QueryError naming `what` (the entry that
+    holds the names) when it is given."""
+    where = f" in {what}" if what else ""
+    if isinstance(names, (str, dict)) or not isinstance(names, Iterable):
+        raise QueryError(f"{names!r}{where} is not a list of variable names")
     m = 0
     for name in names:
         try:
             m |= 1 << var_names.index(name)
         except ValueError:
-            where = f" in {what}" if what else ""
             raise QueryError(f"unknown variable {name!r}{where}") from None
     return m
 
 
-def fields_of(doc: dict, what: str, *keys: str) -> list:
-    """doc's values under `keys`; a doc that is not a JSON object, or a
-    missing key, raises QueryError naming `what` and the key."""
+def fields_of(doc: dict, what: str, *keys: str, lists: bool = False) -> list:
+    """doc's values under `keys`; a doc that is not a JSON object, a missing
+    key, or with `lists` a value that is not a JSON list, raises QueryError
+    naming `what` and the key."""
     if not isinstance(doc, dict):
         raise QueryError(f"{what} is not a JSON object")
     if missing := [k for k in keys if k not in doc]:
         raise QueryError(f"{what} has no {missing[0]!r}")
+    if lists and (bad := [k for k in keys if not isinstance(doc[k], list)]):
+        raise QueryError(f"{what} has {bad[0]!r} that is not a list")
     return [doc[k] for k in keys]
 
 
 def file_entries(text: str, q: Cqap, what: str, key: str) -> list:
-    """The entries under `key` of a JSON file for q; a file that is not a
-    JSON object or is for another query raises QueryError."""
+    """The list under `key` of a JSON file for q; any other file, or one for
+    another query, raises QueryError."""
     doc = json.loads(text)
-    [entries] = fields_of(doc, what, key)
+    [entries] = fields_of(doc, what, key, lists=True)
     if doc.get("query") not in (None, q.name):
         raise QueryError(f"{what} is for query {doc.get('query')!r}, not {q.name!r}")
     return entries

@@ -164,7 +164,7 @@ def rules_from_json(text: str, q: Cqap) -> list[TwoPhaseRule]:
     rules = []
     for entry in file_entries(text, q, "rule file", "rules"):
         what = f"rule in file {entry}"
-        s, t = fields_of(entry, what, "s", "t")
+        s, t = fields_of(entry, what, "s", "t", lists=True)
         rules.append(
             TwoPhaseRule(
                 s_targets=frozenset(varset_of(names, q.var_names, what) for names in s),

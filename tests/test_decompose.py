@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,10 @@ from cqap.decompose import (
     pmtds_from_json,
     pmtds_to_json,
 )
-from cqap.queries import QueryError, load_query
+from cqap.queries import QueryError, load_query, parse_query
 from cqap.relalg import names_of, vs
+
+from support import random_cqap
 
 ROOT = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -274,10 +277,15 @@ def test_plan_json_needs_one_in_m_flag_per_bag():
         ("bags", None, r"^plan in file .* has no 'bags'$"),
         ("parent", None, r"^plan in file .* has no 'parent'$"),
         ("in_m", None, r"^plan in file .* has no 'in_m'$"),
+        ("bags", 3, r"^plan in file .* has 'bags' that is not a list$"),
+        ("parent", 3, r"^plan in file .* has 'parent' that is not a list$"),
+        ("in_m", 3, r"^plan in file .* has 'in_m' that is not a list$"),
+        ("bags", [3, ["x2", "x3"]], r"^3 in plan in file .* is not a list of variable names$"),
     ],
     ids=[
         "short-parent", "child-before-parent", "string-parent", "bool-parent", "string-flag",
-        "int-flag", "no-bags", "no-parent", "no-flags",
+        "int-flag", "no-bags", "no-parent", "no-flags", "int-bags", "int-parent", "int-flags",
+        "int-bag",
     ],
 )
 def test_plan_json_names_the_entry_with_a_malformed_parent_or_flag(field, value, problem):
@@ -298,13 +306,33 @@ def test_plan_json_names_a_missing_plan_list_or_another_query():
     query = q("two_reach")
     with pytest.raises(QueryError, match=r"^plan file has no 'pmtds'$"):
         pmtds_from_json(json.dumps({"query": "two_reach"}), query)
+    with pytest.raises(QueryError, match=r"^plan file has 'pmtds' that is not a list$"):
+        pmtds_from_json(json.dumps({"pmtds": 5}), query)
     with pytest.raises(QueryError, match=r"^plan file is for query 'square', not 'two_reach'$"):
         pmtds_from_json(json.dumps({"query": "square", "pmtds": []}), query)
 
 
+def sibling_free_shape(td: TreeDecomp, t: int = 0) -> tuple:
+    """The subtree at node t as (bag, sorted child shapes): equal exactly
+    for trees that differ only in the order of siblings."""
+    kids = [c for c, p in enumerate(td.parent) if p == t]
+    return (td.bags[t], tuple(sorted(sibling_free_shape(td, c) for c in kids)))
+
+
 def test_enumerated_plans_are_valid():
-    for name in ["two_reach", "three_reach", "square", "hierarchical"]:
-        query = q(name)
+    # every corpus query and the first 40 generated ones; enumeration never
+    # yields one tree twice, even with its siblings reordered, so the trees
+    # need no relabelling to a canonical form
+    queries = [q(path.stem) for path in sorted((ROOT / "queries").glob("*.cqap"))]
+    queries += [parse_query(random_cqap(random.Random(seed))) for seed in range(40)]
+    for query in queries:
+        tds = enumerate_tds(query)
+        for td in tds:
+            assert td.validate(query.edge_sets()) == [], (query.name, td)
+            assert all(0 <= p < i for i, p in enumerate(td.parent) if i), (query.name, td)
+            assert query.access & ~td.bags[0] == 0, (query.name, td)
+        shapes = [sibling_free_shape(td) for td in tds]
+        assert len(set(shapes)) == len(shapes), query.name
         for p in enumerate_pmtds(query):
             assert p.td.validate(query.edge_sets()) == []
             assert is_free_connex(p.td, query.head)

@@ -594,8 +594,9 @@ def pivot_branches(problem, picks):
 
 
 TWO_ROWS = ([1, 1], [([2, 1], "<=", 4), ([1, 3], "<=", 6)])
-# one pick sequence per branch of `_pivot`: p = 1 on the slack basis; p = 2
-# there, then p == d == 2 on the second row's slack
+# pick sequences that take both branches of `_pivot`, the p == d one at
+# d = 1 and at d != 1: p = 1 on the slack basis; p = 2 there, then
+# p == d == 2 on the second row's slack
 PIVOT_EXAMPLES = [
     (TWO_ROWS, [(1, 0)], {"p == d == 1"}),
     (TWO_ROWS, [(0, 0), (1, 2)], {"p != d", "p == d != 1"}),

@@ -3,7 +3,8 @@
 Every other pinned output comes from a few hand-written queries.  Here
 `support.random_cqap` draws queries with self-joins, degree bounds and
 sizes N^1/2, N^1 and N^3/2, and each goes from text to pruned rules, their
-terms, proofs and envelope.  A failing query's text is printed first, so it
+terms, proofs and envelope, with each term's line checked against a fresh
+joint solve.  A failing query's text is printed first, so it
 shows in the report and can be pasted into a test.
 """
 
@@ -21,7 +22,7 @@ from cqap.rules import generate_rules, prune_rules
 from cqap.shannon import JointSystem, solve_joint_lp
 from cqap.tradeoffs import envelope, rule_tradeoff
 
-from support import random_cqap
+from support import joint_solve_at, random_cqap
 
 GENERATED = 40
 
@@ -35,9 +36,16 @@ def test_generated_query_from_text_to_envelope(seed):
     assert print_query(parse_query(printed)) == printed
     system = JointSystem(query)
     curves = [rule_tradeoff(r, system) for r in prune_rules(generate_rules(enumerate_pmtds(query)))]
-    # every side of every term constructs and validates
     for rt in curves:
         for t in rt.terms:
+            # the term's line is a fresh joint solve's, warm-started from
+            # logS = 0, at its span's midpoint, or at its start when the span
+            # is unbounded
+            lo, hi = t.span
+            at = lo if hi is None else (lo + hi) / 2
+            line = joint_solve_at(rt.rule, system, at).line
+            assert line == t.line(), (rt.rule.pretty(query.var_names), t.pretty(), at, line)
+            # every side of every term constructs and validates
             ext = t.provenance
             sides = [(ext.g_t, ext.lam, ext.sigma_t, ext.mu_t)]
             if ext.theta:

@@ -367,6 +367,10 @@ def test_corpus_bundle_serialization_is_stable(path):
     assert bundle_to_json(seqs, query=qname, var_names=var_names) == path.read_text()
 
 
+# a valid step, spoiled one field at a time below
+STEP = {"kind": "monotonicity", "x": ["x1"], "y": ["x1", "x2"], "weight": "1"}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -382,8 +386,46 @@ def test_corpus_bundle_serialization_is_stable(path):
             "step {'kind': 'm'} of sequence 0 of the bundle has no 'x'",
         ),
         ({"vars": ["x1"], "sequences": [[]]}, "sequence 0 of the bundle is not a JSON object"),
+        ({"vars": ["x1"], "sequences": 5}, "bundle has 'sequences' that is not a list"),
+        ({"vars": "x1", "sequences": []}, "bundle has 'vars' that is not a list"),
+        (
+            {"vars": ["x1"], "sequences": [{"initial": 5, "target": []}]},
+            "sequence 0 of the bundle has 'initial' that is not a list",
+        ),
+        (
+            {"vars": ["x1"], "sequences": [{"initial": [], "target": [], "steps": 5}]},
+            "sequence 0 of the bundle has 'steps' that is not a list",
+        ),
+        (
+            {"vars": ["x1"], "sequences": [{"initial": [{"set": ["x1"], "coeff": "a"}], "target": []}]},
+            "term {'set': ['x1'], 'coeff': 'a'} in the initial of sequence 0 of the bundle"
+            " has 'coeff' that is not a number",
+        ),
+        (
+            {"vars": ["x1", "x2"], "sequences": [
+                {"initial": [], "target": [{"given": ["x2"], "set": ["x1"], "coeff": "1"}]}
+            ]},
+            "term {'given': ['x2'], 'set': ['x1'], 'coeff': '1'} in the target of sequence 0"
+            " of the bundle has a 'given' outside its 'set'",
+        ),
+        (
+            {"vars": ["x1", "x2"], "sequences": [{"initial": [], "target": [], "steps": [STEP | {"kind": "magic"}]}]},
+            f"unknown step kind 'magic' in step {STEP | {'kind': 'magic'}} of sequence 0 of the bundle",
+        ),
+        (
+            {"vars": ["x1", "x2"], "sequences": [{"initial": [], "target": [], "steps": [STEP | {"weight": "-1"}]}]},
+            f"step weight must be positive in step {STEP | {'weight': '-1'}} of sequence 0 of the bundle",
+        ),
+        (
+            {"vars": ["x1", "x2"], "sequences": [{"initial": [], "target": [], "steps": [STEP | {"weight": "a"}]}]},
+            f"Invalid literal for Fraction: 'a' in step {STEP | {'weight': 'a'}} of sequence 0 of the bundle",
+        ),
     ],
-    ids=["no-vars", "no-sequences", "no-initial", "no-coeff", "no-step-x", "list-sequence"],
+    ids=[
+        "no-vars", "no-sequences", "no-initial", "no-coeff", "no-step-x", "list-sequence",
+        "int-sequences", "string-vars", "int-initial", "int-steps", "string-coeff",
+        "given-outside-set", "unknown-kind", "negative-weight", "string-weight",
+    ],
 )
 def test_bundle_reader_names_a_missing_key(doc, message):
     with pytest.raises(QueryError, match=f"^{re.escape(message)}$"):

@@ -44,27 +44,31 @@ def test_names_round_trip(perm, n, data):
     assert varset_of(reversed(got), names) == mask
 
 
-def _plan_doc():
+# each maker spoils one variable list of a reader's file: its first name
+# becomes "w", or the whole list becomes `names` when that is given
+
+
+def _plan_doc(names=None):
     query = load_query(CORPUS / "queries" / "two_reach.cqap")
     doc = json.loads(pmtds_to_json(enumerate_pmtds(query), query))
     entry = doc["pmtds"][0]
-    entry["bags"][0][0] = "w"
+    entry["bags"][0] = ["w", *entry["bags"][0][1:]] if names is None else names
     return pmtds_from_json, json.dumps(doc), query, f"plan in file {entry}"
 
 
-def _rule_doc():
+def _rule_doc(names=None):
     query = load_query(CORPUS / "queries" / "two_reach.cqap")
     rules = prune_rules(generate_rules(enumerate_pmtds(query)))
     doc = json.loads(rules_to_json(rules, query))
     entry = doc["rules"][0]
-    entry["t"][0][0] = "w"
+    entry["t"][0] = ["w", *entry["t"][0][1:]] if names is None else names
     return rules_from_json, json.dumps(doc), query, f"rule in file {entry}"
 
 
-def _bundle_doc():
+def _bundle_doc(names=None):
     doc = json.loads((CORPUS / "proofs" / "two_reach.json").read_text())
     entry = doc["sequences"][0]["initial"][0]
-    entry["set"][0] = "w"
+    entry["set"] = ["w", *entry["set"][1:]] if names is None else names
     where = f"term {entry} in the initial of sequence 0 of the bundle"
     return (lambda text, _: bundle_from_json(text)), json.dumps(doc), None, where
 
@@ -79,6 +83,16 @@ def test_readers_name_an_unknown_variable(make):
     with pytest.raises(QueryError) as exc:
         read(text, query)
     assert str(exc.value) == f"unknown variable 'w' in {where}"
+
+
+@pytest.mark.parametrize("names", [3, "x1", {"x1": 1}], ids=["int", "string", "object"])
+@pytest.mark.parametrize("make", READERS, ids=READER_IDS)
+def test_readers_name_a_variable_list_that_is_not_a_list(make, names):
+    # neither a string's characters nor an object's keys are read as names
+    read, text, query, where = make(names)
+    with pytest.raises(QueryError) as exc:
+        read(text, query)
+    assert str(exc.value).endswith(f" in {where} is not a list of variable names")
 
 
 @pytest.mark.parametrize("text", ["[]", '"pmtds"', "1"])

@@ -505,12 +505,34 @@ def test_rules_json_names_a_missing_key_or_another_query():
         rules_from_json(json.dumps(doc), q("three_reach"))
     with pytest.raises(QueryError, match=r"^rule file has no 'rules'$"):
         rules_from_json(json.dumps({"query": "two_reach"}), query)
+    with pytest.raises(QueryError, match=r"^rule file has 'rules' that is not a list$"):
+        rules_from_json(json.dumps({"rules": 5}), query)
     for side in ("s", "t"):
         entry = dict(doc["rules"][0])
         del entry[side]
         with pytest.raises(QueryError, match=rf"^rule in file .* has no '{side}'$") as exc:
             rules_from_json(json.dumps({**doc, "rules": [entry]}), query)
         assert repr(entry) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "side, value, problem",
+    [
+        ("t", 3, r"has 't' that is not a list$"),
+        ("s", "x1", r"has 's' that is not a list$"),
+        ("t", [3], r"^3 in rule in file .* is not a list of variable names$"),
+        ("t", ["x1"], r"^'x1' in rule in file .* is not a list of variable names$"),
+    ],
+    ids=["int-side", "string-side", "int-target", "string-target"],
+)
+def test_rules_json_names_the_rule_with_a_value_of_the_wrong_type(side, value, problem):
+    query = q("two_reach")
+    doc = json.loads(rules_to_json(prune_rules(generate_rules(enumerate_pmtds(query))), query))
+    entry = doc["rules"][0]
+    entry[side] = value
+    with pytest.raises(QueryError, match=problem) as exc:
+        rules_from_json(json.dumps(doc), query)
+    assert repr(entry) in str(exc.value)
 
 
 def test_rules_json_names_the_rule_with_an_unknown_variable():
