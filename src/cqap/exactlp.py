@@ -20,14 +20,16 @@ under the key ncols; only the objective row is dense.  Every pivot applies
 the two-by-two minor update  (p*a - f*b) / d  with the previous pivot as
 divisor, to nonzeros only.  The divisions are exact (tableau entries stay
 subdeterminants of the integer input), Python's big integers absorb the
-growth, and ratio tests compare cross products, so no Fraction arithmetic
-happens in the inner loops.  The Shannon programs stay sparse while solved,
-and `_pivot` takes two branches on what that leaves to do.  Over one pass
-of each of the benchmark's LP workloads (530 pivots), 4.7% of the rows'
-cells were nonzero at a pivot and 18% of the other rows had a nonzero in
-the entering column.  94% of the pivots had p == d: then p*a/d is a, so
-only those rows change, and only on the pivot row's columns.  The other 6%
-scale every row by p/d.
+growth, and one comparison, `_least_ratios`, serves all four ratio tests
+(phase 2's leaving row, `_entering`, `_steepest` and the walk's breakpoint):
+it compares cross products and returns every tie in order for the caller's
+own tie-break, so no Fraction arithmetic happens in the inner loops.  The
+Shannon programs stay sparse while solved, and `_pivot` takes two branches
+on what that leaves to do.  Over one pass of each of the benchmark's LP
+workloads (530 pivots), 4.7% of the rows' cells were nonzero at a pivot and
+18% of the other rows had a nonzero in the entering column.  94% of the
+pivots had p == d: then p*a/d is a, so only those rows change, and only on
+the pivot row's columns.  The other 6% scale every row by p/d.
 
 The slack basis.  Each row is scaled into a "<=" row, a ">=" row by a
 negative scale, and row i's slack sits at column nvars + i, basic at the
@@ -88,9 +90,9 @@ sides move to b + t*d, from t = 0 up (right-side ranging: Gass & Saaty,
 1955).  A copy of the tableau re-aims its direction column at d, as a warm
 start moves its right sides, so each basis gives its exact line, value =
 intercept + slope*t, off the objective row's two right-side entries, and
-row i's basic value moves as rhs_i + t*dir_i (over the scales).  The basis stays optimal up to the least
-ratio rhs_i / -dir_i over the rows with dir_i < 0, an exact cross-multiplied
-ratio test; there such a row leaves by a dual simplex pivot, its entering
+row i's basic value moves as rhs_i + t*dir_i (over the scales).  The basis
+stays optimal up to the least ratio rhs_i / -dir_i over the rows with
+dir_i < 0; there such a row leaves by a dual simplex pivot, its entering
 column chosen by `_entering`, the ratio test the dual phase uses, so every
 reduced cost stays nonnegative.  The walk ends where a leaving row has no
 negative entry: beyond it the program is infeasible.  Tied leaving rows go by
@@ -243,6 +245,20 @@ def _rational(v):
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
+def _least_ratios(candidates: Iterable[tuple]) -> tuple[list, Fraction | None]:
+    """Of (key, num, den) triples, den > 0, the keys tied for the least num/den, in order.
+
+    With them comes that ratio, None when there are no candidates."""
+    ties: list = []
+    num, den = 0, 1  # the least ratio so far
+    for key, n, d in candidates:
+        if not ties or n * den < num * d:
+            ties, num, den = [key], n, d
+        elif n * den == num * d:
+            ties.append(key)
+    return ties, Fraction(num, den) if ties else None
+
+
 def _parse_coeffs(i: int, coeffs: tuple, nvars: int) -> list[tuple[int, Fraction | int]]:
     """Row i's nonzero (column, rational) pairs, each column checked once."""
     seen, nonzero = set(), []
@@ -387,23 +403,11 @@ class _Simplex:
             entering = costs.index(best) if best < 0 else -1
         if entering < 0:
             return "optimal"
-        leaving = -1
-        num = den = 0  # best ratio so far as num/den with den > 0
-        for i, row in enumerate(self.tab):
-            rd = row.get(entering, 0)
-            if rd <= 0:
-                continue
-            rn = row.get(self.ncols, 0)
-            if (
-                leaving < 0
-                or rn * den < num * rd
-                or (rn * den == num * rd and self.basis[i] < self.basis[leaving])
-            ):
-                num, den = rn, rd
-                leaving = i
-        if leaving < 0:
+        ties, _ = _least_ratios((i, row.get(self.ncols, 0), row[entering])
+                                for i, row in enumerate(self.tab) if row.get(entering, 0) > 0)
+        if not ties:
             return "unbounded"
-        return leaving, entering
+        return min(ties, key=self.basis.__getitem__), entering
 
     def _dual_step(self, obj: list[int], bland: bool, key: int):
         """A row negative under `key` leaves, by `_steepest` on that column.
@@ -430,23 +434,21 @@ class _Simplex:
 
         The entry is the row's under `key`, a right-side column; the norm
         runs over the row's structural and slack columns, so right-side
-        columns (keys from ncols on) are left out.  Candidates are compared
-        by cross-multiplication, the first row on ties.  A candidate's norm
+        columns (keys from ncols on) are left out.  The largest is the least
+        -entry^2 / |row|^2, the first row on ties.  A candidate's norm
         is summed at C speed when it is needed: keeping every norm current
         in `_pivot` would redo each row a pivot touches, five times as many
         sums on the benchmark's reach programs.
         """
         rhs, dcol = self.ncols, self.ncols + 1
-        best = -1
-        top = bottom = 0  # best entry^2 / norm so far as top/bottom
-        for i in rows:
+
+        def priced(i):
             row = self.tab[i]
             vals = row.values()
             v, b, w = row[key], row.get(rhs, 0), row.get(dcol, 0)
-            norm = sum(map(mul, vals, vals)) - b * b - w * w
-            if best < 0 or v * v * bottom > top * norm:
-                top, bottom, best = v * v, norm, i
-        return best
+            return i, -v * v, sum(map(mul, vals, vals)) - b * b - w * w
+
+        return _least_ratios(map(priced, rows))[0][0]
 
     def _entering(self, obj: list[int], row: dict) -> int:
         """The dual ratio test on a leaving row, or -1 when nothing can enter.
@@ -455,20 +457,8 @@ class _Simplex:
         ratio obj[j] / -entry, smallest index on ties, so every reduced cost
         stays nonnegative.  Right-side columns (keys from ncols on) never enter.
         """
-        rhs = self.ncols
-        entering = -1
-        num = den = 0  # best ratio so far as num/den with den > 0
-        for j, a in row.items():
-            if a >= 0 or j >= rhs:
-                continue
-            if (
-                entering < 0
-                or obj[j] * den < num * -a
-                or (obj[j] * den == num * -a and j < entering)
-            ):
-                num, den = obj[j], -a
-                entering = j
-        return entering
+        ties, _ = _least_ratios((j, obj[j], -a) for j, a in row.items() if a < 0 and j < self.ncols)
+        return min(ties, default=-1)
 
     def _negate(self, r: int):
         self.tab[r] = {j: -a for j, a in self.tab[r].items()}
@@ -632,16 +622,8 @@ class _Simplex:
         at_zero = 0
         seen: set[tuple[int, ...]] | None = set()  # bases met at 0, None once one repeats
         while True:
-            num = den = 0  # least ratio so far as num/den with den > 0
-            ties: list[int] = []
-            for i in [i for i, row in enumerate(self.tab) if row.get(dcol, 0) < 0]:
-                row = self.tab[i]
-                dv, bv = row[dcol], row.get(rhs, 0)
-                if not ties or bv * den < num * -dv:
-                    num, den, ties = bv, -dv, [i]
-                elif bv * den == num * -dv:
-                    ties.append(i)
-            end = Fraction(num, den) if ties else None
+            ties, end = _least_ratios((i, row.get(rhs, 0), -row[dcol])
+                                      for i, row in enumerate(self.tab) if row.get(dcol, 0) < 0)
             if end is None or end > at:
                 scale = self.div * self.cscale
                 line = (

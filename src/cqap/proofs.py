@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .queries import QueryError, fields_of, varset_of
+from .queries import QueryError, fields_of, json_object, varset_of
 from .relalg import VarSet, names_of, term_str
 
 log = logging.getLogger(__name__)
@@ -498,11 +498,13 @@ def sequence_to_json(ps: ProofSequence, var_names: list[str]) -> dict:
 def sequence_from_json(doc: dict, var_names: list[str], what: str = "sequence") -> ProofSequence:
     initial, target = fields_of(doc, what, "initial", "target", lists=True)
     [steps] = fields_of({"steps": [], **doc}, what, "steps", lists=True)
+    if not isinstance(name := doc.get("name", ""), str):
+        raise QueryError(f"{what} has 'name' that is not a string")
     return ProofSequence(
         initial=vec_from_json(initial, var_names, f"the initial of {what}"),
         target=vec_from_json(target, var_names, f"the target of {what}"),
         steps=[step_from_json(s, var_names, f"step {s} of {what}") for s in steps],
-        name=doc.get("name", ""),
+        name=name,
     )
 
 
@@ -516,8 +518,10 @@ def bundle_to_json(sequences, *, query: str, var_names: list[str]) -> str:
 
 
 def bundle_from_json(text: str) -> tuple[str, list[str], list[ProofSequence]]:
-    doc = json.loads(text)
+    doc = json_object(text, "bundle")
     var_names, sequences = fields_of(doc, "bundle", "vars", "sequences", lists=True)
+    if not all(isinstance(v, str) for v in var_names) or len(set(var_names)) < len(var_names):
+        raise QueryError("bundle has 'vars' that is not a list of distinct names")
     seqs = [
         sequence_from_json(d, var_names, f"sequence {i} of the bundle")
         for i, d in enumerate(sequences)

@@ -69,10 +69,21 @@ def fields_of(doc: dict, what: str, *keys: str, lists: bool = False) -> list:
     return [doc[k] for k in keys]
 
 
+def json_object(text: str, what: str) -> dict:
+    """The JSON object in `text`; anything else raises QueryError naming `what`."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        doc = None
+    if not isinstance(doc, dict):
+        raise QueryError(f"{what} is not a JSON object")
+    return doc
+
+
 def file_entries(text: str, q: Cqap, what: str, key: str) -> list:
     """The list under `key` of a JSON file for q; any other file, or one for
     another query, raises QueryError."""
-    doc = json.loads(text)
+    doc = json_object(text, what)
     [entries] = fields_of(doc, what, key, lists=True)
     if doc.get("query") not in (None, q.name):
         raise QueryError(f"{what} is for query {doc.get('query')!r}, not {q.name!r}")

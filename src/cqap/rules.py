@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .decompose import Pmtd
-from .queries import Cqap, fields_of, file_entries, varset_of
+from .queries import Cqap, QueryError, fields_of, file_entries, varset_of
 from .relalg import VarSet, names_of, subset, vs_str
 
 log = logging.getLogger(__name__)
@@ -165,6 +165,8 @@ def rules_from_json(text: str, q: Cqap) -> list[TwoPhaseRule]:
     for entry in file_entries(text, q, "rule file", "rules"):
         what = f"rule in file {entry}"
         s, t = fields_of(entry, what, "s", "t", lists=True)
+        if not s and not t:
+            raise QueryError(f"{what} has no target on either side")
         rules.append(
             TwoPhaseRule(
                 s_targets=frozenset(varset_of(names, q.var_names, what) for names in s),

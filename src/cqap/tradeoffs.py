@@ -15,10 +15,11 @@ sides, so a rule's solve at logS = 0 is its only cold solve.  From that
 basis `shannon.walk_joint_lp` raises logS through every basis change up to
 the storage cap (right-side ranging: Gass & Saaty, 1955), and each basis it
 passes gives one piece's exact line and the breakpoint where the next takes
-over; the last row it meets proves the cap.  A term's request coefficient
-and certificate come from one request probe per piece: a warm solve at the
-piece's midpoint and logQ = 0, started from the piece's first basis on the
-walk, whose ties go toward larger logQ (the lexicographic rule of Dantzig,
+over; the last row it meets proves the cap, and without one the last piece
+stays open.  A term's request coefficient and certificate come from one
+request probe per piece: a warm solve at the piece's midpoint (lo + 1 on an
+open piece) and logQ = 0, started from the piece's first basis on the walk,
+whose ties go toward larger logQ (the lexicographic rule of Dantzig,
 Orden & Wolfe, 1955).  Its basis is optimal at logQ = 0 and just above, so
 its dual line is tight there and its slope in logQ is exact.  The walk is
 fixed by the rule, so the certificates do not depend on other rules or on
@@ -60,9 +61,10 @@ class TradeoffTerm:
     """S^space_exp * T <= N^rhs.n * Q^rhs.q, up to polylog factors.
 
     `span` is the budget range (in units of logN) on which the term is the
-    tight piece of its rule's value function; None when unknown or, for the
-    right end, unbounded.  Identity is the line: span and provenance do not
-    take part in equality or hashing.
+    tight piece of its rule's value function, (0, 0) when the rule's storage
+    cap is 0; None when unknown, and its right end None when the storage side
+    is open (no cap).  Identity is the line: span and provenance do not take
+    part in equality or hashing.
     """
 
     space_exp: Fraction
@@ -124,19 +126,22 @@ class RuleTradeoff:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _pin_request_exponent(system, rule, a, c, m, span, start) -> TradeoffTerm:
-    """Fix the Q coefficient of the piece through (m, a - c*m).
+def _pin_request_exponent(system, rule, a, c, span, start) -> TradeoffTerm:
+    """Fix the Q coefficient of the piece a - c*logS on `span`.
 
     At logQ = 0 alone the request coefficient is undetermined (any value
     prices a slack request row), so the piece is solved once more at
     (logS, logQ) = (m, 0), warm-started from `start`, the piece's first
-    basis (or, without a piece, the solve at logS = 0).  That solve breaks
+    basis (or the solve at logS = 0 when the span is (0, 0)).  m is the
+    span's midpoint, or lo + 1 when the span is open.  That solve breaks
     ties toward larger logQ, so its basis is optimal at (m, 0) and at
     (m, t) for every small t > 0: its dual line a' + b*logQ - c'*logS is
     the value there, and b is the exact request coefficient.  The line is
     a valid bound everywhere (weak duality) and tight at (m, 0), inside the
-    piece a - c*logS, so (a', c') is (a, c); that and b >= 0 are checked.
+    piece, so (a', c') is (a, c); that and b >= 0 are checked.
     """
+    lo, hi = span
+    m = lo + 1 if hi is None else (lo + hi) / 2
     sol = solve_joint_lp(rule, system, m, start=start)
     a1, b, c1 = sol.line
     if (a1, c1) == (a, c) and b >= 0:
@@ -153,37 +158,30 @@ def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
     """Extract the exact piecewise tradeoff of one rule over logN=1, logQ=0.
 
     No value is probed: one cold solve at logS = 0 and one walk from its
-    basis up to the storage cap give every piece and breakpoint, and one
-    request probe per piece, warm-started from the piece's first basis,
-    gives its request coefficient and certificate.  So the terms and their
-    certificates depend on the rule alone.  The walk must end at the cap
-    `log_size_bound` prices from its Farkas multipliers.  A rule without
-    storage targets, or with a cap of 0, has no piece: its one term is
-    pinned at logS = 0 from the solve there, with span (0, cap).
+    basis give every piece and breakpoint, and one request probe per piece,
+    warm-started from the piece's first basis, gives its request
+    coefficient and certificate.  So the terms and their certificates
+    depend on the rule alone.  The walk ends at the cap `log_size_bound`
+    prices from its Farkas multipliers, or never, with cap None: so does a
+    rule whose storage side no declared size bounds, and a rule without
+    storage targets, whose all-zero direction gives one piece [0, None).
+    A walk that ends at 0 has no piece: the one term starts from the solve
+    at logS = 0, with span (0, 0).
     """
     if not rule.t_targets:
         raise ValueError("a rule without online targets has no finite tradeoff")
     low = solve_joint_lp(rule, system, ZERO)
-    pieces, cap = [], None
-    if rule.s_targets:
-        pieces, farkas = walk_joint_lp(rule, system, low)
-        end = pieces[-1].hi if pieces else ZERO
-        cap = None if farkas is None else system.log_size_bound(rule, farkas)
-        if cap is None or end != cap:  # pragma: no cover - exactness guard
-            raise LpError(
-                f"the walk of {rule.pretty()} ended at logS = {end}, "
-                f"not at the storage cap {cap} its last row proves"
-            )
-    if not pieces:
-        a, _, c = low.line
-        term = _pin_request_exponent(system, rule, a, c, ZERO, (ZERO, cap), low)
-        return RuleTradeoff(rule, [term], cap)
-    terms = [
-        _pin_request_exponent(
-            system, rule, p.intercept, -p.slope, (p.lo + p.hi) / 2, (p.lo, p.hi), p
+    pieces, farkas = walk_joint_lp(rule, system, low)
+    end = pieces[-1].hi if pieces else ZERO
+    cap = None if farkas is None else system.log_size_bound(rule, farkas)
+    if end != cap:  # pragma: no cover - exactness guard
+        raise LpError(
+            f"the walk of {rule.pretty()} ended at logS = {end}, "
+            f"not at the storage cap {cap} its last row proves"
         )
-        for p in pieces
-    ]
+    a, _, c = low.line
+    starts = [(p.intercept, -p.slope, (p.lo, p.hi), p) for p in pieces]
+    terms = [_pin_request_exponent(system, rule, *s) for s in starts or [(a, c, (ZERO, ZERO), low)]]
     if log.isEnabledFor(logging.DEBUG):
         log.debug("rule %s: %d pieces up to cap %s", rule.pretty(), len(terms), cap)
     return RuleTradeoff(rule, terms, cap)

@@ -397,6 +397,20 @@ def test_three_reach_solves_are_bit_identical(monkeypatch):
     assert sum(n for _, n in solves.values()) == THREE_REACH_PIVOTS
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=8))
+@example([(1, 2), (3, 5), (2, 4)])
+@example([(0, 3), (-1, 1), (0, 1), (-2, 2), (-1, 1)])
+@example([])
+def test_least_ratios_matches_a_fraction_reference(pairs):
+    # every ratio test's comparison: the keys tied for the least num/den in
+    # the order given (1/2 ties 2/4), zero and negative numerators included
+    ties, least = exactlp._least_ratios((k, n, d) for k, (n, d) in enumerate(pairs))
+    ratios = [F(n, d) for n, d in pairs]
+    assert least == min(ratios, default=None)
+    assert ties == [k for k, r in enumerate(ratios) if r == least]
+
+
 # ----------------------------------------------------------------------------
 # Randomized cross-check against scipy's HiGHS backend
 # ----------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_readers_name_a_variable_list_that_is_not_a_list(make, names):
     assert str(exc.value).endswith(f" in {where} is not a list of variable names")
 
 
-@pytest.mark.parametrize("text", ["[]", '"pmtds"', "1"])
+@pytest.mark.parametrize("text", ["[]", '"pmtds"', "1", "{"])
 @pytest.mark.parametrize("make", READERS, ids=READER_IDS)
 def test_readers_reject_a_file_that_is_not_a_json_object(make, text):
     read, _, query, _ = make()

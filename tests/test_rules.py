@@ -507,6 +507,9 @@ def test_rules_json_names_a_missing_key_or_another_query():
         rules_from_json(json.dumps({"query": "two_reach"}), query)
     with pytest.raises(QueryError, match=r"^rule file has 'rules' that is not a list$"):
         rules_from_json(json.dumps({"rules": 5}), query)
+    # at most one side of a rule may be empty
+    with pytest.raises(QueryError, match=r"^rule in file \{'s': \[\], 't': \[\]\} has no target on either side$"):
+        rules_from_json(json.dumps({"rules": [{"s": [], "t": []}]}), query)
     for side in ("s", "t"):
         entry = dict(doc["rules"][0])
         del entry[side]

@@ -380,6 +380,30 @@ def test_storage_cap_of_zero_gives_one_term_at_zero():
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "two_reach(x1, x3 | x1, x3) :- R1(x1, x2), R2(x2, x3).\ndc R1: size = N^1",
+        "q(x1, x3 | x1) :- R1(x1, x2), R2(x2, x3).\ndc R2: size = N^1",
+    ],
+    ids=["two_reach-without-R2", "one-bound-endpoint-without-R1"],
+)
+def test_open_storage_side_gives_one_open_term(text):
+    # a relation of undeclared size caps no stored h_S, so the walk never
+    # ends: one open piece, probed at logS = 1, and no cap
+    query = parse_query(text)
+    system = JointSystem(query)
+    [rule] = prune_rules(generate_rules(enumerate_pmtds(query)))
+    rt = rule_tradeoff(rule, system)
+    assert rt.s_cap is None
+    assert [(t.pretty(), t.span) for t in rt.terms] == [("T ~ N*Q", (ZERO, None))]
+    ext = rt.terms[0].provenance
+    steps = proofs.construct(ext.g_t, ext.lam, sigma=ext.sigma_t, mu=ext.mu_t, name="open T")
+    assert proofs.validate(steps)
+    assert envelope([rt.terms]).points == [(0, 1)]
+    assert envelope([rt.terms], log_q=1).points == [(0, 2)]
+
+
+@pytest.mark.parametrize(
     "name",
     [
         "two_reach",
