@@ -364,7 +364,7 @@ def pmtds_from_json(text: str, q: Cqap) -> list[Pmtd]:
             raise QueryError(f"plan in file has a bad parent list ({e}): {entry}") from None
         problems = td.validate(q.edge_sets())
         if problems:
-            raise QueryError(f"bad decomposition in plan file: {problems[0]}")
+            raise QueryError(f"plan in file has a bad decomposition ({problems[0]}): {entry}")
         p = make_pmtd(td, tuple(in_m), q)
         if p is None:
             raise QueryError(f"invalid or redundant plan in file: {entry}")

@@ -27,6 +27,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from .queries import QueryError, fields_of, json_object, varset_of
@@ -242,13 +243,16 @@ class _Prover:
     Composition and decomposition leave that form unchanged; submodularity
     and monotonicity steps spend their multiplier by the step's weight.
 
-    A multiplier can be spent when the term it consumes is held, or can be
-    carved out of a set reachable by composition (`_tops`).  When none can,
-    let W be the nonempty unreachable sets: W is closed upwards and no held
-    term leaves the reachable sets, so summing the invariant over W gives
-    0 <= targets on W <= form on W = -(sigma with I∩J outside W) - (mu with
-    X outside W) <= 0.  All that is left then lies inside W, where the form
-    is zero and nothing is targeted: it cancels, and is dropped.
+    A multiplier consumes h(I|I∩J) (submodularity, either orientation) or
+    h(Y) (monotonicity), and `fire` takes it from one of two makers: `_held`
+    as held, `_route` by a route composed from a held set (`_tops`), then
+    decomposed.  It spends held sigma, held mu, routed sigma, routed mu, in
+    that order.  When none can be spent, let W be the nonempty unreachable
+    sets: W is closed upwards and no held term leaves the reachable sets,
+    so summing the invariant over W gives 0 <= targets on W <= form on W =
+    -(sigma with I∩J outside W) - (mu with X outside W) <= 0.  All that is
+    left then lies inside W, where the form is zero and nothing is
+    targeted: it cancels, and is dropped.
     """
 
     def __init__(self, initial: dict[Coord, int], sigma, mu, den: int):
@@ -282,70 +286,59 @@ class _Prover:
         self._emit(MONOTONICITY, x, y, w)
         _take(self.mu, (x, y), w)
 
-    def _tops(self) -> dict[VarSet, tuple | None]:
+    def _tops(self) -> dict[VarSet, tuple[VarSet, list[Coord]]]:
         """Sets whose unconditional term composition alone can make.
 
-        Each maps to the (previous set, conditional term) it is composed
-        from, or to None when it is held.  Breadth first, so routes are
+        Each maps to the held set its route starts from and the conditional
+        terms composed onto it in turn.  Breadth first, so routes are
         shortest; a set is reachable when it lies inside one of these.
         """
-        tops = {y: None for (x, y) in sorted(self.cur) if not x}
+        tops = {y: (y, []) for (x, y) in sorted(self.cur) if not x}
         arcs = sorted(c for c in self.cur if c[0])
         queue = list(tops)
         for top in queue:
             for x, y in arcs:
                 if not (x & ~top) and y not in tops:
-                    tops[y] = (top, (x, y))
+                    tops[y] = (tops[top][0], tops[top][1] + [(x, y)])
                     queue.append(y)
         return tops
 
-    def _route(self, tops, z: VarSet, want: int) -> int:
-        """Make up to `want` of h(Z) held; returns the amount made."""
-        top = next((t for t in tops if not (z & ~t)), None)
+    def _held(self, x: VarSet, y: VarSet, want: int) -> int:
+        """Up to `want` of h(Y|X) as held; emits nothing."""
+        return min(want, self.cur.get((x, y), 0))
+
+    def _route(self, tops, x: VarSet, y: VarSet, want: int) -> int:
+        """Make up to `want` of h(Y|X) held by a route to h(Y), decomposed
+        into h(X) + h(Y|X) when X is nonempty; returns the amount made."""
+        top = next((t for t in tops if not (y & ~t)), None)
         if top is None:
             return 0
-        path = []
-        while tops[top] is not None:
-            top, arc = tops[top]
-            path.append(arc)
-        path.reverse()
-        w = min(want, self.cur[(0, top)], *(self.cur[arc] for arc in path))
-        for x, y in path:
-            if x != top:
-                self._emit(DECOMPOSITION, x, top, w)
-            self._emit(COMPOSITION, x, y, w)
-            top = y
-        if z != top:
-            self._emit(DECOMPOSITION, z, top, w)
+        at, path = tops[top]
+        w = min(want, self.cur[(0, at)], *(self.cur[arc] for arc in path))
+        for u, v in path:
+            if u != at:
+                self._emit(DECOMPOSITION, u, at, w)
+            self._emit(COMPOSITION, u, v, w)
+            at = v
+        if y != at:
+            self._emit(DECOMPOSITION, y, at, w)
+        if x:
+            self._emit(DECOMPOSITION, x, y, w)
         return w
 
     def fire(self) -> bool:
         """Spend part of one multiplier; False when none can be spent."""
-        for (i, j), w in sorted(self.sigma.items()):
-            for a, b in ((i, j), (j, i)):
-                held = self.cur.get((a & b, a), 0)
-                if held:
-                    self._submodularity(a, b, min(w, held))
+        for routed in (False, True):
+            make = partial(self._route, self._tops()) if routed else self._held
+            for (i, j), w in sorted(self.sigma.items()):
+                for a, b in ((i, j), (j, i)):
+                    if got := make(a & b, a, w):
+                        self._submodularity(a, b, got)
+                        return True
+            for (x, y), w in sorted(self.mu.items()):
+                if got := make(0, y, w):
+                    self._monotonicity(x, y, got)
                     return True
-        for (x, y), w in sorted(self.mu.items()):
-            held = self.cur.get((0, y), 0)
-            if held:
-                self._monotonicity(x, y, min(w, held))
-                return True
-        tops = self._tops()
-        for (i, j), w in sorted(self.sigma.items()):
-            for a, b in ((i, j), (j, i)):
-                got = self._route(tops, a, w)
-                if got:
-                    if a & b:
-                        self._emit(DECOMPOSITION, a & b, a, got)
-                    self._submodularity(a, b, got)
-                    return True
-        for (x, y), w in sorted(self.mu.items()):
-            got = self._route(tops, y, w)
-            if got:
-                self._monotonicity(x, y, got)
-                return True
         return False
 
     def compose(self, target: dict[Coord, int]):
@@ -389,13 +382,13 @@ def construct(
     <initial - target, h> = sum sigma*sub + sum mu*mono + a nonnegative
     multiple of each h(Z).
 
-    Every multiplier is spent by a step of its own kind, reached by
-    composing and decomposing held terms, then the held terms are composed
-    into the targets (see `_Prover`).  The witness is spent as integers over
-    the least common denominator of every weight, and each step's weight
-    goes back to a Fraction.  This cannot fail, so ConstructionError means
-    only that the witness breaks the identity (the message names the
-    coordinate).
+    Every multiplier is spent by a step of its own kind on the term it
+    consumes, taken as held or else made by a route (`_Prover` gives the
+    makers and the spending order); then the held terms are composed into
+    the targets.  The witness is spent as integers over the least common
+    denominator of every weight, and each step's weight goes back to a
+    Fraction.  This cannot fail, so ConstructionError means only that the
+    witness breaks the identity (the message names the coordinate).
     """
     initial = {k: Fraction(v) for k, v in initial.items() if v}
     target = {k: Fraction(v) for k, v in target.items() if v}

@@ -281,11 +281,14 @@ def test_plan_json_needs_one_in_m_flag_per_bag():
         ("parent", 3, r"^plan in file .* has 'parent' that is not a list$"),
         ("in_m", 3, r"^plan in file .* has 'in_m' that is not a list$"),
         ("bags", [3, ["x2", "x3"]], r"^3 in plan in file .* is not a list of variable names$"),
+        # no bag covers R1(x1, x2); the root bag lacks the access variable x3
+        ("bags", [["x1", "x3"], ["x1", "x3"]], r"^plan in file has a bad decomposition \(edge "),
+        ("bags", [["x1", "x2"], ["x2", "x3"]], r"^invalid or redundant plan in file: "),
     ],
     ids=[
         "short-parent", "child-before-parent", "string-parent", "bool-parent", "string-flag",
         "int-flag", "no-bags", "no-parent", "no-flags", "int-bags", "int-parent", "int-flags",
-        "int-bag",
+        "int-bag", "uncovered-edge", "root-without-access",
     ],
 )
 def test_plan_json_names_the_entry_with_a_malformed_parent_or_flag(field, value, problem):

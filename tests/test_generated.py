@@ -4,8 +4,9 @@ Every other pinned output comes from a few hand-written queries.  Here
 `support.random_cqap` draws queries with self-joins, degree bounds and
 sizes N^1/2, N^1 and N^3/2, and each goes from text to pruned rules, their
 terms, proofs and envelope, with each term's line checked against a fresh
-joint solve.  A failing query's text is printed first, so it
-shows in the report and can be pasted into a test.
+joint solve and one dropped rule against the kept ones.  A failing query's
+text is printed first, so it shows in the report and can be pasted into a
+test.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ def test_generated_query_from_text_to_envelope(seed):
     printed = print_query(query)
     assert print_query(parse_query(printed)) == printed
     system = JointSystem(query)
-    curves = [rule_tradeoff(r, system) for r in prune_rules(generate_rules(enumerate_pmtds(query)))]
+    rules = generate_rules(enumerate_pmtds(query))
+    kept = prune_rules(rules)
+    curves = [rule_tradeoff(r, system) for r in kept]
     for rt in curves:
         for t in rt.terms:
             # the term's line is a fresh joint solve's, warm-started from
@@ -61,3 +64,15 @@ def test_generated_query_from_text_to_envelope(seed):
         for rt in curves:
             value = solve_joint_lp(rt.rule, system, F(0), log_q=log_q).value
             assert value <= t0, (rt.rule.pretty(query.var_names), log_q, value, t0)
+    # pruning is sound: one dropped rule, chosen by the seed, is nowhere
+    # above the kept rules' maximum, each rule read as the min of its own
+    # lines clamped at 0, at logS = 0 and at every span end
+    kept_keys = {r.key() for r in kept}
+    dropped = [r for r in rules if r.key() not in kept_keys]
+    if dropped:
+        rt = rule_tradeoff(dropped[seed % len(dropped)], system)
+        height = lambda terms, s: max(F(0), min(a - c * s for a, _, c in (t.line() for t in terms)))
+        ends = {e for r in (rt, *curves) for t in r.terms for e in t.span if e is not None}
+        for s in sorted(ends | {F(0)}):
+            top = max(height(k.terms, s) for k in curves)
+            assert height(rt.terms, s) <= top, (rt.rule.pretty(query.var_names), s, top)

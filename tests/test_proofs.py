@@ -445,6 +445,9 @@ def test_sequence_round_trips_through_json():
     assert back.initial == ps.initial
     assert back.target == ps.target
     assert back.steps == ps.steps
+    # a zero weight is not written
+    ps.initial[(0, 4)] = F(0)
+    assert sequence_to_json(ps, names) == sequence_to_json(back, names)
 
 
 # ═══════════════════════════════════════════════════════════════════════════

@@ -88,6 +88,8 @@ LOGQ = ": logQ is a parameter of the analysis, not a declared bound"
         (ONE_ATOM + "\ndc R: size = M^2", "dc R: size = M^2: bound must be an integer or N^a, got 'M^2'"),
         (ONE_ATOM + "\ndc R: (x1 -> x1) <= 4", "constraint on R needs x strictly inside y"),
         (f"phi(v0 | v0) :- R({SEVENTEEN}).", "more than 16 variables"),
+        ("q(x) :- R(x).", "cannot parse rule: 'q(x) :- R(x).'"),
+        ("q(x | x) :- R(x), 5.", "cannot parse body at: ' 5'"),
     ],
 )
 def test_parse_rejects(bad, message):

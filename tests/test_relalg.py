@@ -24,6 +24,8 @@ def test_varset_basics():
     assert s.bit_count() == 3
     assert submasks(s) == sorted(t for t in range(s + 1) if t & ~s == 0)
     assert submasks(0) == [0]
+    with pytest.raises(ValueError, match=r"^variable index 16 out of range 0\.\.15$"):
+        vs(MAX_VARS)
 
 
 def test_text_form_with_and_without_names():
