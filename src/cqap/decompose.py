@@ -18,9 +18,17 @@ per-side target containment (domination) are kept: smaller views always give
 at least as good space/time behavior.
 
 The decomposition must be free-connex with respect to the head: no non-head
-variable may top out strictly above a head variable (tops are the nodes
-nearest the root containing a variable), otherwise answers cannot be emitted
-without re-expanding eliminated variables.
+variable may top out strictly above a head variable (a variable's top is the
+node nearest the root whose bag contains it), otherwise answers cannot be
+emitted without re-expanding eliminated variables.  In a valid decomposition
+a variable tops out at node t exactly when it is in t's bag and not in its
+parent's, so one preorder pass decides it (`is_free_connex`).
+
+Construction trusts its invariants: `enumerate_tds` puts the access
+variables in the root, `_downward_closed_sets` yields only closed M,
+`enumerate_pmtds` skips a tree that is not free-connex before it tries any
+M, and `make_pmtd` only rejects redundancy.  `pmtds_from_json` checks all
+three conditions and names the one a plan breaks.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
+from typing import Sequence
 
 from .queries import Cqap, QueryError, fields_of, file_entries, varset_of
 from .relalg import VarSet, members, names_of, submasks, subset, vs_str
@@ -74,50 +83,33 @@ class TreeDecomp:
         """Every child of a node in M is in M too."""
         return all(in_m[c] or not in_m[p] for c, p in enumerate(self.parent) if c)
 
-    def is_ancestor(self, a: int, t: int) -> bool:
-        """True when a is a proper ancestor of t."""
-        while t != -1:
-            t = self.parent[t]
-            if t == a:
-                return True
-        return False
-
-    def top(self, v: int) -> int:
-        """The node nearest the root whose bag contains variable v: in a
-        valid decomposition v's holders form a subtree, whose top comes
-        first in preorder."""
-        for i, b in enumerate(self.bags):
-            if b >> v & 1:
-                return i
-        raise DecompositionError(f"variable {v} appears in no bag")
-
-    def validate(self, edges: list[VarSet]) -> list[str]:
-        """Edge cover + running intersection, as human-readable problems."""
-        problems = []
-        for e in edges:
-            if not any(subset(e, b) for b in self.bags):
-                problems.append(f"edge {vs_str(e)} not covered by any bag")
-        all_vars = 0
-        for b in self.bags:
-            all_vars |= b
-        for v in members(all_vars):
-            holders = [i for i, b in enumerate(self.bags) if b >> v & 1]
-            # connected exactly when every holder but the first (in preorder
-            # the top) hangs from another holder
-            if any(not self.bags[self.parent[t]] >> v & 1 for t in holders[1:]):
-                problems.append(f"variable {v} induces a disconnected bag set")
+    def validate(self, edges: list[VarSet], names: Sequence[str] | None = None) -> list[str]:
+        """Edge cover + running intersection, as human-readable problems
+        naming variables as `vs_str` does.  A variable's holders are
+        connected exactly when it tops out at one node only."""
+        problems = [
+            f"edge {vs_str(e, names)} not covered by any bag"
+            for e in edges
+            if not any(subset(e, b) for b in self.bags)
+        ]
+        tops = twice = 0
+        for t, b in enumerate(self.bags):
+            top = b & ~self.bags[self.parent[t]] if t else b
+            twice |= tops & top
+            tops |= top
+        for v in members(twice):
+            problems.append(f"variable {names[v] if names else v} induces a disconnected bag set")
         return problems
 
 
 def is_free_connex(td: TreeDecomp, head: VarSet) -> bool:
-    """No non-head variable tops out strictly above some head variable."""
-    all_vars = 0
-    for b in td.bags:
-        all_vars |= b
-    head_tops = [td.top(v) for v in members(head & all_vars)]
-    for y in members(all_vars & ~head):
-        ty = td.top(y)
-        if any(td.is_ancestor(ty, tx) for tx in head_tops):
+    """On a valid decomposition: no non-head variable tops out strictly
+    above a head variable.  `above[t]` holds t's proper ancestors' variables."""
+    above = [0] * len(td)
+    for t in range(1, len(td)):
+        p = td.parent[t]
+        above[t] = above[p] | td.bags[p]
+        if td.bags[t] & ~td.bags[p] & head and above[t] & ~head:
             return False
     return True
 
@@ -155,45 +147,27 @@ class Pmtd:
         return (tuple(sorted(self.t_targets)), tuple(sorted(self.s_targets)))
 
 
-
-def compute_nu(td: TreeDecomp, in_m: tuple[bool, ...], head: VarSet) -> tuple[VarSet, ...]:
+def make_pmtd(td: TreeDecomp, in_m: tuple[bool, ...], q: Cqap) -> Pmtd | None:
+    """Build a plan, its views nu(t) as the module docstring lists them, or
+    None when it is redundant: a surviving view's variable set is contained
+    in another view on the same side (a repeated view included).  The caller
+    ensures the other plan conditions."""
     nu = []
     for t, bag in enumerate(td.bags):
+        p = td.parent[t]
         if not in_m[t]:
             nu.append(bag)
-        elif t == 0:
-            nu.append(bag & head)
+        elif t and not in_m[p]:
+            nu.append(bag & (q.head | td.bags[p]))
+        elif t and subset(bag & q.head, td.bags[p]):
+            nu.append(0)
         else:
-            p = td.parent[t]
-            if not in_m[p]:
-                nu.append(bag & (head | td.bags[p]))
-            elif not subset(bag & head, td.bags[p] & head):
-                nu.append(bag & head)
-            else:
-                nu.append(0)
-    return tuple(nu)
-
-
-def make_pmtd(td: TreeDecomp, in_m: tuple[bool, ...], q: Cqap) -> Pmtd | None:
-    """Build a plan, or None when it is invalid or redundant.
-
-    Redundant: a surviving view's variable set is contained in another view
-    on the same side (including duplicates).
-    """
-    if not subset(q.access, td.bags[0]):
-        return None
-    if not td.is_downward_closed(in_m):
-        return None
-    if not is_free_connex(td, q.head):
-        return None
-    nu = compute_nu(td, in_m, q.head)
+            nu.append(bag & q.head)
     for side in (True, False):
         views = [v for v, m in zip(nu, in_m) if m == side and v]
-        for i, a in enumerate(views):
-            for j, b in enumerate(views):
-                if i != j and subset(a, b) and (a != b or i < j):
-                    return None
-    return Pmtd(td, in_m, nu)
+        if any(subset(a, b) for a, b in permutations(views, 2)):
+            return None
+    return Pmtd(td, in_m, tuple(nu))
 
 
 def dominates(p: tuple, r: tuple) -> bool:
@@ -309,6 +283,8 @@ def enumerate_pmtds(q: Cqap) -> list[Pmtd]:
     """All minimal plans for the query, canonically ordered."""
     plans = []
     for td in enumerate_tds(q):
+        if not is_free_connex(td, q.head):
+            continue
         for in_m in _downward_closed_sets(td):
             p = make_pmtd(td, in_m, q)
             if p is not None:
@@ -362,11 +338,17 @@ def pmtds_from_json(text: str, q: Cqap) -> list[Pmtd]:
             td = TreeDecomp(tuple(bags), tuple(parent))
         except DecompositionError as e:
             raise QueryError(f"plan in file has a bad parent list ({e}): {entry}") from None
-        problems = td.validate(q.edge_sets())
-        if problems:
+        if problems := td.validate(q.edge_sets(), q.var_names):
             raise QueryError(f"plan in file has a bad decomposition ({problems[0]}): {entry}")
-        p = make_pmtd(td, tuple(in_m), q)
-        if p is None:
-            raise QueryError(f"invalid or redundant plan in file: {entry}")
+        if not subset(q.access, td.bags[0]):
+            missing = vs_str(q.access & ~td.bags[0], q.var_names)
+            raise QueryError(f"plan in file has a root bag without access {missing}: {entry}")
+        if not td.is_downward_closed(in_m):
+            raise QueryError(f"plan in file has an M that is not downward closed: {entry}")
+        if not is_free_connex(td, q.head):
+            head = vs_str(q.head, q.var_names)
+            raise QueryError(f"plan in file has a tree not free-connex for head {head}: {entry}")
+        if (p := make_pmtd(td, tuple(in_m), q)) is None:
+            raise QueryError(f"plan in file is redundant (a view lies in another): {entry}")
         plans.append(p)
     return plans

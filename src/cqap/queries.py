@@ -31,6 +31,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .relalg import MAX_VARS, VarSet, names_of, submasks, subset, vs
@@ -123,16 +124,19 @@ def span_split_constraints(cardinality: list[LogConstraint]) -> list[LogConstrai
     smallest bound per (X, Y) is kept, as for degree constraints: a larger
     one gives the same rows with a weaker right side.
     """
-    best: dict[tuple[VarSet, VarSet], LogConstraint] = {}
-    for c in cardinality:
-        if c.x != 0:
-            continue
-        z = c.y
-        for y in submasks(z)[1:]:
-            for x in submasks(y)[1:-1]:
-                if (x, y) not in best or c.log < best[x, y].log:
-                    best[x, y] = LogConstraint(x, y, c.log)
-    return sorted(best.values())
+    return _least_per_pair(
+        LogConstraint(x, y, c.log)
+        for c in cardinality
+        if c.x == 0
+        for y in submasks(c.y)[1:]
+        for x in submasks(y)[1:-1]
+    )
+
+
+def _least_per_pair(constraints: Iterable[LogConstraint]) -> list[LogConstraint]:
+    """The smallest bound per (x, y), sorted: sorting puts it first among
+    the constraints on its (x, y)."""
+    return [next(g) for _, g in groupby(sorted(constraints), key=lambda c: (c.x, c.y))]
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -224,17 +228,16 @@ class Cqap:
         bound N^a as a*logN, a numeric bound k >= 1 as the constant N^0 (a
         degree bound of 1 is a functional dependency).  The smallest bound
         per (x, y) is kept."""
-        best: dict[tuple[VarSet, VarSet], LogConstraint] = {}
-        for atom in self.atoms:
-            for d in self.decls:
-                if d.rel != atom.rel:
-                    continue
-                y = vs(*(atom.args[p] for p in d.y_pos))
-                x = vs(*(atom.args[p] for p in d.x_pos))
-                lg = LogBound(n=d.sym) if d.sym is not None else LogBound()
-                if (x, y) not in best or lg < best[x, y].log:
-                    best[x, y] = LogConstraint(x, y, lg)
-        return sorted(best.values())
+        return _least_per_pair(
+            LogConstraint(
+                vs(*(atom.args[p] for p in d.x_pos)),
+                vs(*(atom.args[p] for p in d.y_pos)),
+                LogBound(n=d.sym) if d.sym is not None else LogBound(),
+            )
+            for atom in self.atoms
+            for d in self.decls
+            if d.rel == atom.rel
+        )
 
     def access_constraint(self) -> LogConstraint:
         """The request is a materialized relation of log-size logQ."""
@@ -353,13 +356,10 @@ def parse_query(text: str) -> Cqap:
         if arity.setdefault(a.rel, len(a.args)) != len(a.args):
             raise QueryError(f"relation {a.rel} used with two arities")
 
-    body_vars = 0
-    for a in atoms:
-        body_vars |= a.varset
-    if not subset(head | access, body_vars):
+    q = Cqap(qname, var_names, atoms, head | access, access)
+    if not subset(q.head, q.vars_all):
         raise QueryError("head/access variables must appear in the body")
 
-    q = Cqap(qname, var_names, atoms, head | access, access)
 
     for line in rest:
         m = _DC_SIZE_RE.match(line)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -18,7 +19,6 @@ from cqap.decompose import (
     enumerate_pmtds,
     enumerate_tds,
     is_free_connex,
-    make_pmtd,
     pmtds_from_json,
     pmtds_to_json,
 )
@@ -103,15 +103,55 @@ def test_tree_questions_match_brute_force(tree):
     disconnected = {p.split()[1] for p in td.validate([]) if "disconnected" in p}
     for v in range(4):
         holders = [i for i, b in enumerate(td.bags) if b >> v & 1]
-        if not holders:
-            with pytest.raises(DecompositionError):
-                td.top(v)
-            continue
-        assert (str(v) in disconnected) == (not _connected(td, holders))
-        if _connected(td, holders):
-            assert td.top(v) == min(holders, key=lambda t: _depth(td, t))
+        connected = not holders or _connected(td, holders)
+        assert (str(v) in disconnected) == (not connected)
     closed = all(in_m[s] for t in range(len(td)) if in_m[t] for s in _subtree(td, t))
     assert td.is_downward_closed(in_m) == closed
+
+
+@st.composite
+def valid_trees_with_head(draw):
+    """A random preorder tree over at most 7 nodes whose bags over 4
+    variables are a valid decomposition (each variable's holders are a
+    subtree, grown down from a random top), and a random head."""
+    n = draw(st.integers(1, 7))
+    parent = (-1,) + tuple(draw(st.integers(0, i - 1)) for i in range(1, n))
+    bags = [0] * n
+    for v in range(4):
+        top = draw(st.integers(-1, n - 1))  # -1: v is in no bag
+        holders = {top} if top >= 0 else set()
+        for t in range(top + 1, n):
+            if parent[t] in holders and draw(st.booleans()):
+                holders.add(t)
+        for t in holders:
+            bags[t] |= 1 << v
+    return TreeDecomp(tuple(bags), parent), draw(st.integers(0, 15))
+
+
+def _is_proper_ancestor(td, a, t):
+    return td.parent[t] != -1 and (td.parent[t] == a or _is_proper_ancestor(td, a, td.parent[t]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_trees_with_head())
+def test_free_connex_matches_its_definition(tree):
+    # brute force: each variable's top is its holder nearest the root, and
+    # no non-head variable may top out strictly above a head variable
+    td, head = tree
+    assert td.validate([]) == []
+    tops = {}
+    for v in range(4):
+        holders = [i for i, b in enumerate(td.bags) if b >> v & 1]
+        if holders:
+            tops[v] = min(holders, key=lambda t: _depth(td, t))
+    free_connex = not any(
+        _is_proper_ancestor(td, tops[y], tops[x])
+        for x in tops
+        if head >> x & 1
+        for y in tops
+        if not head >> y & 1
+    )
+    assert is_free_connex(td, head) == free_connex
 
 
 def test_free_connex_rejects_mid_path_roots():
@@ -123,10 +163,14 @@ def test_free_connex_rejects_mid_path_roots():
 
 
 def test_m_must_be_downward_closed():
+    # M is closed by construction, so only a plan file can break it
     query = q("three_reach")
-    td = TreeDecomp((vs(0, 1, 3), vs(0, 2, 3)), (-1, 0))
-    assert make_pmtd(td, (True, False), query) is None  # root in M, child out
-    assert make_pmtd(td, (False, True), query) is not None
+    entry = {"bags": [["x1", "x3", "x4"], ["x1", "x2", "x3"]], "parent": [-1, 0]}
+    entry["in_m"] = [True, False]  # root in M, child out
+    with pytest.raises(QueryError, match=r"^plan in file has an M that is not downward closed: "):
+        pmtds_from_json(json.dumps({"pmtds": [entry]}), query)
+    entry["in_m"] = [False, True]
+    assert len(pmtds_from_json(json.dumps({"pmtds": [entry]}), query)) == 1
 
 
 # ----------------------------------------------------------------------------
@@ -283,12 +327,15 @@ def test_plan_json_needs_one_in_m_flag_per_bag():
         ("bags", [3, ["x2", "x3"]], r"^3 in plan in file .* is not a list of variable names$"),
         # no bag covers R1(x1, x2); the root bag lacks the access variable x3
         ("bags", [["x1", "x3"], ["x1", "x3"]], r"^plan in file has a bad decomposition \(edge "),
-        ("bags", [["x1", "x2"], ["x2", "x3"]], r"^invalid or redundant plan in file: "),
+        ("bags", [["x1", "x2"], ["x2", "x3"]], r"^plan in file has a root bag without access \{x3\}"),
+        ("bags", [["x1", "x3"], ["x1", "x3"]], r"\(edge \{x1,x2\} not covered by any bag\)"),
+        # the T views {x1,x3} and {x1,x2,x3}: the first lies in the second
+        ("in_m", [False, False], r"^plan in file is redundant \(a view lies in another\): "),
     ],
     ids=[
         "short-parent", "child-before-parent", "string-parent", "bool-parent", "string-flag",
         "int-flag", "no-bags", "no-parent", "no-flags", "int-bags", "int-parent", "int-flags",
-        "int-bag", "uncovered-edge", "root-without-access",
+        "int-bag", "uncovered-edge", "root-without-access", "edge-in-names", "redundant",
     ],
 )
 def test_plan_json_names_the_entry_with_a_malformed_parent_or_flag(field, value, problem):
@@ -313,6 +360,25 @@ def test_plan_json_names_a_missing_plan_list_or_another_query():
         pmtds_from_json(json.dumps({"pmtds": 5}), query)
     with pytest.raises(QueryError, match=r"^plan file is for query 'square', not 'two_reach'$"):
         pmtds_from_json(json.dumps({"query": "square", "pmtds": []}), query)
+
+
+def test_plan_json_names_a_tree_that_is_not_free_connex_or_disconnected():
+    # x2 is projected away, yet it tops out at the root, above the head's x3
+    query = parse_query("q(x1, x3 | x1) :- R1(x1, x2), R2(x2, x3).")
+    entry = {"bags": [["x1", "x2"], ["x2", "x3"]], "parent": [-1, 0], "in_m": [False, False]}
+    problem = r"^plan in file has a tree not free-connex for head \{x1,x3\}: "
+    with pytest.raises(QueryError, match=problem) as exc:
+        pmtds_from_json(json.dumps({"pmtds": [entry]}), query)
+    assert repr(entry) in str(exc.value)
+    # with x3 in the root too, x2 tops out beside it, not above it
+    entry["bags"][0].append("x3")
+    entry["in_m"] = [False, True]
+    assert len(pmtds_from_json(json.dumps({"pmtds": [entry]}), query)) == 1
+    # x1 sits in the root and in node 2, but not in node 1 between them
+    entry = {"bags": [["x1", "x2", "x3"], ["x3"], ["x1"]], "parent": [-1, 0, 1]}
+    entry["in_m"] = [False] * 3
+    with pytest.raises(QueryError, match=r"\(variable x1 induces a disconnected bag set\): "):
+        pmtds_from_json(json.dumps({"pmtds": [entry]}), query)
 
 
 def sibling_free_shape(td: TreeDecomp, t: int = 0) -> tuple:
@@ -340,3 +406,19 @@ def test_enumerated_plans_are_valid():
             assert p.td.validate(query.edge_sets()) == []
             assert is_free_connex(p.td, query.head)
             assert query.access & ~p.td.bags[0] == 0
+            assert p.td.is_downward_closed(p.in_m)
+
+
+# enumerate_pmtds over every corpus query and the first 200 generated ones:
+# each plan's (query, key, bags, parent, in_m, nu), in order, hashed
+PLANS_DIGEST = "38bea579b5bb0347"
+
+
+def test_enumerated_plans_match_their_digest():
+    queries = [q(path.stem) for path in sorted((ROOT / "queries").glob("*.cqap"))]
+    queries += [parse_query(random_cqap(random.Random(seed))) for seed in range(200)]
+    h = hashlib.sha256()
+    for query in queries:
+        for p in enumerate_pmtds(query):
+            h.update(repr((query.name, p.key(), p.td.bags, p.td.parent, p.in_m, p.nu)).encode())
+    assert h.hexdigest()[:16] == PLANS_DIGEST

@@ -4,7 +4,8 @@ Every other pinned output comes from a few hand-written queries.  Here
 `support.random_cqap` draws queries with self-joins, degree bounds and
 sizes N^1/2, N^1 and N^3/2, and each goes from text to pruned rules, their
 terms, proofs and envelope, with each term's line checked against a fresh
-joint solve and one dropped rule against the kept ones.  A failing query's
+joint solve, one dropped rule against the kept ones, and the rules of every
+plan, dominated ones included, against the kept plans'.  A failing query's
 text is printed first, so it shows in the report and can be pasted into a
 test.
 """
@@ -17,7 +18,13 @@ from fractions import Fraction as F
 import pytest
 
 from cqap import proofs
-from cqap.decompose import enumerate_pmtds
+from cqap.decompose import (
+    _downward_closed_sets,
+    enumerate_pmtds,
+    enumerate_tds,
+    is_free_connex,
+    make_pmtd,
+)
 from cqap.queries import parse_query, print_query
 from cqap.rules import generate_rules, prune_rules
 from cqap.shannon import JointSystem, solve_joint_lp
@@ -67,12 +74,31 @@ def test_generated_query_from_text_to_envelope(seed):
     # pruning is sound: one dropped rule, chosen by the seed, is nowhere
     # above the kept rules' maximum, each rule read as the min of its own
     # lines clamped at 0, at logS = 0 and at every span end
+    height = lambda terms, s: max(F(0), min(a - c * s for a, _, c in (t.line() for t in terms)))
     kept_keys = {r.key() for r in kept}
     dropped = [r for r in rules if r.key() not in kept_keys]
     if dropped:
         rt = rule_tradeoff(dropped[seed % len(dropped)], system)
-        height = lambda terms, s: max(F(0), min(a - c * s for a, _, c in (t.line() for t in terms)))
         ends = {e for r in (rt, *curves) for t in r.terms for e in t.span if e is not None}
         for s in sorted(ends | {F(0)}):
             top = max(height(k.terms, s) for k in curves)
             assert height(rt.terms, s) <= top, (rt.rule.pretty(query.var_names), s, top)
+    # domination is sound: the pruned rules of every plan, dominated ones
+    # included (free-connex trees, closed M, then `make_pmtd`), reach the
+    # kept plans' maximum at logS = 0 and at every span end, and no higher
+    every = [
+        p
+        for td in enumerate_tds(query)
+        if is_free_connex(td, query.head)
+        for in_m in _downward_closed_sets(td)
+        if (p := make_pmtd(td, in_m, query)) is not None
+    ]
+    done = {rt.rule.key(): rt for rt in curves}
+    wide = [
+        done[r.key()] if r.key() in done else rule_tradeoff(r, system)
+        for r in prune_rules(generate_rules(every))
+    ]
+    ends = {e for r in (*wide, *curves) for t in r.terms for e in t.span if e is not None}
+    for s in sorted(ends | {F(0)}):
+        top = max(height(k.terms, s) for k in curves)
+        assert max(height(w.terms, s) for w in wide) == top, (s, top)
