@@ -195,56 +195,48 @@ def minimal_pmtds(plans: list[Pmtd]) -> list[Pmtd]:
 
 
 def _components(edges: list[VarSet], bag: VarSet) -> list[tuple[list[VarSet], VarSet]]:
-    """Group uncovered edges connected through variables outside `bag`."""
-    comps: list[tuple[list[VarSet], VarSet]] = []  # (edges, outside-vars seen)
+    """Group uncovered edges connected through variables outside `bag`, each
+    group with its variables."""
+    comps: list[tuple[list[VarSet], VarSet]] = []
     for e in edges:
         out = e & ~bag
-        hits = [i for i, (_, ov) in enumerate(comps) if ov & out]
-        merged = ([e], out)
-        for i in reversed(hits):
-            es, ov = comps.pop(i)
-            merged = (es + merged[0], ov | merged[1])
+        merged = ([e], e)
+        for i in reversed([i for i, (_, cv) in enumerate(comps) if cv & out]):
+            es, cv = comps.pop(i)
+            merged = (es + merged[0], cv | merged[1])
         comps.append(merged)
-    result = []
-    for es, _ in comps:
-        cv = 0
-        for e in es:
-            cv |= e
-        result.append((es, cv))
-    return result
+    return comps
 
 
 def _grow(bag: VarSet, uncovered: list[VarSet], budget: list[int]):
-    """Yield child forests: lists of (bag, parent-offset) in preorder."""
-    if not uncovered:
-        yield []
-        return
+    """Yield child forests: tuples of (bag, child forest), one child per
+    component of `uncovered`."""
     per_comp = []
     for comp_edges, comp_vars in _components(uncovered, bag):
         interface = comp_vars & bag
         options = []
         for inner in submasks(comp_vars & ~bag)[1:]:
             child = interface | inner
-            newly = [e for e in comp_edges if subset(e, child)]
-            if not newly:
-                continue
             rest = [e for e in comp_edges if not subset(e, child)]
+            if len(rest) == len(comp_edges):
+                continue
             for forest in _grow(child, rest, budget):
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise DecompositionError(
                         "decomposition enumeration exceeded its resource cap"
                     )
-                options.append([(child, -1)] + [(b, o + 1) for b, o in forest])
+                options.append((child, forest))
         per_comp.append(options)
-    for combo in product(*per_comp):
-        forest = []
-        for sub in combo:
-            base = len(forest)
-            forest.extend(
-                (b, -1 if o == -1 else o + base) for b, o in sub
-            )
-        yield forest
+    yield from product(*per_comp)
+
+
+def _preorder(forest, parent_index: int, bags: list[VarSet], parent: list[int]) -> None:
+    """Append the forest's nodes in preorder, its roots under `parent_index`."""
+    for bag, children in forest:
+        bags.append(bag)
+        parent.append(parent_index)
+        _preorder(children, len(bags) - 1, bags, parent)
 
 
 def enumerate_tds(q: Cqap) -> list[TreeDecomp]:
@@ -252,7 +244,8 @@ def enumerate_tds(q: Cqap) -> list[TreeDecomp]:
 
     Root bags are the access set plus any other variables; children are grown
     per connected component of uncovered edges, always containing the
-    component's interface and at least one newly covered edge.  No tree
+    component's interface and at least one newly covered edge.  Each tree is
+    grown as a nested forest and flattened once, in preorder.  No tree
     comes twice, even up to sibling order.  Raises `DecompositionError` once
     more than `TD_CAP` partial decompositions have been built.
     """
@@ -265,9 +258,9 @@ def enumerate_tds(q: Cqap) -> list[TreeDecomp]:
             continue
         rest = [e for e in edges if not subset(e, root)]
         for forest in _grow(root, rest, budget):
-            bags = (root,) + tuple(b for b, _ in forest)
-            parent = (-1,) + tuple(0 if o == -1 else o + 1 for _, o in forest)
-            out.append(TreeDecomp(bags, parent))
+            bags, parent = [root], [-1]
+            _preorder(forest, 0, bags, parent)
+            out.append(TreeDecomp(tuple(bags), tuple(parent)))
     return out
 
 

@@ -310,15 +310,13 @@ def parse_query(text: str) -> Cqap:
     qname, head_txt, access_txt, body_txt = m.groups()
 
     var_names: list[str] = []
-    index: dict[str, int] = {}
 
     def intern(v: str) -> int:
-        if v not in index:
+        if v not in var_names:
             if len(var_names) >= MAX_VARS:
                 raise QueryError(f"more than {MAX_VARS} variables")
-            index[v] = len(var_names)
             var_names.append(v)
-        return index[v]
+        return var_names.index(v)
 
     head_names = _split_names(head_txt, "head")
     access_names = _split_names(access_txt, "access pattern")

@@ -422,3 +422,18 @@ def test_enumerated_plans_match_their_digest():
         for p in enumerate_pmtds(query):
             h.update(repr((query.name, p.key(), p.td.bags, p.td.parent, p.in_m, p.nu)).encode())
     assert h.hexdigest()[:16] == PLANS_DIGEST
+
+
+# every tree of `enumerate_tds`, in order: `PLANS_DIGEST` keeps only the
+# first tree per plan key, so it cannot show that tree order is kept
+TREES_DIGEST = "4cc8ebc3c7c711bd"
+
+
+def test_enumerated_trees_match_their_digest():
+    queries = [q(path.stem) for path in sorted((ROOT / "queries").glob("*.cqap"))]
+    queries += [parse_query(random_cqap(random.Random(seed))) for seed in range(200)]
+    h = hashlib.sha256()
+    for query in queries:
+        for td in enumerate_tds(query):
+            h.update(repr((td.bags, td.parent)).encode())
+    assert h.hexdigest()[:16] == TREES_DIGEST

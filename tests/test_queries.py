@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cqap.queries import (
+    DcDecl,
     LogBound,
     QueryError,
     load_query,
@@ -59,6 +60,9 @@ def test_parse_numeric_and_symbolic_bounds():
     )
     assert q.decls[0].sym == Fraction(3, 2)
     assert q.decls[1].num == 100
+    # the parser always sets a bound, so only a direct construction lacks one
+    with pytest.raises(QueryError, match="^constraint on R has no bound$"):
+        DcDecl("R", (), (0,), None, None)
 
 
 ONE_ATOM = "phi(x1 | x1) :- R(x1, x2)."

@@ -440,6 +440,9 @@ def test_log_size_bound_rejects_a_changed_multiplier():
     doubled[i] = -2
     with pytest.raises(LpError, match="^Farkas multipliers price a column below 0$"):
         check(doubled)
+    # all-zero multipliers pass every sign check but price logS at 0
+    with pytest.raises(LpError, match=r"^Farkas multipliers of .* price logS at 0, not below 0$"):
+        system.log_size_bound(rule, [F(0)] * len(farkas))
 
 
 # ═══════════════════════════════════════════════════════════════════════════

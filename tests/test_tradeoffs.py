@@ -662,10 +662,16 @@ WHOLE_QUERY_ENVELOPES = {
 }
 
 
+# the body and sizes of the triangle query `tri` below
+TRIANGLE = ":- R(x1, x2), S(x2, x3), T(x1, x3).\ndc R: size = N^1\ndc S: size = N^1\ndc T: size = N^1"
+
 # queries outside the corpus, each with the start of its envelope at logQ = 0:
 # the value its worst rule certifies at logS = 0.  A term T ~ N*Q added to
 # every rule without a certificate would pull each start down to 1
 CERTIFIED_START_QUERIES = {
+    "edge_triangle": (f"edge_triangle(x1, x2 | x1, x2) {TRIANGLE}", ONE),
+    "edge_triangle_list": (f"edge_triangle_list(x1, x2, x3 | x1, x2) {TRIANGLE}", ONE),
+    "vertex_triangle": (f"vertex_triangle(x1 | x1) {TRIANGLE}", ONE),
     "q12": (
         "q12(x2, x4 | x4) :- R1(x2, x4, x1), R2(x4, x2, x3), R3(x1, x3).\n"
         "dc R1: size = N^1\ndc R2: size = N^1\ndc R3: size = N^1",
@@ -699,6 +705,42 @@ def pruned_tradeoffs(name):
         system = JointSystem(q(name))
     rules = prune_rules(generate_rules(enumerate_pmtds(system.q)))
     return system, [rule_tradeoff(r, system) for r in rules]
+
+
+# each triangle query's single pruned rule, its terms with their spans, and
+# its storage cap.  How the curve goes on past the cap is still open
+TRIANGLE_RULES = {
+    "edge_triangle": ("T{x1,x2,x3} v S{x1,x2}", [("S*T^2 ~ N^2*Q^2", (ZERO, ONE))], ONE),
+    "edge_triangle_list": (
+        "T{x1,x2,x3} v S{x1,x2,x3}",
+        [("T^2 ~ N^2*Q", (ZERO, ONE)), ("S*T ~ N^2*Q", (ONE, F(3, 2)))],
+        F(3, 2),
+    ),
+    "vertex_triangle": (
+        "T{x1,x2,x3} v S{x1}",
+        [("T ~ N*Q", (ZERO, F(1, 2))), ("S^2*T ~ N^2*Q", (F(1, 2), ONE))],
+        ONE,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGLE_RULES))
+def test_triangle_rule_terms_and_cap(name):
+    # every term's line is the joint LP's at its span's midpoint; its T side
+    # validates, and so does its S side when it stores anything
+    system, curves = pruned_tradeoffs(name)
+    (rt,) = curves
+    table = [(t.pretty(), t.span) for t in rt.terms]
+    assert (rt.rule.pretty(system.q.var_names), table, rt.s_cap) == TRIANGLE_RULES[name]
+    for t in rt.terms:
+        lo, hi = t.span
+        assert joint_solve_at(rt.rule, system, (lo + hi) / 2).line == t.line(), t.pretty()
+        ext = t.provenance
+        sides = [(ext.g_t, ext.lam, ext.sigma_t, ext.mu_t)]
+        if ext.theta:
+            sides.append(ext.scaled_s_side())
+        for g, target, sigma, mu in sides:
+            assert proofs.validate(proofs.construct(g, target, sigma=sigma, mu=mu)), t.pretty()
 
 
 @pytest.mark.parametrize("name", sorted(WHOLE_QUERY_ENVELOPES))
