@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Sequence
 
-from .queries import Cqap, QueryError, fields_of, file_entries, varset_of
+from .queries import Cqap, QueryError, fields_of, json_object, varset_of
 from .relalg import VarSet, members, names_of, submasks, subset, vs_str
 
 log = logging.getLogger(__name__)
@@ -314,8 +314,12 @@ def pmtds_to_json(plans: list[Pmtd], q: Cqap) -> str:
 
 
 def pmtds_from_json(text: str, q: Cqap) -> list[Pmtd]:
+    doc = json_object(text, "plan file")
+    [entries] = fields_of(doc, "plan file", "pmtds", lists=True)
+    if doc.get("query") not in (None, q.name):
+        raise QueryError(f"plan file is for query {doc.get('query')!r}, not {q.name!r}")
     plans = []
-    for entry in file_entries(text, q, "plan file", "pmtds"):
+    for entry in entries:
         what = f"plan in file {entry}"
         bags, parent, in_m = fields_of(entry, what, "bags", "parent", "in_m", lists=True)
         bags = [varset_of(bag, q.var_names, what) for bag in bags]

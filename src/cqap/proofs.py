@@ -515,8 +515,10 @@ def bundle_from_json(text: str) -> tuple[str, list[str], list[ProofSequence]]:
     var_names, sequences = fields_of(doc, "bundle", "vars", "sequences", lists=True)
     if not all(isinstance(v, str) for v in var_names) or len(set(var_names)) < len(var_names):
         raise QueryError("bundle has 'vars' that is not a list of distinct names")
+    if not isinstance(query := doc.get("query", ""), str):
+        raise QueryError("bundle has 'query' that is not a string")
     seqs = [
         sequence_from_json(d, var_names, f"sequence {i} of the bundle")
         for i, d in enumerate(sequences)
     ]
-    return doc.get("query", ""), var_names, seqs
+    return query, var_names, seqs

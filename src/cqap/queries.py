@@ -7,10 +7,11 @@ A query is written in a small datalog-style text form:
     dc R1: (x1 -> x1,x2) <= 100
 
 Head variables left of `|`, access (bound-at-request-time) variables right of
-it.  The head is normalized to include the access variables.  Relations may
-appear in several atoms (self-joins); constraint declarations are written
-against the relation's first occurrence and are re-bound positionally to every
-occurrence.
+it.  The head is normalized to include the access variables, and must then
+hold at least one variable: a yes/no question has no online phase.
+Relations may appear in several atoms (self-joins); constraint declarations
+are written against the relation's first occurrence and are re-bound
+positionally to every occurrence.
 
 The analysis reads the declared constraints as exact log-scale bounds,
 rational multiples of log N and log Q (`analysis_constraints`).  Its bounds
@@ -79,16 +80,6 @@ def json_object(text: str, what: str) -> dict:
     if not isinstance(doc, dict):
         raise QueryError(f"{what} is not a JSON object")
     return doc
-
-
-def file_entries(text: str, q: Cqap, what: str, key: str) -> list:
-    """The list under `key` of a JSON file for q; any other file, or one for
-    another query, raises QueryError."""
-    doc = json_object(text, what)
-    [entries] = fields_of(doc, what, key, lists=True)
-    if doc.get("query") not in (None, q.name):
-        raise QueryError(f"{what} is for query {doc.get('query')!r}, not {q.name!r}")
-    return entries
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -355,9 +346,10 @@ def parse_query(text: str) -> Cqap:
             raise QueryError(f"relation {a.rel} used with two arities")
 
     q = Cqap(qname, var_names, atoms, head | access, access)
+    if not q.head:
+        raise QueryError("query has no head variables: a yes/no question has no online phase")
     if not subset(q.head, q.vars_all):
         raise QueryError("head/access variables must appear in the body")
-
 
     for line in rest:
         m = _DC_SIZE_RE.match(line)

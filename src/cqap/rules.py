@@ -38,14 +38,12 @@ dominated exactly when its S and T masks meet.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 from .decompose import Pmtd
-from .queries import Cqap, QueryError, fields_of, file_entries, varset_of
-from .relalg import VarSet, names_of, subset, vs_str
+from .relalg import VarSet, subset, vs_str
 
 log = logging.getLogger(__name__)
 
@@ -139,38 +137,3 @@ def prune_rules(rules: Sequence[TwoPhaseRule]) -> list[TwoPhaseRule]:
             kept.append(r)
     log.debug("pruned %d rules to %d", len(rules), len(kept))
     return sorted(kept, key=TwoPhaseRule.key)
-
-
-# ═══════════════════════════════════════════════════════════════════════════
-# Serialization
-# ═══════════════════════════════════════════════════════════════════════════
-
-
-def rules_to_json(rules: Sequence[TwoPhaseRule], q: Cqap) -> str:
-    doc = {
-        "query": q.name,
-        "rules": [
-            {
-                "t": [names_of(v, q.var_names) for v in sorted(r.t_targets)],
-                "s": [names_of(v, q.var_names) for v in sorted(r.s_targets)],
-            }
-            for r in rules
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def rules_from_json(text: str, q: Cqap) -> list[TwoPhaseRule]:
-    rules = []
-    for entry in file_entries(text, q, "rule file", "rules"):
-        what = f"rule in file {entry}"
-        s, t = fields_of(entry, what, "s", "t", lists=True)
-        if not s and not t:
-            raise QueryError(f"{what} has no target on either side")
-        rules.append(
-            TwoPhaseRule(
-                s_targets=frozenset(varset_of(names, q.var_names, what) for names in s),
-                t_targets=frozenset(varset_of(names, q.var_names, what) for names in t),
-            )
-        )
-    return rules

@@ -48,8 +48,8 @@ from itertools import combinations
 
 from .exactlp import LpError, LpResult, RhsPiece, resolve_lp, solve_lp_guided, walk_rhs
 from .proofs import CondVec, normalize
-from .queries import Cqap, LogBound, LogConstraint, span_split_constraints
-from .relalg import VarSet, submasks
+from .queries import Cqap, LogBound, LogConstraint, QueryError, span_split_constraints
+from .relalg import VarSet, submasks, subset, vs_str
 from .rules import TwoPhaseRule
 
 log = logging.getLogger(__name__)
@@ -302,14 +302,16 @@ def solve_joint_lp(
     One plain solve: any outcome but optimal raises `LpError` naming the
     rule, the point and the status, which is infeasible above the storage
     cap and unbounded without T-targets; `tradeoffs.rule_tradeoff` owns the
-    budget range.  `start` is an earlier optimal solution of the same rule
-    or a piece of its walk: the program is the same and only its right sides
-    differ, so `resolve_lp` gets those alone, one per row, and warm-starts
-    from that basis, breaking ties toward larger logQ: line[1] is then the
-    value's exact slope in logQ just above q.  Without `start` the solve
-    begins at the slack basis, which violates a theta row h_S(B') >= logS
-    with logS > 0, so a cold solve runs at logS = 0 (`solve_lp` raises
-    ValueError at any other logS).
+    budget range.  With T-targets it is unbounded only on bad input, a
+    `QueryError`: each target holds a variable that no declared bound
+    reaches from the access variables.  `start` is an earlier optimal
+    solution of the same rule or a piece of its walk: the program is the
+    same and only its right sides differ, so `resolve_lp` gets those alone,
+    one per row, and warm-starts from that basis, breaking ties toward
+    larger logQ: line[1] is then the value's exact slope in logQ just above
+    q.  Without `start` the solve begins at the slack basis, which violates
+    a theta row h_S(B') >= logS with logS > 0, so a cold solve runs at
+    logS = 0 (`solve_lp` raises ValueError at any other logS).
     """
     log_s, log_q = Fraction(log_s), Fraction(log_q)
     rr = system.rule_rows(rule)
@@ -320,6 +322,19 @@ def solve_joint_lp(
         res = solve_lp_guided(c_obj, [(r.coeffs, r.sense, b) for r, b in zip(rr.rows, rhs)])
     else:
         res = resolve_lp(start.lp if isinstance(start, JointSolution) else start, rhs, rr.q)
+    if res.status == "unbounded" and rule.t_targets:
+        reached, last = system.ac.y, None
+        while reached != last:  # chains of declared bounds h(y | x) <= bound, x reached
+            last = reached
+            for c in system.dc:
+                if subset(c.x, reached):
+                    reached |= c.y
+        names = system.q.var_names
+        far = vs_str(system.full & ~reached, names)
+        raise QueryError(
+            f"rule {rule.pretty(names)} has no finite online cost: no chain of declared size"
+            f" and degree bounds reaches {far} from the access variables"
+        )
     if res.status != "optimal":
         raise LpError(
             f"joint program for {rule.pretty()} at (logN, logQ, logS) = "

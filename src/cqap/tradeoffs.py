@@ -91,18 +91,6 @@ class TradeoffTerm:
 
         return f"{side([('S', c), ('T', k)])} ~ {side([('N', a), ('Q', b)])}"
 
-    def to_json(self) -> dict:
-        out = {
-            "display": self.pretty(),
-            "space_exp": str(self.space_exp),
-            "n_exp": str(self.rhs.n),
-            "q_exp": str(self.rhs.q),
-        }
-        if self.span is not None:
-            lo, hi = self.span
-            out["span"] = [str(lo), None if hi is None else str(hi)]
-        return out
-
 
 @dataclass
 class RuleTradeoff:
@@ -198,11 +186,6 @@ class TradeoffCurve:
     units: exact breakpoints, non-increasing, clamped at zero."""
 
     points: list[tuple[Fraction, Fraction]]
-
-    def to_csv(self) -> str:
-        lines = ["logS,logT"]
-        lines += [f"{s},{t}" for s, t in self.points]
-        return "\n".join(lines) + "\n"
 
 
 def envelope(rule_terms, log_q=ZERO) -> TradeoffCurve:

@@ -394,6 +394,7 @@ STEP = {"kind": "monotonicity", "x": ["x1"], "y": ["x1", "x2"], "weight": "1"}
             {"vars": ["x1"], "sequences": [{"initial": [], "target": [], "name": 5}]},
             "sequence 0 of the bundle has 'name' that is not a string",
         ),
+        ({"query": 5, "vars": [], "sequences": []}, "bundle has 'query' that is not a string"),
         (
             {"vars": ["x1"], "sequences": [{"initial": 5, "target": []}]},
             "sequence 0 of the bundle has 'initial' that is not a list",
@@ -429,7 +430,7 @@ STEP = {"kind": "monotonicity", "x": ["x1"], "y": ["x1", "x2"], "weight": "1"}
     ],
     ids=[
         "no-vars", "no-sequences", "no-initial", "no-coeff", "no-step-x", "list-sequence",
-        "int-sequences", "string-vars", "int-vars", "repeated-vars", "int-name", "int-initial", "int-steps", "string-coeff",
+        "int-sequences", "string-vars", "int-vars", "repeated-vars", "int-name", "int-query", "int-initial", "int-steps", "string-coeff",
         "given-outside-set", "unknown-kind", "negative-weight", "string-weight",
     ],
 )

@@ -94,6 +94,7 @@ LOGQ = ": logQ is a parameter of the analysis, not a declared bound"
         (f"phi(v0 | v0) :- R({SEVENTEEN}).", "more than 16 variables"),
         ("q(x) :- R(x).", "cannot parse rule: 'q(x) :- R(x).'"),
         ("q(x | x) :- R(x), 5.", "cannot parse body at: ' 5'"),
+        ("b( | ) :- R(x).\ndc R: size = N^1", "query has no head variables: a yes/no question has no online phase"),
     ],
 )
 def test_parse_rejects(bad, message):

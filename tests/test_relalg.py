@@ -13,7 +13,6 @@ from cqap.decompose import enumerate_pmtds, pmtds_from_json, pmtds_to_json
 from cqap.proofs import bundle_from_json
 from cqap.queries import QueryError, load_query, varset_of
 from cqap.relalg import MAX_VARS, members, names_of, submasks, term_str, vs, vs_str
-from cqap.rules import generate_rules, prune_rules, rules_from_json, rules_to_json
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -58,15 +57,6 @@ def _plan_doc(names=None):
     return pmtds_from_json, json.dumps(doc), query, f"plan in file {entry}"
 
 
-def _rule_doc(names=None):
-    query = load_query(CORPUS / "queries" / "two_reach.cqap")
-    rules = prune_rules(generate_rules(enumerate_pmtds(query)))
-    doc = json.loads(rules_to_json(rules, query))
-    entry = doc["rules"][0]
-    entry["t"][0] = ["w", *entry["t"][0][1:]] if names is None else names
-    return rules_from_json, json.dumps(doc), query, f"rule in file {entry}"
-
-
 def _bundle_doc(names=None):
     doc = json.loads((CORPUS / "proofs" / "two_reach.json").read_text())
     entry = doc["sequences"][0]["initial"][0]
@@ -75,8 +65,8 @@ def _bundle_doc(names=None):
     return (lambda text, _: bundle_from_json(text)), json.dumps(doc), None, where
 
 
-READERS = [_plan_doc, _rule_doc, _bundle_doc]
-READER_IDS = ["plans", "rules", "bundle"]
+READERS = [_plan_doc, _bundle_doc]
+READER_IDS = ["plans", "bundle"]
 
 
 @pytest.mark.parametrize("make", READERS, ids=READER_IDS)
@@ -101,5 +91,5 @@ def test_readers_name_a_variable_list_that_is_not_a_list(make, names):
 @pytest.mark.parametrize("make", READERS, ids=READER_IDS)
 def test_readers_reject_a_file_that_is_not_a_json_object(make, text):
     read, _, query, _ = make()
-    with pytest.raises(QueryError, match=r"^(plan file|rule file|bundle) is not a JSON object$"):
+    with pytest.raises(QueryError, match=r"^(plan file|bundle) is not a JSON object$"):
         read(text, query)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import re
 from functools import reduce
@@ -20,16 +19,11 @@ from cqap.decompose import (
     enumerate_pmtds,
     enumerate_tds,
     pmtds_from_json,
+    pmtds_to_json,
 )
-from cqap.queries import QueryError, load_query
+from cqap.queries import load_query
 from cqap.relalg import subset, vs
-from cqap.rules import (
-    TwoPhaseRule,
-    generate_rules,
-    prune_rules,
-    rules_from_json,
-    rules_to_json,
-)
+from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
 
 ROOT = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -248,6 +242,18 @@ def as_pairs(rules):
     return [r.key() for r in rules]
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "queries").glob("*.cqap")))
+def test_a_plan_file_pins_the_rules(name):
+    # the rules are a pure function of the plans, so a plan file written and
+    # read back gives the same rules, in the same order, before and after pruning
+    query = q(name)
+    plans = enumerate_pmtds(query)
+    back = pmtds_from_json(pmtds_to_json(plans, query), query)
+    rules, again = generate_rules(plans), generate_rules(back)
+    assert as_pairs(again) == as_pairs(rules)
+    assert as_pairs(prune_rules(again)) == as_pairs(prune_rules(rules))
+
+
 def rules_digest(rules) -> str:
     return hashlib.sha256(repr(as_pairs(rules)).encode()).hexdigest()
 
@@ -441,7 +447,7 @@ def test_prune_compares_sides_by_value(plans, data):
 def test_prune_compares_round_tripped_sides_by_value():
     query = q("three_reach")
     rules = generate_rules(enumerate_pmtds(query))
-    back = rules_from_json(rules_to_json(rules, query), query)
+    back = [fresh(r) for r in rules]
     assert all(a.s_targets is not b.s_targets for a, b in zip(rules, back) if a.s_targets)
     mixed = rules + back
     kept = prune_rules(mixed)
@@ -481,70 +487,3 @@ def test_full_choices_cover_a_plan_corpus(name):
     for banned in product(*[sorted(side_targets(p)) for p in plans]):
         bset = frozenset(banned)
         assert any(side_targets(r) <= bset for r in rules)
-
-
-# ----------------------------------------------------------------------------
-# Serialization
-# ----------------------------------------------------------------------------
-
-
-def test_rules_json_round_trip():
-    query = q("three_reach")
-    rules = prune_rules(generate_rules(enumerate_pmtds(query)))
-    text = rules_to_json(rules, query)
-    back = rules_from_json(text, query)
-    assert [r.key() for r in back] == [r.key() for r in rules]
-    with pytest.raises(ValueError):
-        rules_from_json(text, q("two_reach"))
-
-
-def test_rules_json_names_a_missing_key_or_another_query():
-    query = q("two_reach")
-    doc = json.loads(rules_to_json(prune_rules(generate_rules(enumerate_pmtds(query))), query))
-    with pytest.raises(QueryError, match=r"^rule file is for query 'two_reach', not 'three_reach'$"):
-        rules_from_json(json.dumps(doc), q("three_reach"))
-    with pytest.raises(QueryError, match=r"^rule file has no 'rules'$"):
-        rules_from_json(json.dumps({"query": "two_reach"}), query)
-    with pytest.raises(QueryError, match=r"^rule file has 'rules' that is not a list$"):
-        rules_from_json(json.dumps({"rules": 5}), query)
-    # at most one side of a rule may be empty
-    with pytest.raises(QueryError, match=r"^rule in file \{'s': \[\], 't': \[\]\} has no target on either side$"):
-        rules_from_json(json.dumps({"rules": [{"s": [], "t": []}]}), query)
-    for side in ("s", "t"):
-        entry = dict(doc["rules"][0])
-        del entry[side]
-        with pytest.raises(QueryError, match=rf"^rule in file .* has no '{side}'$") as exc:
-            rules_from_json(json.dumps({**doc, "rules": [entry]}), query)
-        assert repr(entry) in str(exc.value)
-
-
-@pytest.mark.parametrize(
-    "side, value, problem",
-    [
-        ("t", 3, r"has 't' that is not a list$"),
-        ("s", "x1", r"has 's' that is not a list$"),
-        ("t", [3], r"^3 in rule in file .* is not a list of variable names$"),
-        ("t", ["x1"], r"^'x1' in rule in file .* is not a list of variable names$"),
-    ],
-    ids=["int-side", "string-side", "int-target", "string-target"],
-)
-def test_rules_json_names_the_rule_with_a_value_of_the_wrong_type(side, value, problem):
-    query = q("two_reach")
-    doc = json.loads(rules_to_json(prune_rules(generate_rules(enumerate_pmtds(query))), query))
-    entry = doc["rules"][0]
-    entry[side] = value
-    with pytest.raises(QueryError, match=problem) as exc:
-        rules_from_json(json.dumps(doc), query)
-    assert repr(entry) in str(exc.value)
-
-
-def test_rules_json_names_the_rule_with_an_unknown_variable():
-    # the message names the one rule that holds the unknown name, not another
-    query = q("three_reach")
-    doc = json.loads(rules_to_json(prune_rules(generate_rules(enumerate_pmtds(query))), query))
-    first, last = doc["rules"][0], doc["rules"][-1]
-    last["s"][-1] = ["x1", "y"]
-    with pytest.raises(QueryError, match=r"^unknown variable 'y' in rule in file ") as exc:
-        rules_from_json(json.dumps(doc), query)
-    assert str(exc.value).endswith(repr(last))
-    assert repr(first) not in str(exc.value)

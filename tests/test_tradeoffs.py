@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import re
 from functools import cache
 from fractions import Fraction as F
 from pathlib import Path
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from cqap import proofs, tradeoffs
 from cqap.decompose import TreeDecomp, enumerate_pmtds
 from cqap.exactlp import LpError, walk_rhs
-from cqap.queries import LogBound, load_query, parse_query, varset_of
+from cqap.queries import LogBound, QueryError, load_query, parse_query, varset_of
 from cqap.rules import TwoPhaseRule, generate_rules, prune_rules
 from cqap.shannon import JointSystem, solve_joint_lp
 from cqap.tradeoffs import TradeoffTerm, envelope, rule_tradeoff
@@ -692,6 +693,12 @@ CERTIFIED_START_QUERIES = {
         "dc R1: size = N^3/2\ndc R2: size = N^3/2",
         F(3, 2),
     ),
+    # three_reach with the functional dependency x2 -> x3 on R2
+    "fd_three_reach": (
+        "fd_three_reach(x1, x4 | x1, x4) :- R1(x1, x2), R2(x2, x3), R3(x3, x4).\n"
+        "dc R1: size = N^1\ndc R2: size = N^1\ndc R3: size = N^1\ndc R2: (x2 -> x2,x3) <= 1",
+        ONE,
+    ),
 }
 
 
@@ -724,14 +731,12 @@ TRIANGLE_RULES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(TRIANGLE_RULES))
-def test_triangle_rule_terms_and_cap(name):
-    # every term's line is the joint LP's at its span's midpoint; its T side
-    # validates, and so does its S side when it stores anything
-    system, curves = pruned_tradeoffs(name)
-    (rt,) = curves
-    table = [(t.pretty(), t.span) for t in rt.terms]
-    assert (rt.rule.pretty(system.q.var_names), table, rt.s_cap) == TRIANGLE_RULES[name]
+def rule_table(system, rt):
+    """The rule, its terms with their spans, and its cap; and the step count
+    of each proof side.  Every term's line is the joint LP's at its span's
+    midpoint; its T side validates, and so does its S side when it stores
+    anything."""
+    steps = []
     for t in rt.terms:
         lo, hi = t.span
         assert joint_solve_at(rt.rule, system, (lo + hi) / 2).line == t.line(), t.pretty()
@@ -740,7 +745,74 @@ def test_triangle_rule_terms_and_cap(name):
         if ext.theta:
             sides.append(ext.scaled_s_side())
         for g, target, sigma, mu in sides:
-            assert proofs.validate(proofs.construct(g, target, sigma=sigma, mu=mu)), t.pretty()
+            ps = proofs.construct(g, target, sigma=sigma, mu=mu)
+            assert proofs.validate(ps), t.pretty()
+            steps.append(len(ps.steps))
+    table = [(t.pretty(), t.span) for t in rt.terms]
+    return (rt.rule.pretty(system.q.var_names), table, rt.s_cap), steps
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGLE_RULES))
+def test_triangle_rule_terms_and_cap(name):
+    system, curves = pruned_tradeoffs(name)
+    (rt,) = curves
+    assert rule_table(system, rt)[0] == TRIANGLE_RULES[name]
+
+
+def test_functional_dependency_rule_terms_and_caps():
+    # the pieces as the analysis gives them; their hand derivation is open
+    two = [("S*T^2 ~ N^2*Q^2", (ZERO, F(2)))]
+    split = [("T ~ N", (ZERO, F(1, 2))), ("S^2*T^3 ~ N^4*Q^3", (F(1, 2), ONE))]
+    want = [
+        ("T{x1,x4,x2} v T{x1,x4,x3} v S{x1,x4}", two, F(2)),
+        ("T{x1,x4,x2} v T{x1,x2,x3} v S{x1,x4} v S{x1,x3}", split, ONE),
+        ("T{x1,x4,x3} v T{x4,x2,x3} v S{x1,x4} v S{x4,x2}", two, F(2)),
+        ("T{x1,x2,x3} v T{x4,x2,x3} v S{x1,x4} v S{x4,x2} v S{x1,x3}", split, ONE),
+    ]
+    system, curves = pruned_tradeoffs("fd_three_reach")
+    tables, steps = zip(*(rule_table(system, rt) for rt in curves))
+    assert list(tables) == want
+    assert (sum(map(len, steps)), sum(map(sum, steps))) == (10, 49)
+    assert envelope([rt.terms for rt in curves]).points == [(ZERO, ONE), (F(1, 2), ONE), (F(2), ZERO)]
+
+
+@pytest.mark.parametrize(
+    "text, outcomes",
+    [
+        (
+            "q(x, z | x) :- R(x, y), S(y, z).\ndc R: size = N^1",
+            {"T{x,z,y} v S{x,z}": "{z}"},
+        ),
+        (
+            "q(x | x) :- R(x, y), S(y, w).\ndc R: size = N^1",
+            {"T{x,y} v S{x}": ["S*T ~ N*Q"], "T{y,w} v S{x} v S{y}": "{w}"},
+        ),
+        # the chain starts at the access variables: x -> y is reached from x
+        (
+            "q(x, z | x) :- R(x, y), S(y, z).\ndc R: (x -> x,y) <= 1",
+            {"T{x,z,y} v S{x,z}": "{z}"},
+        ),
+    ],
+    ids=["z-unreached", "w-unreached", "z-unreached-past-a-degree-bound"],
+)
+def test_an_undeclared_size_is_bad_input(text, outcomes):
+    # a rule with online targets is unbounded only when each target holds a
+    # variable that no declared bound reaches from the access variables
+    query = parse_query(text)
+    system = JointSystem(query)
+    rules = prune_rules(generate_rules(enumerate_pmtds(query)))
+    assert sorted(r.pretty(query.var_names) for r in rules) == sorted(outcomes)
+    for rule in rules:
+        want = outcomes[rule.pretty(query.var_names)]
+        if isinstance(want, list):
+            assert [t.pretty() for t in rule_tradeoff(rule, system).terms] == want
+            continue
+        message = (
+            f"rule {rule.pretty(query.var_names)} has no finite online cost: no chain of "
+            f"declared size and degree bounds reaches {want} from the access variables"
+        )
+        with pytest.raises(QueryError, match=f"^{re.escape(message)}$"):
+            rule_tradeoff(rule, system)
 
 
 @pytest.mark.parametrize("name", sorted(WHOLE_QUERY_ENVELOPES))
@@ -845,14 +917,7 @@ def test_envelope_respects_request_volume():
 
 def test_envelope_csv_round_trip():
     curve = envelope(fig_four_groups())
-    assert curve.to_csv().splitlines() == [
-        "logS,logT",
-        "0,1",
-        "7/6,1",
-        "29/22,9/11",
-        "7/5,3/5",
-        "2,0",
-    ]
+    assert curve.points == [(ZERO, ONE), (F(7, 6), ONE), (F(29, 22), F(9, 11)), (F(7, 5), F(3, 5)), (F(2), ZERO)]
 
 
 def test_envelope_without_terms_rejected():
@@ -929,8 +994,6 @@ def test_term_identity_ignores_span_and_provenance(two_reach):
 
 
 def test_term_json_shape(generator_terms):
-    doc = generator_terms["sd3"].to_json()
-    assert doc["display"] == "S*T^2 ~ N^3*Q^2"
-    assert doc["space_exp"] == "1/2"
-    assert doc["n_exp"] == "3/2"
-    assert doc["span"] == ["1", "3"]
+    t = generator_terms["sd3"]
+    assert t.pretty() == "S*T^2 ~ N^3*Q^2"
+    assert (t.space_exp, t.rhs.n, t.span) == (F(1, 2), F(3, 2), (1, 3))
