@@ -301,11 +301,6 @@ def pmtds_to_json(plans: list[Pmtd], q: Cqap) -> str:
                 "bags": [names_of(b, names) for b in p.td.bags],
                 "parent": list(p.td.parent),
                 "in_m": list(p.in_m),
-                "views": [
-                    {"side": "S" if m else "T", "vars": names_of(v, names)}
-                    for v, m in zip(p.nu, p.in_m)
-                    if v
-                ],
             }
             for p in plans
         ],

@@ -66,6 +66,23 @@ def _moves(kind: str, x: VarSet, y: VarSet) -> tuple[tuple[Coord, int], ...]:
     return ((0, y), -1), ((x, y), 1), ((0, x), 1)
 
 
+def _apply(
+    cur: dict, kind: str, x: VarSet, y: VarSet, w: int | Fraction
+) -> tuple[Coord, int | Fraction] | None:
+    """Move w of a step on the sparse vector `cur` in place, consumed
+    coordinates first.  Returns the first coordinate it would drive below 0
+    with the shortfall, or None."""
+    for c, sign in _moves(kind, x, y):
+        nv = cur.get(c, 0) + sign * w
+        if nv < 0:
+            return c, -nv
+        if nv:
+            cur[c] = nv
+        else:
+            cur.pop(c, None)
+    return None
+
+
 @dataclass(frozen=True)
 class ProofStep:
     """One weighted rewrite.
@@ -148,16 +165,9 @@ def validate(ps: ProofSequence, names: list[str] | None = None) -> ValidationRep
             return ValidationReport(False, None, f"target weight of {term_str(*c, names)} is negative")
     cur = {k: Fraction(v) for k, v in ps.initial.items() if v}
     for idx, st in enumerate(ps.steps):
-        for c, dv in st.delta().items():
-            nv = cur.get(c, ZERO) + dv
-            if nv < 0:
-                return ValidationReport(
-                    False, idx, f"step {idx} overdraws {term_str(*c, names)} by {-nv}"
-                )
-            if nv:
-                cur[c] = nv
-            else:
-                cur.pop(c, None)
+        if over := _apply(cur, st.kind, st.x, st.y, st.weight):
+            c, short = over
+            return ValidationReport(False, idx, f"step {idx} overdraws {term_str(*c, names)} by {short}")
     for c, v in ps.target.items():
         short = v - cur.get(c, ZERO)
         if short > 0:
@@ -204,25 +214,18 @@ class ConstructionError(RuntimeError):
 def _excess(initial, target, sigma, mu) -> dict[VarSet, int | Fraction]:
     """Coefficient of each h(Z) in  <initial - target, h> - witness terms.
 
-    Exact in whatever the weights are: `construct` passes integers over one
-    common denominator.
+    A multiplier's term, subtracted, is what its own step moves (`_moves`)
+    times its weight, each h(Y|X) read as h(Y) - h(X).  Exact in whatever
+    the weights are: `construct` passes integers over one common denominator.
     """
+    moved = [*initial.items(), *((c, -v) for c, v in target.items())]
+    for kind, vec in ((SUBMODULARITY, sigma), (MONOTONICITY, mu)):
+        moved += [(c, sign * w) for (x, y), w in vec.items() for c, sign in _moves(kind, x, y)]
     e: dict[VarSet, int | Fraction] = {}
-
-    def add(z, v):
-        if z:
-            e[z] = e.get(z, 0) + v
-
-    for vec, sign in ((initial, 1), (target, -1)):
-        for (x, y), v in vec.items():
-            add(y, sign * v)
-            add(x, -sign * v)
-    for (i, j), w in sigma.items():
-        for z, v in ((i, -w), (j, -w), (i | j, w), (i & j, w)):
-            add(z, v)
-    for (x, y), w in mu.items():
-        add(y, -w)
-        add(x, w)
+    for (x, y), v in moved:
+        for z, dv in ((y, v), (x, -v)):
+            if z:
+                e[z] = e.get(z, 0) + dv
     return e
 
 
@@ -263,15 +266,8 @@ class _Prover:
         self.steps: list[ProofStep] = []
 
     def _emit(self, kind: str, x: VarSet, y: VarSet, w: int):
-        cur = self.cur
-        for c, sign in _moves(kind, x, y):
-            nv = cur.get(c, 0) + sign * w
-            if nv < 0:  # pragma: no cover - every caller checks availability
-                raise AssertionError(f"step overdraws {term_str(*c)}")
-            if nv:
-                cur[c] = nv
-            else:
-                cur.pop(c, None)
+        if over := _apply(self.cur, kind, x, y, w):  # pragma: no cover - callers check availability
+            raise AssertionError(f"step overdraws {term_str(*over[0])}")
         self.steps.append(ProofStep(kind, x, y, Fraction(w, self.den)))
 
     def _submodularity(self, i: VarSet, j: VarSet, w: int):

@@ -232,9 +232,10 @@ class JointSystem:
         as a dual is; with c < 0 no h_S reaches a budget above -a/c.  Each
         sign is checked against its row's sense, and c < 0 too.
         """
-        a, _, c, _ = _price(rule, self.rule_rows(rule).rows, farkas, "Farkas multiplier")
+        names = self.q.var_names
+        a, _, c, _ = _price(rule, names, self.rule_rows(rule).rows, farkas, "Farkas multiplier")
         if c >= 0:
-            raise LpError(f"Farkas multipliers of {rule.pretty()} price logS at {c}, not below 0")
+            raise LpError(f"Farkas multipliers of {rule.pretty(names)} price logS at {c}, not below 0")
         return -a / c
 
 
@@ -314,7 +315,7 @@ def solve_joint_lp(
     logS = 0 (`solve_lp` raises ValueError at any other logS).
     """
     log_s, log_q = Fraction(log_s), Fraction(log_q)
-    rr = system.rule_rows(rule)
+    rr, names = system.rule_rows(rule), system.q.var_names
     rhs = rr.rhs(log_q, log_s)
     if start is None:
         c_obj = [ZERO] * system.ncols
@@ -329,7 +330,6 @@ def solve_joint_lp(
             for c in system.dc:
                 if subset(c.x, reached):
                     reached |= c.y
-        names = system.q.var_names
         far = vs_str(system.full & ~reached, names)
         raise QueryError(
             f"rule {rule.pretty(names)} has no finite online cost: no chain of declared size"
@@ -337,12 +337,12 @@ def solve_joint_lp(
         )
     if res.status != "optimal":
         raise LpError(
-            f"joint program for {rule.pretty()} at (logN, logQ, logS) = "
+            f"joint program for {rule.pretty(names)} at (logN, logQ, logS) = "
             f"(1, {log_q}, {log_s}) came back {res.status}"
         )
-    sol = _package(rule, rr.rows, res)
+    sol = _package(rule, names, rr.rows, res)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("rule %s at (1, %s, %s): OBJ=%s", rule.pretty(), log_q, log_s, sol.value)
+        log.debug("rule %s at (1, %s, %s): OBJ=%s", rule.pretty(names), log_q, log_s, sol.value)
     return sol
 
 
@@ -360,7 +360,7 @@ def walk_joint_lp(
     return walk_rhs(low.lp, [r.s_mult for r in system.rule_rows(rule).rows])
 
 
-def _price(rule, rows, mults, what: str):
+def _price(rule, names, rows, mults, what: str):
     """Price multipliers signed like duals, one per row, at logN = 1.
 
     Returns (a, b, c, used): the weighted sums of the rows' logN, logQ and
@@ -376,7 +376,7 @@ def _price(rule, rows, mults, what: str):
         w = -y if row.sense == ">=" else y
         if w < 0:
             raise LpError(
-                f"{what} {y} on row {row.tag} of {rule.pretty()} has the "
+                f"{what} {y} on row {row.tag} of {rule.pretty(names)} has the "
                 f"wrong sign for its sense {row.sense!r}"
             )
         if row.bound is not NO_BOUND:
@@ -388,8 +388,8 @@ def _price(rule, rows, mults, what: str):
     return a, b, c, used
 
 
-def _package(rule, rows, res: LpResult) -> JointSolution:
-    a, b, c, used = _price(rule, rows, res.duals, "multiplier")
+def _package(rule, names, rows, res: LpResult) -> JointSolution:
+    a, b, c, used = _price(rule, names, rows, res.duals, "multiplier")
     vecs: dict[str, CondVec] = {part: {} for part in CERT_PARTS}
     for row, w in used:
         for part, key in row.cert:
@@ -397,6 +397,6 @@ def _package(rule, rows, res: LpResult) -> JointSolution:
             vec[key] = vec[key] + w if key in vec else w
     lam_sum = sum(vecs["lam"].values())
     if res.value > 0 and lam_sum != 1:
-        raise LpError(f"target multipliers of {rule.pretty()} sum to {lam_sum}, not 1")
+        raise LpError(f"target multipliers of {rule.pretty(names)} sum to {lam_sum}, not 1")
     cert = ExtractedInequality(bound=LogBound(a, b), **vecs)
     return JointSolution(res.value, cert, (a, b, -c), res)

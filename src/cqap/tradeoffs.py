@@ -139,7 +139,9 @@ def _pin_request_exponent(system, rule, a, c, span, start) -> TradeoffTerm:
         if (a1, c1) != (a, c)
         else f"request coefficient {b} cannot be negative"
     )
-    raise LpError(f"request probe of {rule.pretty()} at (logN, logQ, logS) = (1, 0, {m}): {wrong}")
+    raise LpError(
+        f"request probe of {rule.pretty(system.q.var_names)} at (logN, logQ, logS) = (1, 0, {m}): {wrong}"
+    )
 
 
 def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
@@ -164,14 +166,14 @@ def rule_tradeoff(rule: TwoPhaseRule, system: JointSystem) -> RuleTradeoff:
     cap = None if farkas is None else system.log_size_bound(rule, farkas)
     if end != cap:  # pragma: no cover - exactness guard
         raise LpError(
-            f"the walk of {rule.pretty()} ended at logS = {end}, "
+            f"the walk of {rule.pretty(system.q.var_names)} ended at logS = {end}, "
             f"not at the storage cap {cap} its last row proves"
         )
     a, _, c = low.line
     starts = [(p.intercept, -p.slope, (p.lo, p.hi), p) for p in pieces]
     terms = [_pin_request_exponent(system, rule, *s) for s in starts or [(a, c, (ZERO, ZERO), low)]]
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("rule %s: %d pieces up to cap %s", rule.pretty(), len(terms), cap)
+        log.debug("rule %s: %d pieces up to cap %s", rule.pretty(system.q.var_names), len(terms), cap)
     return RuleTradeoff(rule, terms, cap)
 
 

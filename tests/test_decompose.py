@@ -296,6 +296,8 @@ def test_plan_json_round_trip():
     text = pmtds_to_json(plans, query)
     back = pmtds_from_json(text, query)
     assert [p.key() for p in back] == [p.key() for p in plans]
+    # the writer writes only what the reader reads
+    assert all(entry.keys() == {"bags", "parent", "in_m"} for entry in json.loads(text)["pmtds"])
 
 
 def test_plan_json_needs_one_in_m_flag_per_bag():

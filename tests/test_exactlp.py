@@ -449,12 +449,29 @@ def highs(c, rows):
 
     a_ub = [a if sense == "<=" else [-v for v in a] for a, sense, _ in rows]
     b_ub = [b if sense == "<=" else -b for _, sense, b in rows]
-    program = dict(A_ub=a_ub or None, b_ub=b_ub or None, bounds=(0, None), method="highs")
+
+    def solve(box=None, presolve=True):
+        return linprog(
+            [-v for v in c], A_ub=a_ub or None, b_ub=b_ub or None, bounds=(0, box),
+            method="highs", options={"presolve": presolve},
+        )
+
     # HiGHS presolve can call an unbounded program infeasible; without it
-    # HiGHS can stop on numerical difficulties (status 4), which presolve settles
-    ref = linprog([-v for v in c], options={"presolve": False}, **program)
+    # HiGHS can stop on numerical difficulties (status 4), which presolve
+    # mostly settles
+    ref = solve(presolve=False)
     if ref.status == 4:
-        ref = linprog([-v for v in c], **program)
+        ref = solve()
+    if ref.status in (2, 4) and all(b >= 0 for b in b_ub):
+        # x = 0 is feasible, so the program is optimal or unbounded.  The
+        # drawn coefficients put every vertex well inside the smaller box, so
+        # an optimum that grows with the box means unbounded, and an equal
+        # one is the optimum
+        small, large = solve(box=10**3), solve(box=10**6)
+        assert small.status == large.status == 0, (small.status, large.status)
+        if math.isclose(small.fun, large.fun, rel_tol=1e-9, abs_tol=1e-9):
+            return "optimal", -small.fun
+        return "unbounded", None
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status)
     assert status is not None, f"scipy status {ref.status}"
     return status, -ref.fun if status == "optimal" else None
@@ -464,6 +481,10 @@ def highs(c, rows):
 @given(random_lp())
 @example(([0, 1, 0], [([1, -1, 1], "<=", 1), ([0, 0, 0], "<=", 0), ([1, -1, 1], ">=", 0)]))
 @example(([-2, 3, -3], [([-3, -1, -2], "<=", 5), ([-1, -2, 3], "<=", 2)]))
+# unbounded along (1, 0, 1); HiGHS calls the first infeasible (with presolve)
+# or stops at status 4 (without), and stops at status 4 both ways on the second
+@example(([0, 2, 1], [([2, -3, -2], "<=", 1), ([-2, 0, 1], "<=", 0), ([-3, 3, 1], "<=", 0)]))
+@example(([0, 2, 1], [([2, -3, -2], "<=", 1), ([-2, 0, 1], "<=", 1), ([-3, 3, 1], "<=", 1)]))
 def test_matches_scipy(problem):
     c, rows = problem
     res = solve_lp(c, sparse(rows))

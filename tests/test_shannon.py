@@ -191,7 +191,7 @@ def test_package_errors_name_the_rule_row_and_residual():
     res = sol.lp
 
     def package(**changes):
-        return shannon._package(rule, rows, replace(res, **changes))
+        return shannon._package(rule, query.var_names, rows, replace(res, **changes))
 
     assert package().certificate == sol.certificate
     # the theta row is ">=", so its multiplier -1/2 turns positive
@@ -202,12 +202,12 @@ def test_package_errors_name_the_rule_row_and_residual():
     with pytest.raises(shannon.LpError) as e:
         package(duals=flipped)
     assert str(e.value) == (
-        "multiplier 1/2 on row ('theta', 3) of T{0,1,2} v S{0,1} "
+        "multiplier 1/2 on row ('theta', 3) of T{x1,x3,x2} v S{x1,x3} "
         "has the wrong sign for its sense '>='"
     )
     with pytest.raises(shannon.LpError) as e:
         package(duals=[m / 2 for m in res.duals])
-    assert str(e.value) == "target multipliers of T{0,1,2} v S{0,1} sum to 1/2, not 1"
+    assert str(e.value) == "target multipliers of T{x1,x3,x2} v S{x1,x3} sum to 1/2, not 1"
 
 
 def test_mono_and_sub_rows_are_the_elemental_inequalities():

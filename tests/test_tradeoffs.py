@@ -263,8 +263,9 @@ def test_probe_error_names_the_rule_and_the_point(two_reach):
     _, system, rt = two_reach
     with pytest.raises(LpError, match="came back infeasible$") as exc:
         joint_solve_at(rt.rule, system, F(5, 2))
-    assert rt.rule.pretty() in str(exc.value)
-    assert "at (logN, logQ, logS) = (1, 0, 5/2) came back infeasible" in str(exc.value)
+    assert str(exc.value) == (
+        "joint program for T{x1,x3,x2} v S{x1,x3} at (logN, logQ, logS) = (1, 0, 5/2) came back infeasible"
+    )
 
 
 @pytest.mark.parametrize(
@@ -320,7 +321,7 @@ def test_request_pin_error_names_the_rule_and_the_probe(monkeypatch, two_reach, 
     with pytest.raises(LpError) as exc:
         rule_tradeoff(rt.rule, system)
     assert str(exc.value) == (
-        f"request probe of {rt.rule.pretty()} at (logN, logQ, logS) = (1, 0, 1): {message}"
+        f"request probe of T{{x1,x3,x2}} v S{{x1,x3}} at (logN, logQ, logS) = (1, 0, 1): {message}"
     )
 
 
